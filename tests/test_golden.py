@@ -1,0 +1,94 @@
+"""Golden outputs: CLI bytes and exact report texts pinned verbatim.
+
+Any change to how the matrix checks compute must leave these unchanged:
+the CLI prints the same bytes, failures keep their texts and name the same
+first failing entry.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from fusioncat import build_U, build_VLtau
+from fusioncat.cli import main
+from fusioncat.modular_data import VerlindeError
+
+from test_modular_data import z3_datum
+
+# sha256 of stdout; every call exits 0.
+CLI_SHA256 = {
+    ("verify", "U"):
+        "757eaf2a2be084024ba098449febd1ec73dd14d27543a0adeb01dbbc8615c59f",
+    ("verlinde", "U"):
+        "5d6d5f957e4f5255e392ae22ecd858993199ae730becd295d061cdab8a41d873",
+    ("smatrix", "U"):
+        "f53d081899024cdd1c2fbeb0c01803c2b5b06467039ef00e66f9d51202465197",
+    ("tmatrix", "U"):
+        "eeede8fd626aaf40603f2235286569949ad4058d8d1e4436c087c8e9097d229c",
+    ("verify", "VLtau"):
+        "757eaf2a2be084024ba098449febd1ec73dd14d27543a0adeb01dbbc8615c59f",
+    ("verlinde", "VLtau"):
+        "9f529cf8138bff4847fed1acaee1c999e576f4ba23aa3960da12b4c7e457bc3b",
+    ("smatrix", "VLtau"):
+        "3ce7d74103d60b266d9a6f9ecc48868cf8740697820780e05ab9eaf174c98d92",
+    ("tmatrix", "VLtau"):
+        "0da540e846551cb6cdfe69a671723eb63b712785e9fa13c071d0941492b8425c",
+}
+
+_FAILING_CHECKS = [
+    "S symmetric                 FAIL",
+    "S^2 = charge conjugation    FAIL",
+    "S dual-invariant            FAIL",
+    "S unitary                   FAIL",
+    "first row = dims/D          PASS",
+    "Gauss sums p+p- = D^2       FAIL",
+    "Gauss ratio e^(2 pi i c/4)  FAIL",
+]
+
+
+@pytest.mark.parametrize("command,catalog", sorted(CLI_SHA256))
+def test_cli_stdout_digest(command, catalog, capsys):
+    code = main([command, "--catalog", catalog])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[command, catalog]
+
+
+def test_perturbed_z3_report_lines():
+    md = z3_datum().perturbed(1, Fraction(1, 9))
+    assert md.verify_modular().lines() == _FAILING_CHECKS + [
+        "  detail: S[0][1] != S[1][0]",
+        "  detail: (S^2)[0][0] != C[0][0]",
+        "  detail: S[i'][j'] != S[i][j] somewhere",
+        "  detail: (S S*)[0][1] = "
+        "-1/3+1/3*e(1/18)+1/3*e(1/9)+1/3*e(1/6)-1/3*e(2/9)",
+        "  detail: p+ p- != D^2",
+        "  detail: p+/p- != e^{2 pi i c/4}",
+    ]
+
+
+def test_perturbed_u_report_lines():
+    md = build_U().perturbed(8, Fraction(1, 9))
+    assert md.verify_modular().lines() == _FAILING_CHECKS + [
+        "  detail: S[0][8] != S[8][0]",
+        "  detail: (S^2)[0][0] != C[0][0]",
+        "  detail: S[i'][j'] != S[i][j] somewhere",
+        "  detail: (S S*)[0][1] = -1/18*e(1/18)+1/9*e(1/6)-1/18*e(5/18)",
+        "  detail: p+ p- != D^2",
+        "  detail: p+/p- != e^{2 pi i c/4}",
+    ]
+
+
+def test_perturbed_z3_verlinde_message():
+    md = z3_datum().perturbed(1, Fraction(1, 9))
+    with pytest.raises(VerlindeError) as info:
+        md.verlinde(require_verified=False)
+    assert str(info.value) == "non-rational Verlinde value at (0,0,1)"
+
+
+@pytest.mark.parametrize("build", [build_U, build_VLtau, z3_datum],
+                         ids=["U", "VLtau", "Z3"])
+def test_st_relation_is_reported_false(build):
+    # T carries the -c/24 shift, so (ST)^3 = S^2, not e^{2 pi i c/8} S^2.
+    assert build().st_relation_holds() is False
