@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import cyclotomic
-from .cyclotomic import format_cyc
+from .cyclotomic import CycError, format_cyc
 from .fusion_ring import FcatDocument, FcatError, emit_fcat, parse_fcat
 from .lattice import coset_L, coset_Zbeta1
 from .modular_data import ModularDatum, VerlindeError
@@ -45,7 +46,7 @@ def _load_datum(args) -> tuple[ModularDatum | None, FcatDocument | None]:
     path = getattr(args, "input", None)
     if path is None:
         raise CliError("an input file or --catalog is required")
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     doc = parse_fcat(text)
     if doc.has_modular_annotations and doc.ring.validate().passed:
         md = ModularDatum(doc.ring, doc.twists, doc.dims)
@@ -273,14 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_cap = cyclotomic.DEFAULT_ORDER_CAP
     if args.order_cap is not None:
         cyclotomic.DEFAULT_ORDER_CAP = args.order_cap
     try:
         return args.func(args)
-    except (CliError, FcatError, KeyError, FileNotFoundError, ValueError) as exc:
+    except (CliError, CycError, FcatError, KeyError, FileNotFoundError,
+            ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        cyclotomic.DEFAULT_ORDER_CAP = saved_cap
 
 
 if __name__ == "__main__":

@@ -9,6 +9,11 @@ Internally a value keeps an integer coefficient vector over the canonical
 power basis zeta^0 .. zeta^{phi(N)-1} plus a common positive denominator.
 Multiplication runs through an int64 numpy convolution fast path guarded by
 an explicit overflow bound, falling back to big-int arithmetic when needed.
+
+Matrices of such numbers are promoted once to one conductor and held as
+integer arrays over one denominator (`_CycArray`); their entrywise and
+matrix products are numpy contractions through the cached multiplication
+tensor of the field, under the same kind of certified int64 bound.
 """
 
 from __future__ import annotations
@@ -140,6 +145,17 @@ class _OrderContext:
         self.pow_matrix = np.array(rows, dtype=np.int64)
         self.pow_max = int(np.abs(self.pow_matrix).max()) if rows else 1
         self.roots = np.exp(2j * np.pi * np.arange(self.phi) / n)
+
+    @functools.cached_property
+    def mul_tensor(self) -> np.ndarray:
+        """M[p, q, :] = canonical coefficients of x^(p+q) mod Phi_n."""
+        k = np.arange(self.phi)
+        return self.pow_matrix[k[:, None] + k[None, :]]
+
+    @functools.cached_property
+    def conj_matrix(self) -> np.ndarray:
+        """Row j = canonical coefficients of x^(-j) mod Phi_n."""
+        return self.pow_matrix[-np.arange(self.phi) % self.order]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +467,120 @@ def _solve_rational(a: list[list[Fraction]], b: list[Fraction]
 
 
 # ---------------------------------------------------------------------------
+# Exact arrays over one conductor (the matrix layers)
+# ---------------------------------------------------------------------------
+
+def _exact(terms: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The operands of a contraction, as int64 or as object arrays.
+
+    Each output coefficient is a sum of at most `terms` products of one
+    entry from each array; int64 is used only while that many products of
+    the largest entries stay below _INT64_SAFE, else Python ints.
+    """
+    bound = terms
+    for x in arrays:
+        bound *= max(1, int(np.abs(x).max(initial=0)))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return [x.astype(dtype, copy=False) for x in arrays]
+
+
+class _CycArray:
+    """Array of elements of Q(zeta_N) at one conductor N.
+
+    ``num[..., :]`` holds each entry's canonical coefficients over
+    zeta^0 .. zeta^{phi(N)-1}; all entries share the denominator ``den``.
+    Products run through the order context's multiplication tensor, in
+    int64 when _exact certifies the bound, else in Python ints.
+    """
+
+    __slots__ = ("num", "den", "order")
+
+    def __init__(self, num: np.ndarray, den: int, order: int):
+        self.num, self.den, self.order = num, den, order
+
+    def __getitem__(self, key) -> "_CycArray":
+        """Slice the leading (entry) axes."""
+        return _CycArray(self.num[key], self.den, self.order)
+
+    @property
+    def T(self) -> "_CycArray":
+        return _CycArray(self.num.swapaxes(0, 1), self.den, self.order)
+
+    def conj(self) -> "_CycArray":
+        ctx = _order_context(self.order)
+        num, conj = _exact(ctx.phi, self.num, ctx.conj_matrix)
+        return _CycArray(num @ conj, self.den, self.order)
+
+    def __mul__(self, other: "_CycArray") -> "_CycArray":
+        """Entrywise field product, broadcasting the entry axes."""
+        ctx = _order_context(self.order)
+        a, b, m = _exact(ctx.phi ** 2, self.num, other.num, ctx.mul_tensor)
+        t = np.tensordot(a, m, axes=([-1], [0]))         # (..., q, r)
+        return _CycArray((t * b[..., :, None]).sum(axis=-2),
+                         self.den * other.den, self.order)
+
+    def __matmul__(self, other: "_CycArray") -> "_CycArray":
+        """Matrix product: out[i, k] = sum_j self[i, j] * other[j, k]."""
+        ctx = _order_context(self.order)
+        a, b, m = _exact(self.num.shape[1] * ctx.phi ** 2,
+                         self.num, other.num, ctx.mul_tensor)
+        t = np.tensordot(a, m, axes=([-1], [0]))         # (i, j, q, r)
+        out = np.tensordot(t, b, axes=([1, 2], [0, 2]))  # (i, r, k)
+        return _CycArray(np.moveaxis(out, 1, -1), self.den * other.den,
+                         self.order)
+
+    def equals(self, other: "_CycArray") -> np.ndarray:
+        """Boolean mask of the entries where both arrays hold one value."""
+        a, b = (_exact(other.den, self.num)[0] * other.den,
+                _exact(self.den, other.num)[0] * self.den)
+        return (a == b).all(axis=-1)
+
+    def entry(self, *index: int) -> CycNum:
+        return CycNum(self.order, _num=tuple(int(x) for x in self.num[index]),
+                      _den=self.den)
+
+    @classmethod
+    def rational(cls, numerators: np.ndarray, den: int, order: int
+                 ) -> "_CycArray":
+        """Rational entries numerators/den, from an integer array."""
+        num = np.zeros(np.shape(numerators) + (_order_context(order).phi,),
+                       dtype=object)
+        num[..., 0] = numerators
+        return cls(_exact(1, num)[0], den, order)
+
+
+def _cyc_arrays(*blocks) -> list[_CycArray]:
+    """Nested sequences of CycNum as arrays over one conductor.
+
+    The conductor is the lcm of all entries' orders, checked against
+    DEFAULT_ORDER_CAP as it stands at call time; the denominator is the lcm
+    of the entries' denominators.  Each entry is promoted once.
+    """
+    grids = [np.array(b, dtype=object) for b in blocks]
+    entries = [x for g in grids for x in g.flat]
+    order = math.lcm(*(x.order for x in entries))
+    if order > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(
+            f"promotion to order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    den = math.lcm(*(x._den for x in entries))
+    ctx = _order_context(order)
+    out = []
+    for g in grids:
+        xs = list(g.flat)
+        num = np.zeros((len(xs), ctx.phi), dtype=object)
+        for o in {x.order for x in xs}:
+            rows = [t for t, x in enumerate(xs) if x.order == o]
+            coeffs = np.array([[c * (den // xs[t]._den) for c in xs[t]._num]
+                               for t in rows], dtype=object)
+            basis = ctx.pow_matrix[np.arange(coeffs.shape[1]) * (order // o)]
+            coeffs, basis = _exact(coeffs.shape[1], coeffs, basis)
+            num[rows] = coeffs @ basis
+        out.append(_CycArray(_exact(1, num)[0].reshape(g.shape + (ctx.phi,)),
+                             den, order))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Public functional API
 # ---------------------------------------------------------------------------
 
@@ -523,14 +653,17 @@ def cyc_embed(a: CycNum) -> complex:
     return a.embed()
 
 
-def cyc_sqrt_rational(r: Fraction | int, *, order_cap: int = DEFAULT_ORDER_CAP
+def cyc_sqrt_rational(r: Fraction | int, *, order_cap: int | None = None
                       ) -> CycNum:
     """Exact square root of a rational inside a cyclotomic field.
 
     sqrt(2) lives at order 8, sqrt(p) for odd prime p at order p or 4p
     (through quadratic Gauss sums), and products combine through lcm of
-    orders; exceeding the cap raises OrderCapExceeded.
+    orders; exceeding the cap (DEFAULT_ORDER_CAP as it stands at call time,
+    unless given) raises OrderCapExceeded.
     """
+    if order_cap is None:
+        order_cap = DEFAULT_ORDER_CAP
     r = Fraction(r)
     if r == 0:
         return cyc_rational(0)

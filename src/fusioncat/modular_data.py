@@ -1,24 +1,35 @@
 """Twists, quantum dimensions, and exact S/T matrices for a fusion ring.
 
-Everything is computed in exact cyclotomic arithmetic: s-tilde from the
-balancing formula, S = s-tilde / D with D the positive square root of the
-global dimension, the Verlinde structure constants as exact integers, and
-the full battery of consistency checks (symmetry, S^2 = C, unitarity,
-Gauss sums).  A datum that fails verification is still fully computable;
-verification failure is diagnostic, not fatal.
+Everything is exact cyclotomic arithmetic.  s-tilde comes entry by entry
+from the balancing formula, and S = s-tilde / D with D the positive square
+root of the global dimension D^2 (a rational).  The matrix layers -- the
+checks of `verify_modular`, the Verlinde structure constants and the
+(ST)^3 relation -- run on s-tilde, never on S, so that no square root enters
+them: s-tilde is promoted once to one conductor N (the lcm of its entries'
+orders) as an integer array of shape (n, n, phi(N)) over one common
+denominator, and the matrix products are numpy contractions through the
+multiplication tensor of Q(zeta_N) (`cyclotomic._CycArray`).  They run in
+int64 only under a certified overflow bound and in Python ints otherwise,
+so every result is exact; there is no floating-point or modular shortcut.
+
+A datum that fails verification is still fully computable; verification
+failure is diagnostic, not fatal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .cyclotomic import (
     CycNum,
-    DEFAULT_ORDER_CAP,
+    _CycArray,
+    _cyc_arrays,
+    cyc_inv,
     cyc_rational,
     cyc_root_of_unity,
     cyc_sqrt_rational,
@@ -122,9 +133,15 @@ class ModularDatum:
             if not glob.is_rational():
                 raise ArithmeticError(
                     "global dimension is irrational; no square-root rule")
-            self._cache["D"] = cyc_sqrt_rational(glob.as_rational(),
-                                                 order_cap=DEFAULT_ORDER_CAP)
+            self._cache["D"] = cyc_sqrt_rational(glob.as_rational())
         return self._cache["D"]  # type: ignore[return-value]
+
+    def _d_squared(self) -> Fraction:
+        """D^2 as a rational; S = s~/D needs it nonzero."""
+        glob = self.global_dimension().as_rational()
+        if not glob:
+            raise ZeroDivisionError("division by zero in Q(zeta)")
+        return glob
 
     def gauss_sums(self) -> tuple[CycNum, CycNum]:
         """(p+, p-) with p± = sum d_i^2 theta_i^{±1}."""
@@ -210,68 +227,79 @@ class ModularDatum:
         return diag
 
     def st_relation_holds(self) -> bool:
-        """Exact check of (ST)^3 = e^{2 pi i c/8} S^2."""
+        """Exact check of (ST)^3 = e^{2 pi i c/8} S^2.
+
+        With S = s~/D it is checked as (s~ T)^3 = e^{2 pi i c/8} D s~^2:
+        three matrix products on the array engine, O(n^3 phi(N)^2).
+        """
         if self.central_charge is None:
             raise ValueError("central charge not set")
-        s = self.s_matrix()
-        t = self.t_matrix()
-        st = [[s[i][j] * t[j] for j in range(len(t))] for i in range(len(t))]
-        cube = _mat_mul(_mat_mul(st, st), st)
+        self._d_squared()             # S = s~/D is undefined when D = 0
         c8 = self.central_charge / 8
         phase = cyc_root_of_unity(c8.numerator, c8.denominator)
-        rhs = [[entry * phase for entry in row] for row in _mat_mul(s, s)]
-        return _mat_eq(cube, rhs)
+        st, t, scale = _cyc_arrays(self.stilde(), [self.t_matrix()],
+                                   [[phase * self.D]])
+        st_t = st * t
+        return bool(((st_t @ st_t) @ st_t).equals((st @ st) * scale).all())
 
     # -- verification -------------------------------------------------------
 
     def verify_modular(self) -> ModularReport:
+        """Exact modular checks, computed once per datum and cached.
+
+        The S checks run on s~ = D S over one conductor: symmetry and dual
+        invariance compare entries, S^2 = C is s~^2 = D^2 C, unitarity is
+        s~ s~* = D^2 I, and the first row is s~_{0,i} = d_i.  The two matrix
+        products cost O(n^3 phi(N)^2) integer operations.  Each failure
+        detail names the first failing entry in row-major order.
+        """
+        if "report" not in self._cache:
+            self._cache["report"] = self._check_modular()
+        return self._cache["report"]  # type: ignore[return-value]
+
+    def _check_modular(self) -> ModularReport:
         n = self.ring.rank
-        s = self.s_matrix()
+        st = self.stilde()
         dual = self.ring.dual_vector()
+        D = self.D
+        glob = self._d_squared()
+        s, = _cyc_arrays(st)
         failures: list[str] = []
 
-        symmetric = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if s[i][j] != s[j][i]:
-                    symmetric = False
-                    failures.append(f"S[{i}][{j}] != S[{j}][{i}]")
-                    break
-            if not symmetric:
-                break
+        def times_d2(matrix) -> _CycArray:
+            num = np.array(matrix, dtype=object) * glob.numerator
+            return _CycArray.rational(num, glob.denominator, s.order)
 
-        s2 = _mat_mul(s, s)
-        s2c = True
-        for i in range(n):
-            for j in range(n):
-                expect = cyc_rational(1 if dual[i] == j else 0)
-                if s2[i][j] != expect:
-                    s2c = False
-                    failures.append(f"(S^2)[{i}][{j}] != C[{i}][{j}]")
-                    break
-            if not s2c:
-                break
+        def first(mask: np.ndarray) -> tuple[int, int] | None:
+            hits = np.argwhere(mask)
+            return tuple(int(x) for x in hits[0]) if len(hits) else None
 
-        dual_inv = all(s[dual[i]][dual[j]] == s[i][j]
-                       for i in range(n) for j in range(n))
+        asym = first(np.triu(~s.equals(s.T), 1))
+        if asym:
+            failures.append("S[{0}][{1}] != S[{1}][{0}]".format(*asym))
+
+        charge = np.zeros((n, n), dtype=int)
+        charge[np.arange(n), dual] = 1
+        off = first(~(s @ s).equals(times_d2(charge)))
+        if off:
+            failures.append("(S^2)[{0}][{1}] != C[{0}][{1}]".format(*off))
+
+        dual_inv = bool(np.array_equal(s.num[np.ix_(dual, dual)], s.num))
         if not dual_inv:
             failures.append("S[i'][j'] != S[i][j] somewhere")
 
-        unitary = True
-        for i in range(n):
-            for j in range(i, n):
-                acc = cyc_rational(0)
-                for m in range(n):
-                    acc = acc + s[i][m] * s[j][m].conj()
-                if acc != (1 if i == j else 0):
-                    unitary = False
-                    failures.append(f"(S S*)[{i}][{j}] = {acc}")
-                    break
-            if not unitary:
-                break
+        gram = s @ s.conj().T
+        nonunit = first(np.triu(~gram.equals(times_d2(np.eye(n, dtype=int)))))
+        if nonunit:
+            # Rendered at the conductor of S, lcm(N, order of D): every row
+            # of s~ carries every twist and dimension, so each row's
+            # entries have lcm order N.
+            i, j = nonunit
+            entry = (gram.entry(i, j) / glob).promote(math.lcm(s.order,
+                                                               D.order))
+            failures.append(f"(S S*)[{i}][{j}] = {entry}")
 
-        d_inv = cyc_rational(1) / self.D
-        first_row = all(s[self.ring.unit][i] == self.dims[i] * d_inv
+        first_row = all(st[self.ring.unit][i] == self.dims[i]
                         for i in range(n))
         if not first_row:
             failures.append("first row of S is not dims/D")
@@ -288,8 +316,9 @@ class ModularDatum:
             if gauss_ratio is False:
                 failures.append("p+/p- != e^{2 pi i c/4}")
 
-        return ModularReport(symmetric, s2c, dual_inv, unitary, first_row,
-                             gauss_product, gauss_ratio, tuple(failures))
+        return ModularReport(asym is None, off is None, dual_inv,
+                             nonunit is None, first_row, gauss_product,
+                             gauss_ratio, tuple(failures))
 
     # -- Verlinde -----------------------------------------------------------
 
@@ -297,34 +326,38 @@ class ModularDatum:
         """Exact integer structure constants recovered from S.
 
         N_{i,j}^k = sum_m S_{i,m} S_{j,m} conj(S_{k,m}) / S_{0,m}, evaluated
-        as (1/D^2) sum_m s~_{i,m} s~_{j,m} conj(s~_{k,m}) / d_m so all
-        intermediate values stay in the working cyclotomic field.
+        as (1/D^2) sum_m s~_{i,m} s~_{j,m} conj(s~_{k,m}) / d_m, so all values
+        stay in the field of s~ and D^2 is rational.  One row i at a time,
+        the field products s~_{i,m} s~_{j,m} (j >= i) are contracted over m
+        with conj(s~_{k,m}) / d_m as one matrix product, and the whole
+        (j, k) slice is checked for rational, non-negative integer values.
+        Each d_m^-1 is computed once.  The cost is O(n^4 phi(N)^2) integer
+        operations in numpy, with O(n^2 phi(N)^2) memory per row.
+        The first failing value in (i, j >= i, k) order raises.
         """
         if require_verified and not self.verify_modular().passed:
             raise VerlindeError("datum fails verify_modular; "
                                 "pass require_verified=False to force")
         n = self.ring.rank
-        st = self.stilde()
-        glob = self.global_dimension().as_rational()
-        u = [[st[k][m].conj() / self.dims[m] for m in range(n)]
-             for k in range(n)]
+        glob = self._d_squared()
+        s, d_inv = _cyc_arrays(self.stilde(), [[cyc_inv(d) for d in self.dims]])
+        weights = (s.conj() * d_inv).T     # [m, k] = conj(s~_{k,m}) / d_m
         out = np.zeros((n, n, n), dtype=np.int64)
         for i in range(n):
-            for j in range(i, n):
-                pair = [st[i][m] * st[j][m] for m in range(n)]
-                for k in range(n):
-                    acc = cyc_rational(0)
-                    for m in range(n):
-                        acc = acc + pair[m] * u[k][m]
-                    value = acc / glob
-                    if not value.is_rational():
-                        raise VerlindeError(
-                            f"non-rational Verlinde value at ({i},{j},{k})")
-                    rat = value.as_rational()
-                    if rat.denominator != 1 or rat < 0:
-                        raise VerlindeError(
-                            f"non-integer Verlinde value {rat} at ({i},{j},{k})")
-                    out[i, j, k] = out[j, i, k] = int(rat)
+            block = (s[i:i + 1] * s[i:]) @ weights    # [j - i, k]
+            irrational = block.num[..., 1:].any(axis=-1)
+            value = block.num[..., 0].astype(object) * glob.denominator
+            scale = block.den * glob.numerator        # value/scale = N_ij^k
+            bad = irrational | (value % scale != 0) | (value * scale < 0)
+            if bad.any():
+                j, k = (int(x) for x in np.argwhere(bad)[0])
+                if irrational[j, k]:
+                    raise VerlindeError(
+                        f"non-rational Verlinde value at ({i},{i + j},{k})")
+                raise VerlindeError(
+                    f"non-integer Verlinde value "
+                    f"{Fraction(value[j, k], scale)} at ({i},{i + j},{k})")
+            out[i, i:] = out[i:, i] = value // scale
         return out
 
     def perturbed(self, index: int, delta: Fraction) -> "ModularDatum":
@@ -333,27 +366,6 @@ class ModularDatum:
         twists[index] = twists[index] + delta
         return ModularDatum(self.ring, twists,
                             dict(enumerate(self.dims)), self.central_charge)
-
-
-# -- small exact-matrix helpers ---------------------------------------------
-
-def _mat_mul(a: Sequence[Sequence[CycNum]], b: Sequence[Sequence[CycNum]]
-             ) -> list[list[CycNum]]:
-    n, mid, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = cyc_rational(0)
-            for k in range(mid):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_eq(a: Sequence[Sequence[CycNum]], b: Sequence[Sequence[CycNum]]) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # Module-level functional aliases matching the operation names.

@@ -2,10 +2,13 @@
 
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from fusioncat import cyclotomic
 from fusioncat.cli import main
+from fusioncat.modular_data import ModularDatum
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -101,6 +104,55 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "/nonexistent/x.fcat"],
                              capsys=capsys)
         assert code == 2
+
+    def test_input_file_is_closed(self, tmp_path, capsys):
+        path = tmp_path / "one.fcat"
+        path.write_text("category one\nlabel 0 one\nunit 0\nN 0 0 0 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(["verify", str(path)], capsys=capsys)
+        assert code == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_modular_report_computed_once(self, monkeypatch, capsys):
+        calls = []
+        check = ModularDatum._check_modular
+
+        def counted(md):
+            calls.append(md)
+            return check(md)
+        monkeypatch.setattr(ModularDatum, "_check_modular", counted)
+        code, out, _ = run_cli(["verify", "--catalog", "U"], capsys=capsys)
+        assert code == 0
+        assert "Verlinde round-trip         PASS" in out
+        assert len(calls) == 1
+
+
+class TestOrderCap:
+    def test_cap_exceeded_is_one_error_line(self, capsys):
+        code, _, err = run_cli(["--order-cap", "10", "verify", "--catalog",
+                                "U"], capsys=capsys)
+        assert code == 2
+        assert err.splitlines() == [
+            "error: promotion to order 36 exceeds cap 10"]
+
+    def test_cap_restored_after_main(self, capsys):
+        before = cyclotomic.DEFAULT_ORDER_CAP
+        run_cli(["--order-cap", "10", "verify", "--catalog", "U"],
+                capsys=capsys)
+        assert cyclotomic.DEFAULT_ORDER_CAP == before
+        code, out, _ = run_cli(["--order-cap", "100000", "count", "2"],
+                               capsys=capsys)
+        assert (code, out) == (0, "20\n")
+        assert cyclotomic.DEFAULT_ORDER_CAP == before
+
+    def test_cap_read_when_d_is_computed(self, monkeypatch):
+        from fusioncat import build_U
+        md = build_U()
+        monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 4)
+        with pytest.raises(cyclotomic.OrderCapExceeded):
+            md.D                  # 6 sqrt(2) lies at order 8
 
 
 class TestMatrices:

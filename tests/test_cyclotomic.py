@@ -2,13 +2,17 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusioncat import cyclotomic
 from fusioncat.cyclotomic import (
     CycNum,
     OrderCapExceeded,
+    _CycArray,
+    _cyc_arrays,
     cyc_rational,
     cyc_root_of_unity,
     cyc_sqrt_rational,
@@ -186,3 +190,110 @@ def test_embed_is_ring_homomorphism_numerically(a):
     z = a.embed()
     w = (a * a).embed()
     assert abs(w - z * z) < 1e-8 * (1 + abs(z)) ** 2
+
+
+# -- the array engine of the matrix layers ---------------------------------
+
+_ORDERS = [1, 8, 12, 15, 17, 36, 72]
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def cyc_matrices(draw, rows, cols):
+    """A rows x cols matrix of elements of Q(zeta_N), N drawn from _ORDERS;
+    each entry is built at a divisor of N, so the arrays promote it."""
+    n = draw(st.sampled_from(_ORDERS))
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            d = draw(st.sampled_from(_divisors(n)))
+            terms = draw(st.lists(st.tuples(_coeff, st.integers(0, d - 1)),
+                                  max_size=3))
+            x = cyc_rational(Fraction(draw(_coeff), draw(st.integers(1, 3))))
+            for c, k in terms:
+                x = x + cyc_rational(c) * e(k, d)
+            row.append(x.promote(d))
+        out.append(row)
+    return n, out
+
+
+def _scalar_product(a, b):
+    return [[sum((a[i][j] * b[j][k] for j in range(len(b))), cyc_rational(0))
+             for k in range(len(b[0]))] for i in range(len(a))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_array_products_match_scalar_arithmetic(data):
+    n, a = data.draw(cyc_matrices(2, 3))
+    b = data.draw(st.lists(st.lists(st.sampled_from([x for r in a for x in r]),
+                                    min_size=3, max_size=3),
+                           min_size=3, max_size=3))
+    c = data.draw(st.lists(st.sampled_from([x for r in a for x in r]),
+                           min_size=3, max_size=3))
+    arr_a, arr_b, arr_c = _cyc_arrays(a, b, [c])
+    assert n % arr_a.order == 0
+    entrywise = arr_a * arr_c          # broadcasts the row c over a's rows
+    product = arr_a @ arr_b
+    conj = arr_a.conj()
+    expect = _scalar_product(a, b)
+    for i in range(2):
+        for j in range(3):
+            assert entrywise.entry(i, j) == a[i][j] * c[j]
+            assert product.entry(i, j) == expect[i][j]
+            assert conj.entry(i, j) == a[i][j].conj()
+
+
+def test_array_products_take_object_branch_near_2_pow_40():
+    big = 2**40 + 12345
+    a = [[cyc_rational(big) * e(1, 72) + cyc_rational(-big + 7) * e(5, 72),
+          cyc_rational(big - 3)],
+         [e(1, 8) * cyc_rational(big), cyc_rational(1) - e(7, 36)]]
+    arr, = _cyc_arrays(a)
+    assert arr.num.dtype == np.int64           # stored values fit int64
+    product = arr @ arr
+    square = arr * arr
+    assert product.num.dtype == object         # their products need not
+    assert square.num.dtype == object
+    expect = _scalar_product(a, a)
+    for i in range(2):
+        for j in range(2):
+            assert product.entry(i, j) == expect[i][j]
+            assert square.entry(i, j) == a[i][j] * a[i][j]
+
+
+def test_small_products_stay_int64():
+    arr, = _cyc_arrays([[e(1, 72), e(5, 8)], [cyc_rational(3), e(1, 9)]])
+    assert (arr @ arr).num.dtype == np.int64
+    assert (arr * arr.conj()).num.dtype == np.int64
+
+
+def test_array_conductor_above_cap_raises():
+    with pytest.raises(OrderCapExceeded):
+        _cyc_arrays([[e(1, 7), e(1, 11)], [e(1, 13), cyc_rational(1)]])
+
+
+def test_array_cap_is_read_at_call_time(monkeypatch):
+    matrix = [[e(1, 12), cyc_rational(1)]]
+    assert _cyc_arrays(matrix)[0].order == 12
+    monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 10)
+    with pytest.raises(OrderCapExceeded):
+        _cyc_arrays(matrix)
+
+
+def test_rational_array_equals_promoted_rationals():
+    values = np.array([[3, 0], [-1, 2]])
+    arr = _CycArray.rational(values, 4, 36)
+    expect, = _cyc_arrays([[cyc_rational(Fraction(int(v), 4)).promote(36)
+                            for v in row] for row in values])
+    assert arr.equals(expect).all()
+
+
+def test_sqrt_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 4)
+    with pytest.raises(OrderCapExceeded):
+        cyc_sqrt_rational(2)      # order 8
