@@ -511,22 +511,24 @@ class _CycArray:
         num, conj = _exact(ctx.phi, self.num, ctx.conj_matrix)
         return _CycArray(num @ conj, self.den, self.order)
 
+    # Both products take one power zeta^q of the right factor at a time,
+    # so no temporary carries a (phi, phi) pair of axes.
+
     def __mul__(self, other: "_CycArray") -> "_CycArray":
         """Entrywise field product, broadcasting the entry axes."""
         ctx = _order_context(self.order)
         a, b, m = _exact(ctx.phi ** 2, self.num, other.num, ctx.mul_tensor)
-        t = np.tensordot(a, m, axes=([-1], [0]))         # (..., q, r)
-        return _CycArray((t * b[..., :, None]).sum(axis=-2),
-                         self.den * other.den, self.order)
+        out = sum((a @ m[:, q]) * b[..., q, None] for q in range(ctx.phi))
+        return _CycArray(out, self.den * other.den, self.order)
 
     def __matmul__(self, other: "_CycArray") -> "_CycArray":
         """Matrix product: out[i, k] = sum_j self[i, j] * other[j, k]."""
         ctx = _order_context(self.order)
         a, b, m = _exact(self.num.shape[1] * ctx.phi ** 2,
                          self.num, other.num, ctx.mul_tensor)
-        t = np.tensordot(a, m, axes=([-1], [0]))         # (i, j, q, r)
-        out = np.tensordot(t, b, axes=([1, 2], [0, 2]))  # (i, r, k)
-        return _CycArray(np.moveaxis(out, 1, -1), self.den * other.den,
+        out = sum((a @ m[:, q]).transpose(0, 2, 1) @ b[..., q]  # (i, r, k)
+                  for q in range(ctx.phi))
+        return _CycArray(out.transpose(0, 2, 1), self.den * other.den,
                          self.order)
 
     def equals(self, other: "_CycArray") -> np.ndarray:
