@@ -46,7 +46,10 @@ def _load_datum(args) -> tuple[ModularDatum | None, FcatDocument | None]:
     path = getattr(args, "input", None)
     if path is None:
         raise CliError("an input file or --catalog is required")
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        text = Path(path).read_text(encoding="utf-8")
     doc = parse_fcat(text)
     if doc.has_modular_annotations and doc.ring.validate().passed:
         md = ModularDatum(doc.ring, doc.twists, doc.dims)

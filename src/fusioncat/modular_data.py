@@ -332,7 +332,7 @@ class ModularDatum:
         with conj(s~_{k,m}) / d_m as one matrix product, and the whole
         (j, k) slice is checked for rational, non-negative integer values.
         Each d_m^-1 is computed once.  The cost is O(n^4 phi(N)^2) integer
-        operations in numpy, with O(n^2 phi(N)^2) memory per row.
+        operations in numpy, and no temporary is larger than n^2 phi(N).
         The first failing value in (i, j >= i, k) order raises.
         """
         if require_verified and not self.verify_modular().passed:
@@ -340,7 +340,8 @@ class ModularDatum:
                                 "pass require_verified=False to force")
         n = self.ring.rank
         glob = self._d_squared()
-        s, d_inv = _cyc_arrays(self.stilde(), [[cyc_inv(d) for d in self.dims]])
+        s, d_inv = _cyc_arrays(self.stilde(),
+                               [[cyc_inv(d) for d in self.dims]])
         weights = (s.conj() * d_inv).T     # [m, k] = conj(s~_{k,m}) / d_m
         out = np.zeros((n, n, n), dtype=np.int64)
         for i in range(n):
