@@ -36,6 +36,18 @@ CLI_SHA256 = {
         "0da540e846551cb6cdfe69a671723eb63b712785e9fa13c071d0941492b8425c",
 }
 
+# sha256 of `char <label> --cutoff <c>` stdout; every call exits 0.
+CHAR_SHA256 = {
+    ("M^0", 100):
+        "d9955d73232815c6c4374f551e264be4fc1c34051f1df21ab316d26b255316e2",
+    ("M^0", 300):
+        "c0d197917d79c4fc6b69110ef1e85b45ade1db2769b3eadfc7f0f697e8222020",
+    ("M^1", 100):
+        "e946861a1cb70cc895ff25e0b1eb627d3d115d01dad21a3d504352ee4328b465",
+    ("M^1", 300):
+        "ba3874597c2645ff9f837a54188186e9b2ee192ee0be92f50a4c3b272183f984",
+}
+
 _FAILING_CHECKS = [
     "S symmetric                 FAIL",
     "S^2 = charge conjugation    FAIL",
@@ -53,6 +65,14 @@ def test_cli_stdout_digest(command, catalog, capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[command, catalog]
+
+
+@pytest.mark.parametrize("label,cutoff", sorted(CHAR_SHA256))
+def test_char_stdout_digest(label, cutoff, capsys):
+    code = main(["char", label, "--cutoff", str(cutoff)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAR_SHA256[label, cutoff]
 
 
 def test_perturbed_z3_report_lines():
