@@ -9,6 +9,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,9 +17,9 @@ from pathlib import Path
 from . import cyclotomic
 from .cyclotomic import CycError, format_cyc
 from .fusion_ring import FcatDocument, FcatError, emit_fcat, parse_fcat
-from .lattice import coset_L, coset_Zbeta1
 from .modular_data import ModularDatum, VerlindeError
-from .orbifold_catalog import build_U, build_VLtau, count_orbifold_irreducibles, resolve_label
+from .orbifold_catalog import (build_U, build_VLtau, count_orbifold_irreducibles,
+                               full_coset_pieces, resolve_label)
 from .qseries import character
 
 EXIT_OK = 0
@@ -192,12 +193,7 @@ def cmd_char(args) -> int:
             f"character not available for {args.label!r}: only the full-coset "
             "modules M^0 and M^1 have computable characters "
             "(eigenspace traces are out of scope)")
-    i = _CHAR_PIECES[args.label]
-    pieces = [
-        (coset_Zbeta1(Fraction(i, 2)), coset_L("c", 0)),
-        (coset_Zbeta1(Fraction(3 * i + 2, 6)), coset_L("c", 1)),
-        (coset_Zbeta1(Fraction(3 * i + 4, 6)), coset_L("c", 2)),
-    ]
+    pieces = full_coset_pieces(_CHAR_PIECES[args.label])
     series = character(pieces, 3, Fraction(args.cutoff))
     for line in series.dump_lines():
         print(line)
@@ -274,6 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout at devnull, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -281,9 +288,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.order_cap is not None:
         cyclotomic.DEFAULT_ORDER_CAP = args.order_cap
     try:
-        return args.func(args)
-    except (CliError, CycError, FcatError, KeyError, FileNotFoundError,
-            ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            _discard_stdout()
+        reason = exc.strerror or str(exc)
+        if exc.filename is not None:
+            reason = f"{exc.filename}: {reason}"
+        print(f"error: {reason}", file=sys.stderr)
+        return EXIT_USAGE
+    except (CliError, CycError, FcatError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,12 @@
-"""Integral lattices, dual-lattice cosets, and exact minimal-norm search.
+"""Integral lattices, dual-lattice cosets, and exact short-vector search.
 
 Cosets carry canonical representatives with all coordinates reduced into
-[0,1), so equality and hashing are plain tuple comparisons.  Minimal-vector
-search enumerates a box whose radius is certified by a Gershgorin lower
-bound on the Gram spectrum — provable completeness with no floating-point
-eigensolver.
+[0,1), so equality and hashing are plain tuple comparisons.  Short vectors
+of a coset are enumerated in integers: the representative and the Gram
+matrix are scaled to a common denominator, so every norm is an int over one
+scale, and each coordinate is searched over |x_i| <= sqrt(t (G^-1)_ii), the
+exact maximum of |x_i| on the ellipsoid <x,x> <= t.  The box is complete
+for every positive-definite Gram matrix and needs no eigensolver.
 
 The module also hard-codes the concrete rank-2 lattice (Gram
 [[4,-2],[-2,4]], isometric to sqrt(2)A2) with its twelve dual cosets, the
@@ -18,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "Lattice",
@@ -113,12 +115,6 @@ class Lattice:
         return sum(coords[i] * g[i][j] * coords[j]
                    for i in range(self.rank) for j in range(self.rank))
 
-    def gershgorin_lower_bound(self) -> Fraction:
-        """Certified lower bound on the Gram spectrum (may be nonpositive)."""
-        return min(self.gram[i][i]
-                   - sum(abs(self.gram[i][j]) for j in range(self.rank) if j != i)
-                   for i in range(self.rank))
-
 
 @dataclass(frozen=True)
 class Coset:
@@ -187,51 +183,60 @@ def dual_coset_reps(lat: Lattice) -> list[Coset]:
     return reps
 
 
-def _search_box(lat: Lattice, target: Fraction) -> int:
-    lam = lat.gershgorin_lower_bound()
-    if lam <= 0:
-        raise ValueError("Gershgorin bound is not positive; "
-                         "cannot certify the search box")
-    ratio = 2 * target / lam
-    bound = math.isqrt(ratio.numerator // ratio.denominator) + 1
-    return bound + 1
+def _coset_points(c: Coset, cap: Fraction
+                  ) -> tuple[int, int, list[tuple[tuple[int, ...], int]]]:
+    """(d, s, points): every coset vector x with <x,x> <= cap, as (d*x, s*<x,x>).
 
-
-def _coset_vectors(c: Coset, norm_cap: Fraction) -> Iterator[tuple[Fraction, ...]]:
-    """All coset vectors with <x,x> <= norm_cap (exact, box-certified)."""
+    d is the common denominator of the representative and s = d^2 g, where g
+    is the common denominator of the Gram matrix, so both parts of a point are
+    ints.  Coordinate i ranges over the integers congruent to d*rep_i mod d
+    with |d*x_i| <= sqrt(d^2 cap (G^-1)_ii), in ascending order.
+    """
     lat = c.lattice
-    box = _search_box(lat, norm_cap)
-    ranges = [range(-box, box + 1)] * lat.rank
-    for offsets in itertools.product(*ranges):
-        x = tuple(r + o for r, o in zip(c.rep, offsets))
-        if lat.norm(x) <= norm_cap:
-            yield x
+    d = math.lcm(*(x.denominator for x in c.rep))
+    g = math.lcm(*(x.denominator for row in lat.gram for x in row))
+    s = d * d * g
+    rep = [x.numerator * (d // x.denominator) for x in c.rep]
+    gram = [[x.numerator * (g // x.denominator) for x in row] for row in lat.gram]
+    inv = _mat_inv([list(row) for row in lat.gram])
+    ranges = []
+    for i, r in enumerate(rep):
+        bound = math.isqrt(math.floor(d * d * cap * inv[i][i]))
+        ranges.append(range(r - d * ((bound + r) // d), bound + 1, d))
+    limit = math.floor(cap * s)
+    return d, s, [(x, n) for x in itertools.product(*ranges)
+                  if (n := sum(xi * sum(gij * xj for gij, xj in zip(row, x))
+                               for xi, row in zip(x, gram))) <= limit]
+
+
+def _coset_vectors(c: Coset, norm_cap: Fraction
+                   ) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """All (x, <x,x>) over coset vectors with <x,x> <= norm_cap."""
+    d, s, points = _coset_points(c, norm_cap)
+    return [(tuple(Fraction(xi, d) for xi in x), Fraction(n, s))
+            for x, n in points]
 
 
 def min_norm(c: Coset) -> Fraction:
     """Exact minimum of <x,x> over the coset."""
     if c.is_zero:
         return Fraction(0)
-    target = c.lattice.norm(c.rep)
-    best = target
-    for x in _coset_vectors(c, target):
-        n = c.lattice.norm(x)
-        if (n < best and any(x)) or (n < best and not c.is_zero):
-            best = n
-    return best
+    _, s, points = _coset_points(c, c.lattice.norm(c.rep))
+    return Fraction(min(n for _, n in points), s)
 
 
 def min_vectors(c: Coset) -> list[tuple[Fraction, ...]]:
     """All coset vectors achieving the minimal norm (nonzero for c = 0+L)."""
     if c.is_zero:
-        # Minimal *nonzero* vectors: grow the cap until something appears.
+        # Minimal *nonzero* vectors: a basis vector has norm at most the
+        # largest diagonal entry.
         cap = max(c.lattice.gram[i][i] for i in range(c.lattice.rank))
-        vecs = [x for x in _coset_vectors(c, cap) if any(x)]
-        best = min(c.lattice.norm(x) for x in vecs)
-        return [x for x in vecs if c.lattice.norm(x) == best]
-    best = min_norm(c)
-    return [x for x in _coset_vectors(c, best)
-            if c.lattice.norm(x) == best]
+        vecs = [(x, n) for x, n in _coset_vectors(c, cap) if any(x)]
+        best = min(n for _, n in vecs)
+    else:
+        best = min_norm(c)
+        vecs = _coset_vectors(c, best)
+    return [x for x, n in vecs if n == best]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ __all__ = [
     "build_U",
     "build_VLtau",
     "count_orbifold_irreducibles",
+    "full_coset_pieces",
     "weight_table_check",
     "WeightCheckEntry",
     "WeightCheckReport",
@@ -344,6 +345,13 @@ def _u_decomposition_rank2(index: int) -> list[tuple[str, int]]:
         return [("eigen", 0), ("eigen", 1), ("eigen", 2)]
     k = 1 if index < 14 else 2
     return [("twisted", 0), ("twisted", (2 * k) % 3), ("twisted", k % 3)]
+
+
+def full_coset_pieces(i: int) -> list[tuple[Coset, Coset]]:
+    """(rank-1 coset, rank-2 coset) pieces of the full-coset module M^i."""
+    return [(coset_Zbeta1(t), coset_L(kind, j))
+            for t, (kind, j) in zip(_rank1_parts(i),
+                                    _u_decomposition_rank2(6 + i))]
 
 
 def weight_table_check() -> WeightCheckReport:

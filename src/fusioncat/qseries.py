@@ -1,5 +1,8 @@
 """Truncated q-series with exact rational exponents.
 
+A series keeps its exponents as integer numerators over one denominator,
+the lcm of their reduced denominators, so sums, products and shifts run on
+Python ints and a Fraction is built only where an exponent is read out.
 Provides eta-power inverses (partition generating functions), lattice-coset
 theta functions, characters of lattice-coset modules assembled from
 (rank-1 coset, rank-2 coset) decomposition pieces, and the numerical
@@ -10,13 +13,13 @@ Richardson-style extrapolation in y.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .lattice import Coset, _search_box
+from .lattice import Coset, _coset_points
 
 __all__ = [
     "QSeries",
@@ -42,100 +45,131 @@ class TailBoundError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QSeries:
-    """Finite sum of c * q^e with rational exponents e < truncation_order."""
+    """Finite sum of c * q^(n/den) with exponents n/den < truncation_order.
 
-    coeffs: tuple[tuple[Fraction, int], ...]   # sorted by exponent
+    `terms` holds the (n, c) pairs sorted by n, with no zero c, and `den` is
+    the lcm of the reduced exponent denominators (1 for the zero series), so
+    equal series have equal fields.  Build series with `from_dict`, `one`
+    and `zero`.
+    """
+
+    den: int
+    terms: tuple[tuple[int, int], ...]
     truncation_order: Fraction
 
     @staticmethod
+    def _of(den: int, data: dict[int, int], cutoff: Fraction) -> "QSeries":
+        """Series of c * q^(n/den) over data, cut below cutoff, canonical den."""
+        limit = _ceil(den * cutoff)
+        terms = sorted((n, c) for n, c in data.items() if c and n < limit)
+        g = math.gcd(den, *(n for n, _ in terms))
+        if g > 1:
+            terms = [(n // g, c) for n, c in terms]
+        return QSeries(den // g, tuple(terms), cutoff)
+
+    @staticmethod
     def from_dict(data: dict[Fraction, int], cutoff: Fraction) -> "QSeries":
-        cutoff = Fraction(cutoff)
-        items = tuple(sorted((e, c) for e, c in data.items()
-                             if c and e < cutoff))
-        return QSeries(items, cutoff)
+        items = [(Fraction(e), c) for e, c in data.items()]
+        den = math.lcm(*(e.denominator for e, _ in items))
+        return QSeries._of(den, {e.numerator * (den // e.denominator): c
+                                 for e, c in items}, Fraction(cutoff))
 
     @staticmethod
     def one(cutoff: Fraction) -> "QSeries":
-        return QSeries.from_dict({Fraction(0): 1}, cutoff)
+        return QSeries._of(1, {0: 1}, Fraction(cutoff))
 
     @staticmethod
     def zero(cutoff: Fraction) -> "QSeries":
-        return QSeries((), Fraction(cutoff))
+        return QSeries(1, (), Fraction(cutoff))
 
-    def as_dict(self) -> dict[Fraction, int]:
-        return dict(self.coeffs)
+    @property
+    def coeffs(self) -> tuple[tuple[Fraction, int], ...]:
+        """(exponent, coefficient) pairs, ascending exponents."""
+        return tuple((Fraction(n, self.den), c) for n, c in self.terms)
+
+    def _over(self, den: int) -> list[tuple[int, int]]:
+        """The terms with numerators over den, a multiple of self.den."""
+        k = den // self.den
+        return [(n * k, c) for n, c in self.terms]
 
     def coefficient(self, exponent: Fraction | int) -> int:
         target = Fraction(exponent)
-        for e, c in self.coeffs:
-            if e == target:
-                return c
-        return 0
+        if self.den % target.denominator:
+            return 0
+        return dict(self.terms).get(
+            target.numerator * (self.den // target.denominator), 0)
 
     def leading_exponent(self) -> Fraction:
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("zero series has no leading exponent")
-        return self.coeffs[0][0]
+        return Fraction(self.terms[0][0], self.den)
 
     def denom(self) -> int:
         """Common denominator of all exponents (1 for the zero series)."""
-        out = 1
-        for e, _ in self.coeffs:
-            out = out * e.denominator // math.gcd(out, e.denominator)
-        return out
+        return self.den
 
     def shift(self, delta: Fraction) -> "QSeries":
         delta = Fraction(delta)
-        return QSeries(tuple((e + delta, c) for e, c in self.coeffs),
-                       self.truncation_order + delta)
+        den = math.lcm(self.den, delta.denominator)
+        step = delta.numerator * (den // delta.denominator)
+        return QSeries._of(den, {n + step: c for n, c in self._over(den)},
+                           self.truncation_order + delta)
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        cutoff = min(self.truncation_order, other.truncation_order)
-        data: dict[Fraction, int] = {}
-        for e, c in self.coeffs:
-            data[e] = data.get(e, 0) + c
-        for e, c in other.coeffs:
-            data[e] = data.get(e, 0) + c
-        return QSeries.from_dict(data, cutoff)
+        den = math.lcm(self.den, other.den)
+        data = dict(self._over(den))
+        for n, c in other._over(den):
+            data[n] = data.get(n, 0) + c
+        return QSeries._of(den, data,
+                           min(self.truncation_order, other.truncation_order))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        lead_self = self.coeffs[0][0] if self.coeffs else Fraction(0)
-        lead_other = other.coeffs[0][0] if other.coeffs else Fraction(0)
-        cutoff = min(self.truncation_order + lead_other,
-                     other.truncation_order + lead_self)
-        data: dict[Fraction, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                if e < cutoff:
-                    data[e] = data.get(e, 0) + c1 * c2
-        return QSeries.from_dict(data, cutoff)
-
-    def scale(self, factor: int) -> "QSeries":
-        return QSeries(tuple((e, c * factor) for e, c in self.coeffs),
-                       self.truncation_order)
+        den = math.lcm(self.den, other.den)
+        left, right = self._over(den), other._over(den)
+        lead_left = left[0][0] if left else 0
+        lead_right = right[0][0] if right else 0
+        cutoff = min(self.truncation_order + Fraction(lead_right, den),
+                     other.truncation_order + Fraction(lead_left, den))
+        limit = _ceil(den * cutoff)
+        data: dict[int, int] = {}
+        for n1, c1 in left:
+            room = limit - n1
+            for n2, c2 in right:
+                if n2 >= room:
+                    break
+                n = n1 + n2
+                data[n] = data.get(n, 0) + c1 * c2
+        return QSeries._of(den, data, cutoff)
 
     def evaluate(self, y: float) -> float:
         """Value at q = e^{-2 pi y} for real y > 0 (no tail check)."""
         if y <= 0:
             raise ValueError("y must be positive")
-        return sum(c * math.exp(-2 * math.pi * y * float(e))
-                   for e, c in self.coeffs)
+        return sum(c * math.exp(-2 * math.pi * y * (n / self.den))
+                   for n, c in self.terms)
 
     def dump_lines(self) -> list[str]:
         """CLI-facing `exponent coefficient` pairs, ascending exponents."""
-        return [f"{e.numerator}/{e.denominator} {c}" if e.denominator != 1
-                else f"{e.numerator} {c}"
-                for e, c in self.coeffs]
+        out = []
+        for n, c in self.terms:
+            g = math.gcd(n, self.den)
+            d = self.den // g
+            out.append(f"{n // g}/{d} {c}" if d != 1 else f"{n // g} {c}")
+        return out
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
         for e, c in self.coeffs[:8]:
             parts.append(f"{c}*q^({e})")
-        tail = " + ..." if len(self.coeffs) > 8 else ""
+        tail = " + ..." if len(self.terms) > 8 else ""
         return " + ".join(parts) + tail
+
+
+def _ceil(x: Fraction) -> int:
+    """Least integer >= x, so an integer n is < x exactly when n < _ceil(x)."""
+    return -(-x.numerator // x.denominator)
 
 
 def _partitions_upto(n: int) -> list[int]:
@@ -183,9 +217,8 @@ def eta_inverse_power(r: int, cutoff: Fraction | int = DEFAULT_CUTOFF
             for b in range(n_max + 1 - a):
                 nxt[a + b] += ca * base[b]
         coeffs = nxt
-    shift = -Fraction(r, 24)
-    return QSeries.from_dict(
-        {Fraction(n) + shift: coeffs[n] for n in range(n_max + 1)}, cutoff)
+    return QSeries._of(24, {24 * n - r: coeffs[n] for n in range(n_max + 1)},
+                       cutoff)
 
 
 def theta_coset(c: Coset, cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
@@ -193,15 +226,9 @@ def theta_coset(c: Coset, cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         return QSeries.zero(cutoff)
-    data: dict[Fraction, int] = {}
-    lat = c.lattice
-    box = _search_box(lat, 2 * cutoff)
-    for offsets in itertools.product(range(-box, box + 1), repeat=lat.rank):
-        x = tuple(r + o for r, o in zip(c.rep, offsets))
-        half = lat.norm(x) / 2
-        if half < cutoff:
-            data[half] = data.get(half, 0) + 1
-    return QSeries.from_dict(data, cutoff)
+    _, s, points = _coset_points(c, 2 * cutoff)
+    # <x,x>/2 = n/(2s); _of drops the points on the cap itself.
+    return QSeries._of(2 * s, Counter(n for _, n in points), cutoff)
 
 
 def theta_lattice_dual_sum(cosets: Iterable[Coset],
@@ -233,7 +260,7 @@ def character(pieces: Sequence[tuple[Coset, Coset]],
 
 def _evaluate_with_tail_check(series: QSeries, y: float) -> float:
     value = series.evaluate(y)
-    if not series.coeffs:
+    if not series.terms:
         return value
     # First-omitted-term estimate: the tail starting at the truncation order
     # is bounded by (max |coefficient|) * x^T / (1 - x) with x = e^{-2 pi y}
@@ -243,7 +270,7 @@ def _evaluate_with_tail_check(series: QSeries, y: float) -> float:
     step = x ** (1.0 / series.denom())
     if step >= 1.0:
         raise TailBoundError("y too small for any tail bound")
-    max_coeff = max(abs(cf) for _, cf in series.coeffs)
+    max_coeff = max(abs(cf) for _, cf in series.terms)
     tail = max_coeff * (x ** float(series.truncation_order)) / (1.0 - step)
     if tail > TAIL_RELATIVE_BOUND * abs(value):
         raise TailBoundError(

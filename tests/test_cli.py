@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, round trips, determinism."""
 
+import errno
+import os
 import subprocess
 import sys
 import warnings
@@ -101,9 +103,17 @@ class TestVerify:
         assert "line 1" in err
 
     def test_missing_file_exits_2(self, capsys):
-        code, _, _ = run_cli(["verify", "/nonexistent/x.fcat"],
-                             capsys=capsys)
-        assert code == 2
+        code, out, err = run_cli(["verify", "/nonexistent/x.fcat"],
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: /nonexistent/x.fcat: {os.strerror(errno.ENOENT)}"]
+
+    def test_directory_input_is_one_error_line(self, tmp_path, capsys):
+        code, out, err = run_cli(["verify", str(tmp_path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: {tmp_path}: {os.strerror(errno.EISDIR)}"]
 
     def test_input_file_is_closed(self, tmp_path, capsys):
         path = tmp_path / "one.fcat"
@@ -212,6 +222,26 @@ class TestCatalogChar:
         code, _, err = run_cli(["char", "M~_0[1]"], capsys=capsys)
         assert code == 2
         assert "out of scope" in err
+
+
+class TestClosedStdout:
+    # Cutoff 3 fits the stdout buffer, so the pipe breaks on the final
+    # flush; cutoff 300 breaks it while the lines are printed.
+    @pytest.mark.parametrize("cutoff", [3, 300])
+    def test_closed_pipe_is_one_error_line(self, cutoff):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fusioncat.cli", "char", "M^0",
+                 "--cutoff", str(cutoff)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=600)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: {os.strerror(errno.EPIPE)}"]
 
 
 class TestUsage:

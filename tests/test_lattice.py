@@ -1,5 +1,7 @@
 """Lattices, dual cosets, exact minimal norms, and the order-3 isometry."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +26,9 @@ from fusioncat.lattice import (
     tau_action,
     tau_vector,
 )
+from fusioncat.lattice import _coset_vectors, _mat_inv
+
+A3 = Lattice.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 
 
 class TestLattice:
@@ -142,6 +147,70 @@ class TestMinNorm:
                     shifted = tuple(a + b for a, b in zip(x, (F(1), F(-1))))
                     diff = lattice_L().norm(shifted) - base
                     assert diff % 2 == 0
+
+
+class TestA3:
+    # Gershgorin gives 2 - 1 - 1 = 0 on every row of this positive-definite
+    # Gram matrix, so a Gershgorin box cannot be certified here.
+
+    def test_quarter_coset_min_norm(self):
+        assert min_norm(Coset.of(A3, [F(1, 4)] * 3)) == F(3, 4)
+
+    def test_quarter_coset_min_vectors(self):
+        vecs = min_vectors(Coset.of(A3, [F(1, 4)] * 3))
+        q, m = F(1, 4), F(-3, 4)
+        assert vecs == [(m, q, q), (q, m, q), (q, q, m), (q, q, q)]
+        assert all(A3.norm(x) == F(3, 4) for x in vecs)
+
+    def test_dual_cosets(self):
+        # A3 = D3: the roots, the vector class and the two spinor classes.
+        found = {c.rep: (min_norm(c), len(min_vectors(c)))
+                 for c in dual_coset_reps(A3)}
+        assert found == {
+            (F(0), F(0), F(0)): (F(0), 12),
+            (F(1, 4), F(1, 4), F(1, 4)): (F(3, 4), 4),
+            (F(1, 2), F(1, 2), F(1, 2)): (F(1), 6),
+            (F(3, 4), F(3, 4), F(3, 4)): (F(3, 4), 4),
+        }
+
+    def test_roots_are_minimal_nonzero_vectors(self):
+        vecs = min_vectors(Coset.of(A3, [0, 0, 0]))
+        assert len(vecs) == 12
+        assert all(A3.norm(x) == 2 for x in vecs)
+        assert set(vecs) == {tuple(-a for a in x) for x in vecs}
+
+
+@st.composite
+def short_vector_cases(draw):
+    """(coset, cap) on Gram = B^T B for integer lower-triangular B."""
+    r = draw(st.integers(1, 3))
+    b = [[draw(st.integers(1, 2)) if i == j
+          else draw(st.integers(-2, 2)) if j < i else 0
+          for j in range(r)] for i in range(r)]
+    gram = [[sum(b[k][i] * b[k][j] for k in range(r)) for j in range(r)]
+            for i in range(r)]
+    den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    rep = [F(draw(st.integers(0, 12)), den) for _ in range(r)]
+    cap = F(draw(st.integers(0, 12)), draw(st.sampled_from([1, 2, 3, 4])))
+    return Coset.of(Lattice.from_rows(gram), rep), cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(short_vector_cases())
+def test_short_vectors_match_a_wider_search(case):
+    c, cap = case
+    inv = _mat_inv([list(row) for row in c.lattice.gram])
+    # Every x with <x,x> <= cap has |x_i| <= sqrt(cap inv_ii) < reach.
+    reach = max(math.isqrt(math.floor(cap * inv[i][i])) + 2
+                for i in range(c.lattice.rank))
+    wide = []
+    for offsets in itertools.product(range(-reach, reach + 1),
+                                     repeat=c.lattice.rank):
+        x = tuple(r + o for r, o in zip(c.rep, offsets))
+        n = c.lattice.norm(x)
+        if n <= cap:
+            wide.append((x, n))
+    assert _coset_vectors(c, cap) == wide
 
 
 class TestTau:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from fusioncat.lattice import coset_L, coset_Zbeta1
 from fusioncat.orbifold_catalog import (
     U_DIMS,
     U_DUALS,
@@ -12,12 +13,23 @@ from fusioncat.orbifold_catalog import (
     U_WEIGHTS,
     VLTAU_LABELS,
     count_orbifold_irreducibles,
+    full_coset_pieces,
     resolve_label,
     stilde_fixture,
     stilde_fixture_diff,
     vltau_duals,
     weight_table_check,
 )
+
+
+class TestFullCosetPieces:
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_pieces(self, i):
+        assert full_coset_pieces(i) == [
+            (coset_Zbeta1(F(i, 2)), coset_L("c", 0)),
+            (coset_Zbeta1(F(3 * i + 2, 6)), coset_L("c", 1)),
+            (coset_Zbeta1(F(3 * i + 4, 6)), coset_L("c", 2)),
+        ]
 
 
 class TestCounting:

@@ -1,8 +1,11 @@
 """q-series: eta powers, coset thetas, characters, and qdim ratio limits."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusioncat.lattice import (
     Coset,
@@ -137,6 +140,114 @@ class TestSeriesAlgebra:
         s = theta_coset(coset_Zbeta1(F(1, 2)), 10)
         lines = s.dump_lines()
         assert lines[0] == "3/4 2"
+
+
+# -- reference algebra on Fraction-keyed dicts ---------------------------------
+
+def ref_series(data, cutoff):
+    """Sorted (exponent, coefficient) pairs below cutoff, zeros dropped."""
+    return tuple(sorted((e, c) for e, c in data.items() if c and e < cutoff))
+
+
+def ref_add(a, cut_a, b, cut_b):
+    cutoff = min(cut_a, cut_b)
+    data = {}
+    for e, c in a + b:
+        data[e] = data.get(e, 0) + c
+    return ref_series(data, cutoff), cutoff
+
+
+def ref_mul(a, cut_a, b, cut_b):
+    lead_a = a[0][0] if a else F(0)
+    lead_b = b[0][0] if b else F(0)
+    cutoff = min(cut_a + lead_b, cut_b + lead_a)
+    data = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
+    return ref_series(data, cutoff), cutoff
+
+
+def ref_denom(coeffs):
+    out = 1
+    for e, _ in coeffs:
+        out = out * e.denominator // math.gcd(out, e.denominator)
+    return out
+
+
+# Denominators mix residue classes mod 1 of several orders; coefficients
+# include 0, which a series must drop.
+exponents = st.builds(F, st.integers(-40, 80), st.sampled_from([1, 2, 3, 4, 8, 9, 24]))
+cutoffs = st.builds(F, st.integers(-24, 120), st.sampled_from([1, 2, 3, 8, 12]))
+raw_series = st.tuples(
+    st.dictionaries(exponents, st.integers(-4, 4), max_size=12), cutoffs)
+
+
+def as_pair(raw):
+    data, cutoff = raw
+    return QSeries.from_dict(data, cutoff), ref_series(data, cutoff), cutoff
+
+
+class TestAgainstReference:
+    def check(self, series, coeffs, cutoff):
+        assert series.coeffs == coeffs
+        assert series.truncation_order == cutoff
+        assert series.denom() == ref_denom(coeffs)
+        assert series.dump_lines() == [
+            f"{e.numerator}/{e.denominator} {c}" if e.denominator != 1
+            else f"{e.numerator} {c}" for e, c in coeffs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_series)
+    def test_from_dict(self, raw):
+        self.check(*as_pair(raw))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_series, raw_series)
+    def test_add(self, raw_a, raw_b):
+        a, ref_a, cut_a = as_pair(raw_a)
+        b, ref_b, cut_b = as_pair(raw_b)
+        self.check(a + b, *ref_add(ref_a, cut_a, ref_b, cut_b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_series, raw_series)
+    def test_mul(self, raw_a, raw_b):
+        a, ref_a, cut_a = as_pair(raw_a)
+        b, ref_b, cut_b = as_pair(raw_b)
+        self.check(a * b, *ref_mul(ref_a, cut_a, ref_b, cut_b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_series, exponents)
+    def test_shift(self, raw, delta):
+        a, ref_a, cutoff = as_pair(raw)
+        self.check(a.shift(delta),
+                   tuple((e + delta, c) for e, c in ref_a), cutoff + delta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_series)
+    def test_zero_series(self, raw):
+        a, ref_a, cutoff = as_pair(raw)
+        zero = QSeries.zero(F(50))
+        self.check(a + zero, *ref_add(ref_a, cutoff, (), F(50)))
+        self.check(a * zero, *ref_mul(ref_a, cutoff, (), F(50)))
+        self.check(zero * a, *ref_mul((), F(50), ref_a, cutoff))
+
+    def test_cutoff_follows_leading_exponents(self):
+        a = QSeries.from_dict({F(1, 3): 1, F(2): 1}, 10)
+        b = QSeries.from_dict({F(-1, 8): 2, F(5, 8): 1}, F(7, 2))
+        prod = a * b
+        # min(10 + (-1/8), 7/2 + 1/3)
+        assert prod.truncation_order == F(23, 6)
+        assert prod.coeffs == ((F(5, 24), 2), (F(23, 24), 1),
+                               (F(15, 8), 2), (F(21, 8), 1))
+
+    def test_equal_series_from_different_denominators(self):
+        a = QSeries.from_dict({F(1, 2): 1, F(3, 4): 2}, 5)
+        b = QSeries.from_dict({F(1, 4): 2}, 5).shift(F(1, 2))
+        c = QSeries.from_dict({F(1, 2): 1}, 5)
+        assert c + b == a
+        assert (a + a.shift(0)).coefficient(F(3, 4)) == 4
+        assert a.shift(F(1, 4)).shift(F(-1, 4)) == a
 
 
 class TestQdimRatio:
