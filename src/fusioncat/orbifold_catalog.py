@@ -349,9 +349,9 @@ def _u_decomposition_rank2(index: int) -> list[tuple[str, int]]:
 
 def full_coset_pieces(i: int) -> list[tuple[Coset, Coset]]:
     """(rank-1 coset, rank-2 coset) pieces of the full-coset module M^i."""
+    rank2 = _u_decomposition_rank2(U_LABELS.index(f"M^{i}"))
     return [(coset_Zbeta1(t), coset_L(kind, j))
-            for t, (kind, j) in zip(_rank1_parts(i),
-                                    _u_decomposition_rank2(6 + i))]
+            for t, (kind, j) in zip(_rank1_parts(i), rank2)]
 
 
 def weight_table_check() -> WeightCheckReport:

@@ -169,10 +169,7 @@ def ref_mul(a, cut_a, b, cut_b):
 
 
 def ref_denom(coeffs):
-    out = 1
-    for e, _ in coeffs:
-        out = out * e.denominator // math.gcd(out, e.denominator)
-    return out
+    return math.lcm(*(e.denominator for e, _ in coeffs))
 
 
 # Denominators mix residue classes mod 1 of several orders; coefficients
