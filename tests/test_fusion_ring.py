@@ -59,6 +59,9 @@ class TestValidation:
         report = ring.validate()
         assert not report.associative_ok
         assert not report.passed
+        # The first failing quadruple in row-major (i, j, k, l) order.
+        assert report.failures == (
+            "associativity: quadruple (1,2,2,1) 0 != 1",)
 
     def test_noncommutative_detected(self):
         constants = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,

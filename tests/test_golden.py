@@ -6,6 +6,7 @@ first failing entry.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,29 @@ CLI_SHA256 = {
         "3ce7d74103d60b266d9a6f9ecc48868cf8740697820780e05ab9eaf174c98d92",
     ("tmatrix", "VLtau"):
         "0da540e846551cb6cdfe69a671723eb63b712785e9fa13c071d0941492b8425c",
+    ("smatrix --unnormalized", "U"):
+        "4617bead2b78032836181f6a07cbbbc8e2f7b560b2fab62be28e3e996d8cbc48",
+    ("smatrix --unnormalized", "VLtau"):
+        "3bd8933169aef1e3c02f0a68e0015002ab15963b4778a302a6a9244d9e0ded2b",
+}
+
+# sha256 of `catalog <name>` stdout; every call exits 0.
+CATALOG_SHA256 = {
+    "U": "2105996d2c92909085cecb4ca7dbe603b3a6214bdcbdfbf32de1afa3ded58080",
+    "VLtau": "86f7af36c4e476349c450a72028516018d7448d557d5bdc8503e598d8ad7ab52",
+}
+
+# sha256 of `smatrix [--unnormalized] <file>` stdout on pointed_fcat(n, a, seed).
+# S lies at order 44 (Z11) and 60 (Z15), s-tilde at orders dividing n.
+POINTED_SHA256 = {
+    (11, 3, 1, "smatrix"):
+        "765b39aa723219f18a356e06c1188df7a0bce61d3515fd0418b337d2c7907ccb",
+    (11, 3, 1, "smatrix --unnormalized"):
+        "3a59228fe90f1b31d9de0acfb7f8be1eb9e1d892e65dc8f2b5b677575cbf1eb5",
+    (15, 2, 2, "smatrix"):
+        "2d67ea936a23263b884656dc45598389c441a054dcf0cd3e19c39e310345a52a",
+    (15, 2, 2, "smatrix --unnormalized"):
+        "edba06947eb6a76c0cc89649f01bf08a56320fa79946553b120b424811785d58",
 }
 
 # sha256 of `char <label> --cutoff <c>` stdout; every call exits 0.
@@ -59,12 +83,47 @@ _FAILING_CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("command,catalog", sorted(CLI_SHA256))
-def test_cli_stdout_digest(command, catalog, capsys):
-    code = main([command, "--catalog", catalog])
+def _stdout_digest(argv, capsys) -> str:
+    code = main(argv)
     out, _ = capsys.readouterr()
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[command, catalog]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def pointed_fcat(n: int, a: int, seed: int) -> str:
+    """Z_n with twists a x^2 / n, dims 1 and the labels in shuffled order."""
+    values = list(range(n))
+    random.Random(seed).shuffle(values)
+    index = {x: i for i, x in enumerate(values)}
+    lines = [f"category Z{n}", f"unit {index[0]}"]
+    lines += [f"label {i} g{x}" for i, x in enumerate(values)]
+    for i, x in enumerate(values):
+        t = Fraction(a * x * x % n, n)
+        lines.append(f"twist {i} {t.numerator}/{t.denominator}")
+        lines.append(f"dim {i} 1")
+        lines += [f"N {i} {j} {index[(x + y) % n]} 1"
+                  for j, y in enumerate(values)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command,catalog", sorted(CLI_SHA256))
+def test_cli_stdout_digest(command, catalog, capsys):
+    argv = command.split() + ["--catalog", catalog]
+    assert _stdout_digest(argv, capsys) == CLI_SHA256[command, catalog]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
+def test_catalog_stdout_digest(name, capsys):
+    assert _stdout_digest(["catalog", name], capsys) == CATALOG_SHA256[name]
+
+
+@pytest.mark.parametrize("key", sorted(POINTED_SHA256))
+def test_pointed_smatrix_digest(key, tmp_path, capsys):
+    n, a, seed, command = key
+    path = tmp_path / f"z{n}.fcat"
+    path.write_text(pointed_fcat(n, a, seed))
+    argv = command.split() + [str(path)]
+    assert _stdout_digest(argv, capsys) == POINTED_SHA256[key]
 
 
 @pytest.mark.parametrize("label,cutoff", sorted(CHAR_SHA256))
