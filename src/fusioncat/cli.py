@@ -14,10 +14,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import cyclotomic
 from .cyclotomic import CycError, format_cyc
 from .fusion_ring import FcatDocument, FcatError, emit_fcat, parse_fcat
-from .modular_data import ModularDatum, VerlindeError
+from .modular_data import GlobalDimensionError, ModularDatum, VerlindeError
 from .orbifold_catalog import (build_U, build_VLtau, count_orbifold_irreducibles,
                                full_coset_pieces, resolve_label)
 from .qseries import character
@@ -91,7 +93,6 @@ def cmd_verify(args) -> int:
         ok = mrep.passed
         if ok:
             try:
-                import numpy as np
                 verl_ok = bool(np.array_equal(md.verlinde(), ring.tensor))
             except VerlindeError:
                 verl_ok = False
@@ -157,13 +158,8 @@ def cmd_verlinde(args) -> int:
     except VerlindeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    n = md.ring.rank
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                m = int(tensor[i, j, k])
-                if m:
-                    print(f"N {i} {j} {k} {m}")
+    for i, j, k in np.argwhere(tensor).tolist():     # row-major
+        print(f"N {i} {j} {k} {tensor[i, j, k]}")
     return EXIT_OK
 
 
@@ -299,7 +295,8 @@ def main(argv: list[str] | None = None) -> int:
             reason = f"{exc.filename}: {reason}"
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except (CliError, CycError, FcatError, KeyError, ValueError) as exc:
+    except (CliError, CycError, FcatError, GlobalDimensionError, KeyError,
+            ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE

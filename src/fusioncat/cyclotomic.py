@@ -7,8 +7,8 @@ downstream matrix identities (S^2 = C, Verlinde integrality, ...) are exact.
 
 Internally a value keeps an integer coefficient vector over the canonical
 power basis zeta^0 .. zeta^{phi(N)-1} plus a common positive denominator.
-Multiplication runs through an int64 numpy convolution fast path guarded by
-an explicit overflow bound, falling back to big-int arithmetic when needed.
+Multiplication is a numpy convolution reduced through the power rows, in
+int64 under an explicit overflow bound and in Python ints past it.
 
 Matrices of such numbers are promoted once to one conductor and held as
 integer arrays over one denominator (`_CycArray`); their entrywise and
@@ -32,22 +32,13 @@ __all__ = [
     "OrderCapExceeded",
     "cyc_root_of_unity",
     "cyc_rational",
-    "cyc_add",
-    "cyc_sub",
-    "cyc_mul",
-    "cyc_neg",
-    "cyc_conj",
-    "cyc_div",
     "cyc_inv",
-    "cyc_embed",
     "cyc_sqrt_rational",
     "parse_cyc",
     "format_cyc",
-    "DEFAULT_ORDER",
     "DEFAULT_ORDER_CAP",
 ]
 
-DEFAULT_ORDER = 72
 DEFAULT_ORDER_CAP = 720
 
 _INT64_SAFE = 2**62
@@ -69,15 +60,6 @@ def _poly_trim(p: list[int]) -> list[int]:
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
 
 
 def _poly_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -235,9 +217,6 @@ class CycNum:
             raise CycError("value is not rational")
         return Fraction(self._num[0], self._den)
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self._den == 1
-
     # -- order handling -----------------------------------------------------
 
     def promote(self, order: int) -> "CycNum":
@@ -326,15 +305,15 @@ class CycNum:
 
     def conj(self) -> "CycNum":
         """Complex conjugation, the automorphism zeta -> zeta^{-1}."""
+        return self._galois(-1)
+
+    def _galois(self, k: int) -> "CycNum":
+        """The automorphism zeta -> zeta^k, for k prime to the order."""
         ctx = _order_context(self.order)
-        acc = [0] * ctx.phi
-        for j, c in enumerate(self._num):
-            if c:
-                row = ctx.pow_rows[(self.order - j) % self.order]
-                for t, r in enumerate(row):
-                    if r:
-                        acc[t] += c * r
-        return CycNum(self.order, _num=tuple(acc), _den=self._den)
+        rows = ctx.pow_matrix[np.arange(ctx.phi) * k % self.order]
+        num, rows = _exact(ctx.phi, np.array(self._num, dtype=object), rows)
+        return CycNum(self.order, _num=tuple(int(x) for x in num @ rows),
+                      _den=self._den)
 
     def embed(self) -> complex:
         """Double-precision complex embedding sum c_k e^{2 pi i k / N}."""
@@ -381,29 +360,15 @@ def _coerce(x, order: int):
 
 def _mul_canonical(a: tuple[int, ...], b: tuple[int, ...],
                    ctx: _OrderContext) -> tuple[int, ...]:
+    """The convolution of a and b reduced through the power rows; in int64
+    under the certified bound, else in Python ints."""
     phi = ctx.phi
-    max_a = max((abs(x) for x in a), default=0)
-    max_b = max((abs(x) for x in b), default=0)
-    conv_bound = phi * max_a * max_b
-    if conv_bound and conv_bound * (2 * phi) * ctx.pow_max < _INT64_SAFE:
-        conv = np.convolve(np.array(a, dtype=np.int64),
-                           np.array(b, dtype=np.int64))
-        res = conv @ ctx.pow_matrix[: len(conv)]
-        return tuple(int(x) for x in res)
-    # Big-int fallback.
-    conv = [0] * (2 * phi - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-    acc = [0] * phi
-    for k, c in enumerate(conv):
-        if c:
-            row = ctx.pow_rows[k]
-            for t, r in enumerate(row):
-                if r:
-                    acc[t] += c * r
-    return tuple(acc)
+    conv_bound = phi * max(1, *map(abs, a)) * max(1, *map(abs, b))
+    dtype = (np.int64 if conv_bound * (2 * phi) * ctx.pow_max < _INT64_SAFE
+             else object)
+    conv = np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+    res = conv @ ctx.pow_matrix[: len(conv)].astype(dtype, copy=False)
+    return tuple(int(x) for x in res)
 
 
 def _divisors(n: int) -> list[int]:
@@ -537,6 +502,27 @@ class _CycArray:
                 _exact(self.den, other.num)[0] * self.den)
         return (a == b).all(axis=-1)
 
+    def times_root(self, expo: np.ndarray) -> "_CycArray":
+        """Each entry times zeta^expo, for an int array of the entry shape.
+
+        The coefficients move to the powers p + expo mod N, which are
+        distinct for one entry, and reduce through the power rows.
+        """
+        ctx = _order_context(self.order)
+        wide = np.zeros(self.num.shape[:-1] + (self.order,),
+                        dtype=self.num.dtype)
+        powers = (np.arange(ctx.phi) + np.asarray(expo)[..., None]) % self.order
+        np.put_along_axis(wide, powers, self.num, axis=-1)
+        wide, rows = _exact(ctx.phi, wide, ctx.pow_matrix[:self.order])
+        return _CycArray(wide @ rows, self.den, self.order)
+
+    def sum(self) -> CycNum:
+        """The sum of all entries."""
+        num, = _exact(self.num[..., 0].size, self.num)
+        total = num.reshape(-1, num.shape[-1]).sum(axis=0)
+        return CycNum(self.order, _num=tuple(int(x) for x in total),
+                      _den=self.den)
+
     def entry(self, *index: int) -> CycNum:
         return CycNum(self.order, _num=tuple(int(x) for x in self.num[index]),
                       _den=self.den)
@@ -551,16 +537,16 @@ class _CycArray:
         return cls(_exact(1, num)[0], den, order)
 
 
-def _cyc_arrays(*blocks) -> list[_CycArray]:
+def _cyc_arrays(*blocks, order: int = 1) -> list[_CycArray]:
     """Nested sequences of CycNum as arrays over one conductor.
 
-    The conductor is the lcm of all entries' orders, checked against
-    DEFAULT_ORDER_CAP as it stands at call time; the denominator is the lcm
-    of the entries' denominators.  Each entry is promoted once.
+    The conductor is the lcm of `order` and all entries' orders, checked
+    against DEFAULT_ORDER_CAP as it stands at call time; the denominator is
+    the lcm of the entries' denominators.  Each entry is promoted once.
     """
     grids = [np.array(b, dtype=object) for b in blocks]
     entries = [x for g in grids for x in g.flat]
-    order = math.lcm(*(x.order for x in entries))
+    order = math.lcm(order, *(x.order for x in entries))
     if order > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(
             f"promotion to order {order} exceeds cap {DEFAULT_ORDER_CAP}")
@@ -605,54 +591,18 @@ def cyc_rational(r: Fraction | int, order: int = 1) -> CycNum:
     return CycNum(order, [Fraction(r)])
 
 
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_sub(a: CycNum, b: CycNum) -> CycNum:
-    return a - b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_neg(a: CycNum) -> CycNum:
-    return -a
-
-
-def cyc_conj(a: CycNum) -> CycNum:
-    return a.conj()
-
-
 def cyc_inv(a: CycNum) -> CycNum:
-    """Multiplicative inverse via an exact linear solve."""
+    """Multiplicative inverse: the product of the other Galois conjugates of
+    a, over the norm of a (the product of all of them, a rational)."""
     if a.is_zero():
         raise ZeroDivisionError("division by zero in Q(zeta)")
     if a.is_rational():
         return cyc_rational(1 / a.as_rational()).promote(a.order)
-    ctx = _order_context(a.order)
-    phi = ctx.phi
-    cols = []
-    cur = a
-    shift = CycNum(a.order, [0, 1])
-    for _ in range(phi):
-        cols.append([Fraction(n, cur._den) for n in cur._num])
-        cur = cur * shift
-    mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-    rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-    sol = _solve_rational(mat, rhs)
-    if sol is None:  # pragma: no cover - fields have no zero divisors
-        raise ZeroDivisionError("non-invertible element")
-    return CycNum(a.order, sol)
-
-
-def cyc_div(a: CycNum, b: CycNum) -> CycNum:
-    return a / b
-
-
-def cyc_embed(a: CycNum) -> complex:
-    return a.embed()
+    others = cyc_rational(1)
+    for k in range(2, a.order):
+        if math.gcd(k, a.order) == 1:
+            others = others * a._galois(k)
+    return others * (1 / (a * others).as_rational())
 
 
 def cyc_sqrt_rational(r: Fraction | int, *, order_cap: int | None = None

@@ -1,16 +1,23 @@
 """Twists, quantum dimensions, and exact S/T matrices for a fusion ring.
 
-Everything is exact cyclotomic arithmetic.  s-tilde comes entry by entry
-from the balancing formula, and S = s-tilde / D with D the positive square
-root of the global dimension D^2 (a rational).  The matrix layers -- the
-checks of `verify_modular`, the Verlinde structure constants and the
-(ST)^3 relation -- run on s-tilde, never on S, so that no square root enters
-them: s-tilde is promoted once to one conductor N (the lcm of its entries'
-orders) as an integer array of shape (n, n, phi(N)) over one common
-denominator, and the matrix products are numpy contractions through the
-multiplication tensor of Q(zeta_N) (`cyclotomic._CycArray`).  They run in
-int64 only under a certified overflow bound and in Python ints otherwise,
-so every result is exact; there is no floating-point or modular shortcut.
+Everything is exact cyclotomic arithmetic.  s-tilde is built from the
+balancing formula s~_{i,j} = sum_k N_{i*,j}^k theta_k d_k / (theta_i theta_j)
+as one integer array of shape (n, n, phi(L)) over one common denominator,
+where L, the lcm of the twist denominators and the dim orders, is the
+conductor of the field Q(zeta_L) that holds all of s-tilde: the sum over k
+is one contraction of the dual-permuted fusion tensor with the coefficients
+of theta_k d_k, and theta_i^-1 theta_j^-1 is a power shift.  S = s~ D / D^2
+with D the positive square root of the global dimension D^2 (a rational).
+
+The matrix layers -- the checks of `verify_modular`, the Verlinde structure
+constants and the (ST)^3 relation -- take that array directly and never S,
+so that no square root enters them; their matrix products are numpy
+contractions through the multiplication tensor of Q(zeta_L)
+(`cyclotomic._CycArray`).  Every contraction runs in int64 only under a
+certified overflow bound and in Python ints otherwise, so every result is
+exact; there is no floating-point or modular shortcut.  `stilde()` and
+`s_matrix()` give the same matrices as lists of `CycNum`, each entry at the
+order a sum of its terms gives it, since that order fixes its printed text.
 
 A datum that fails verification is still fully computable; verification
 failure is diagnostic, not fatal.
@@ -29,6 +36,7 @@ from .cyclotomic import (
     CycNum,
     _CycArray,
     _cyc_arrays,
+    _exact,
     cyc_inv,
     cyc_rational,
     cyc_root_of_unity,
@@ -37,20 +45,19 @@ from .cyclotomic import (
 from .fusion_ring import FusionRing
 
 __all__ = [
+    "GlobalDimensionError",
     "ModularDatum",
     "ModularReport",
     "VerlindeError",
-    "stilde",
-    "stilde_conjugate_form",
-    "s_matrix",
-    "verify_modular",
-    "verlinde",
-    "t_matrix",
 ]
 
 
 class VerlindeError(ArithmeticError):
     """Verlinde formula produced a non-integer (inconsistent input datum)."""
+
+
+class GlobalDimensionError(ArithmeticError):
+    """The global dimension is irrational or zero, so S = s~/D is undefined."""
 
 
 @dataclass(frozen=True)
@@ -119,75 +126,150 @@ class ModularDatum:
         return cyc_root_of_unity(t.numerator, t.denominator)
 
     def global_dimension(self) -> CycNum:
-        """Sum of squared quantum dimensions (exact)."""
-        total = cyc_rational(0)
-        for d in self.dims:
-            total = total + d * d
-        return total
+        """Sum of squared quantum dimensions (exact), cached."""
+        if "glob" not in self._cache:
+            dims, = _cyc_arrays(self.dims)
+            self._cache["glob"] = (dims * dims).sum()
+        return self._cache["glob"]  # type: ignore[return-value]
+
+    def _d_squared(self) -> Fraction:
+        """D^2 as a rational; S = s~/D needs it rational and nonzero."""
+        glob = self.global_dimension()
+        if not glob.is_rational():
+            raise GlobalDimensionError(
+                f"global dimension {glob} is irrational; no square-root rule")
+        if glob.is_zero():
+            raise GlobalDimensionError(
+                "global dimension is 0; S = s~/D is undefined")
+        return glob.as_rational()
 
     @property
     def D(self) -> CycNum:
         """Positive square root of the global dimension."""
         if "D" not in self._cache:
-            glob = self.global_dimension()
-            if not glob.is_rational():
-                raise ArithmeticError(
-                    "global dimension is irrational; no square-root rule")
-            self._cache["D"] = cyc_sqrt_rational(glob.as_rational())
+            self._cache["D"] = cyc_sqrt_rational(self._d_squared())
         return self._cache["D"]  # type: ignore[return-value]
 
-    def _d_squared(self) -> Fraction:
-        """D^2 as a rational; S = s~/D needs it nonzero."""
-        glob = self.global_dimension().as_rational()
-        if not glob:
-            raise ZeroDivisionError("division by zero in Q(zeta)")
-        return glob
-
     def gauss_sums(self) -> tuple[CycNum, CycNum]:
-        """(p+, p-) with p± = sum d_i^2 theta_i^{±1}."""
-        plus = cyc_rational(0)
-        minus = cyc_rational(0)
-        for i in range(self.ring.rank):
-            sq = self.dims[i] * self.dims[i]
-            th = self.theta(i)
-            plus = plus + sq * th
-            minus = minus + sq * th.conj()
-        return plus, minus
+        """(p+, p-) with p± = sum d_i^2 theta_i^{±1}, at the conductor L."""
+        order = self._conductor()
+        powers = self._twist_powers(order)
+        dims = self._dims_at(order)
+        squares = dims * dims
+        return (squares.times_root(powers).sum(),
+                squares.times_root(-powers).sum())
 
     def infer_central_charge_mod8(self) -> Fraction | None:
-        """c mod 8 from the exact identity p+ = D e^{2 pi i c/8}, if it holds."""
+        """c mod 8 from the exact identity p+ = D e^{2 pi i c/8}, if it holds.
+
+        None also when D has no square-root rule (irrational D^2).
+        """
+        try:
+            D = self.D
+        except GlobalDimensionError:
+            return None
         plus, _ = self.gauss_sums()
         for m in range(8):
-            if plus == self.D * cyc_root_of_unity(m, 8):
+            if plus == D * cyc_root_of_unity(m, 8):
                 return Fraction(m)
         return None
 
     # -- matrices -----------------------------------------------------------
 
+    def _label_orders(self) -> np.ndarray:
+        """lcm(ord theta_k, ord d_k) per label k: the field of theta_k d_k."""
+        return np.array([math.lcm(t.denominator, d.order)
+                         for t, d in zip(self.twists, self.dims)])
+
+    def _conductor(self) -> int:
+        """L, the lcm of the twist denominators and the dim orders.
+
+        Every entry of s~ lies in Q(zeta_L) (Ng-Schauenburg), and the unit
+        row s~_{0,j} = d_j needs all of L.
+        """
+        return math.lcm(*self._label_orders())
+
+    def _twist_powers(self, order: int) -> np.ndarray:
+        """a_k with theta_k = zeta_order^a_k; 0 where theta_k lies outside."""
+        return np.array([t.numerator * (order // t.denominator)
+                         if order % t.denominator == 0 else 0
+                         for t in self.twists])
+
+    def _dims_at(self, order: int) -> _CycArray:
+        """The dims at conductor `order`; 0 for labels outside Q(zeta_order)."""
+        fits = order % self._label_orders() == 0
+        dims, = _cyc_arrays([d if fit else cyc_rational(0)
+                             for d, fit in zip(self.dims, fits)], order=order)
+        return dims
+
+    def _dual_tensor(self) -> np.ndarray:
+        """[i, j, k] = N_{i*,j}^k."""
+        return self.ring.tensor[list(self.ring.dual_vector())]
+
+    def _stilde_at(self, order: int) -> _CycArray:
+        """s~ at conductor `order` from the balancing formula, cached.
+
+        The sum over k of N_{i*,j}^k theta_k d_k is one integer contraction
+        of the dual-permuted fusion tensor with the (n, phi) coefficients of
+        theta_k d_k, and theta_i^-1 theta_j^-1 is a power shift.  Only the
+        labels k whose theta_k d_k lies in Q(zeta_order) enter, so the
+        entries whose order (`_entry_orders`) divides `order` come out
+        right; at a multiple of the conductor, all of them do.
+        """
+        key = f"stilde@{order}"
+        if key not in self._cache:
+            n = self.ring.rank
+            powers = self._twist_powers(order)
+            theta_dims = self._dims_at(order).times_root(powers)
+            tensor, coeffs = _exact(n, self._dual_tensor(), theta_dims.num)
+            total = _CycArray(np.tensordot(tensor, coeffs, axes=1),
+                              theta_dims.den, order)
+            self._cache[key] = total.times_root(-np.add.outer(powers, powers))
+        return self._cache[key]  # type: ignore[return-value]
+
+    def _stilde(self) -> _CycArray:
+        """s~ at the datum's conductor L, the input of every matrix layer."""
+        return self._stilde_at(self._conductor())
+
+    def _entry_orders(self) -> np.ndarray:
+        """The order of each s~_{i,j} as a sum of CycNum terms gives it.
+
+        That is lcm(ord theta_i, ord theta_j, and lcm(ord theta_k, ord d_k)
+        over every k with N_{i*,j}^k != 0); `format_cyc` renders an entry
+        at its order, so the printed text depends on it.
+        """
+        orders = np.lcm.reduce(
+            np.where(self._dual_tensor() != 0, self._label_orders(), 1),
+            axis=-1)
+        theta = np.array([t.denominator for t in self.twists])
+        return np.lcm(orders, np.lcm.outer(theta, theta))
+
+    def _entries(self, orders: np.ndarray, scale: CycNum | None = None
+                 ) -> list[list[CycNum]]:
+        """s~ (times `scale`) as CycNum, entry (i, j) at order orders[i, j].
+
+        One contraction per distinct order m gives the entries of order m;
+        the orders are taken as they first appear in row-major order, so an
+        order above the cap is reported for the first entry that needs it.
+        """
+        out = np.empty(orders.shape, dtype=object)
+        for m in dict.fromkeys(orders.ravel().tolist()):
+            block = self._stilde_at(m)
+            if scale is not None:
+                block = block * _cyc_arrays([[scale]], order=m)[0]
+            for i, j in np.argwhere(orders == m).tolist():
+                out[i, j] = block.entry(i, j)
+        return out.tolist()
+
     def stilde(self) -> list[list[CycNum]]:
-        """Balancing matrix from the defining formula
-        s~_{i,j} = sum_k N_{i',j}^k theta_k/(theta_i theta_j) d_k."""
-        if "stilde" in self._cache:
-            return self._cache["stilde"]  # type: ignore[return-value]
-        n = self.ring.rank
-        dual = self.ring.dual_vector()
-        thetas = [self.theta(i) for i in range(n)]
-        inv_thetas = [t.conj() for t in thetas]  # roots of unity
-        tensor = self.ring.tensor
-        rows: list[list[CycNum]] = []
-        for i in range(n):
-            row = []
-            pref_i = inv_thetas[i]
-            for j in range(n):
-                acc = cyc_rational(0)
-                for k in np.nonzero(tensor[dual[i], j])[0]:
-                    k = int(k)
-                    term = thetas[k] * self.dims[k] * tensor[dual[i], j, k]
-                    acc = acc + term
-                row.append(acc * pref_i * inv_thetas[j])
-            rows.append(row)
-        self._cache["stilde"] = rows
-        return rows
+        """Balancing matrix s~_{i,j} = sum_k N_{i',j}^k theta_k/(theta_i theta_j) d_k.
+
+        Built on the integer arrays of `_stilde_at`, each entry at the
+        order of its terms (`_entry_orders`); cached.
+        """
+        if "stilde" not in self._cache:
+            self._cache["stilde"] = self._entries(self._entry_orders())
+        return self._cache["stilde"]  # type: ignore[return-value]
 
     def stilde_conjugate_form(self) -> list[list[CycNum]]:
         """Same matrix through the conjugate identity
@@ -209,11 +291,14 @@ class ModularDatum:
         return rows
 
     def s_matrix(self) -> list[list[CycNum]]:
-        """S = s~ / D, exact."""
+        """S = s~ D / D^2, exact; D^2 is rational, so no inverse is solved.
+
+        Entry (i, j) lies at lcm(order of s~_{i,j}, order of D); cached.
+        """
         if "S" not in self._cache:
-            d_inv = cyc_rational(1) / self.D
-            self._cache["S"] = [[entry * d_inv for entry in row]
-                                for row in self.stilde()]
+            scale = self.D * (1 / self._d_squared())
+            orders = np.lcm(self._entry_orders(), scale.order)
+            self._cache["S"] = self._entries(orders, scale)
         return self._cache["S"]  # type: ignore[return-value]
 
     def t_matrix(self) -> list[CycNum]:
@@ -234,11 +319,11 @@ class ModularDatum:
         """
         if self.central_charge is None:
             raise ValueError("central charge not set")
-        self._d_squared()             # S = s~/D is undefined when D = 0
         c8 = self.central_charge / 8
         phase = cyc_root_of_unity(c8.numerator, c8.denominator)
-        st, t, scale = _cyc_arrays(self.stilde(), [self.t_matrix()],
-                                   [[phase * self.D]])
+        t, scale = _cyc_arrays([self.t_matrix()], [[phase * self.D]],
+                               order=self._conductor())
+        st = self._stilde_at(t.order)
         st_t = st * t
         return bool(((st_t @ st_t) @ st_t).equals((st @ st) * scale).all())
 
@@ -259,11 +344,10 @@ class ModularDatum:
 
     def _check_modular(self) -> ModularReport:
         n = self.ring.rank
-        st = self.stilde()
         dual = self.ring.dual_vector()
         D = self.D
         glob = self._d_squared()
-        s, = _cyc_arrays(st)
+        s = self._stilde()
         failures: list[str] = []
 
         def times_d2(matrix) -> _CycArray:
@@ -299,8 +383,7 @@ class ModularDatum:
                                                                D.order))
             failures.append(f"(S S*)[{i}][{j}] = {entry}")
 
-        first_row = all(st[self.ring.unit][i] == self.dims[i]
-                        for i in range(n))
+        first_row = bool(s[self.ring.unit].equals(self._dims_at(s.order)).all())
         if not first_row:
             failures.append("first row of S is not dims/D")
 
@@ -340,8 +423,8 @@ class ModularDatum:
                                 "pass require_verified=False to force")
         n = self.ring.rank
         glob = self._d_squared()
-        s, d_inv = _cyc_arrays(self.stilde(),
-                               [[cyc_inv(d) for d in self.dims]])
+        s = self._stilde()
+        d_inv, = _cyc_arrays([[cyc_inv(d) for d in self.dims]], order=s.order)
         weights = (s.conj() * d_inv).T     # [m, k] = conj(s~_{k,m}) / d_m
         out = np.zeros((n, n, n), dtype=np.int64)
         for i in range(n):
@@ -368,28 +451,3 @@ class ModularDatum:
         return ModularDatum(self.ring, twists,
                             dict(enumerate(self.dims)), self.central_charge)
 
-
-# Module-level functional aliases matching the operation names.
-
-def stilde(md: ModularDatum) -> list[list[CycNum]]:
-    return md.stilde()
-
-
-def stilde_conjugate_form(md: ModularDatum) -> list[list[CycNum]]:
-    return md.stilde_conjugate_form()
-
-
-def s_matrix(md: ModularDatum) -> list[list[CycNum]]:
-    return md.s_matrix()
-
-
-def verify_modular(md: ModularDatum) -> ModularReport:
-    return md.verify_modular()
-
-
-def verlinde(md: ModularDatum, **kwargs) -> np.ndarray:
-    return md.verlinde(**kwargs)
-
-
-def t_matrix(md: ModularDatum) -> list[CycNum]:
-    return md.t_matrix()

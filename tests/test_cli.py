@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, round trips, determinism."""
 
 import errno
+import hashlib
 import os
 import subprocess
 import sys
@@ -137,6 +138,97 @@ class TestVerify:
         assert code == 0
         assert "Verlinde round-trip         PASS" in out
         assert len(calls) == 1
+
+
+_FIBONACCI = """category fib
+label 0 1
+label 1 t
+unit 0
+N 0 0 0 1
+N 0 1 1 1
+N 1 0 1 1
+N 1 1 0 1
+N 1 1 1 1
+twist 0 0/1
+twist 1 2/5
+dim 0 1
+dim 1 -e(2/5)-e(3/5)
+"""
+
+# Z3 with dims 1, e(1/3), e(2/3): the global dimension 1 + e(2/3) + e(1/3)
+# is 0.
+_Z3_ZERO_DIM = """category z3
+label 0 a
+label 1 b
+label 2 c
+unit 0
+N 0 0 0 1
+N 0 1 1 1
+N 0 2 2 1
+N 1 0 1 1
+N 1 1 2 1
+N 1 2 0 1
+N 2 0 2 1
+N 2 1 0 1
+N 2 2 1 1
+twist 0 0/1
+twist 1 1/3
+twist 2 1/3
+dim 0 1
+dim 1 e(1/3)
+dim 2 e(2/3)
+"""
+
+
+class TestGlobalDimension:
+    @pytest.mark.parametrize("command", ["verify", "smatrix", "verlinde"])
+    def test_irrational_global_dimension_is_one_error_line(
+            self, command, tmp_path, capsys):
+        path = tmp_path / "fib.fcat"
+        path.write_text(_FIBONACCI)
+        code, _, err = run_cli([command, str(path)], capsys=capsys)
+        assert code == 2
+        assert err.splitlines() == [
+            "error: global dimension 2-e(2/5)-e(3/5) is irrational; "
+            "no square-root rule"]
+
+    def test_irrational_global_dimension_still_gives_stilde(
+            self, tmp_path, capsys):
+        path = tmp_path / "fib.fcat"
+        path.write_text(_FIBONACCI)
+        code, out, _ = run_cli(["smatrix", "--unnormalized", str(path)],
+                               capsys=capsys)
+        assert code == 0
+        assert out.splitlines() == ["0 0 1", "0 1 -e(2/5)-e(3/5)",
+                                    "1 0 -e(2/5)-e(3/5)", "1 1 -1"]
+
+    @pytest.mark.parametrize("command", ["verify", "smatrix", "verlinde"])
+    def test_zero_global_dimension_is_one_error_line(
+            self, command, tmp_path, capsys):
+        path = tmp_path / "z3.fcat"
+        path.write_text(_Z3_ZERO_DIM)
+        code, _, err = run_cli([command, str(path)], capsys=capsys)
+        assert code == 2
+        assert err.splitlines() == [
+            "error: global dimension is 0; S = s~/D is undefined"]
+
+
+class TestNoScalarStilde:
+    """verify and verlinde run on the s-tilde array, never on stilde()."""
+
+    @pytest.mark.parametrize("command,catalog",
+                             [("verify", "U"), ("verlinde", "VLtau")])
+    def test_passes_without_scalar_stilde(self, command, catalog,
+                                          monkeypatch, capsys):
+        from test_golden import CLI_SHA256
+
+        def refuse(md):
+            raise AssertionError("stilde() called")
+        monkeypatch.setattr(ModularDatum, "stilde", refuse)
+        code, out, _ = run_cli([command, "--catalog", catalog], capsys=capsys)
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == CLI_SHA256[command, catalog])
 
 
 class TestOrderCap:

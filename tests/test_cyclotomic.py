@@ -248,6 +248,30 @@ def test_array_products_match_scalar_arithmetic(data):
             assert conj.entry(i, j) == a[i][j].conj()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_times_root_matches_scalar_product(data):
+    n, a = data.draw(cyc_matrices(2, 3))
+    expo = np.array(data.draw(st.lists(st.lists(st.integers(-200, 200),
+                                                min_size=3, max_size=3),
+                                       min_size=2, max_size=2)))
+    arr, = _cyc_arrays(a, order=n)
+    assert arr.order == n
+    shifted = arr.times_root(expo)
+    for i in range(2):
+        for j in range(3):
+            assert shifted.entry(i, j) == a[i][j] * e(int(expo[i, j]), n)
+
+
+def test_times_root_takes_object_branch_for_large_coefficients():
+    big = 2**61
+    arr, = _cyc_arrays([cyc_rational(big) * e(1, 36) + cyc_rational(big)])
+    assert arr.num.dtype == np.int64
+    shifted = arr.times_root(np.array([35]))
+    assert shifted.num.dtype == object
+    assert shifted.entry(0) == cyc_rational(big) * (e(0, 1) + e(35, 36))
+
+
 def test_array_products_take_object_branch_near_2_pow_40():
     big = 2**40 + 12345
     a = [[cyc_rational(big) * e(1, 72) + cyc_rational(-big + 7) * e(5, 72),

@@ -99,6 +99,42 @@ class TestValidation:
         assert vltau_datum.ring.validate().passed
 
 
+@st.composite
+def structure_tensors(draw):
+    """Any non-negative (n, n, n) tensor, sometimes with entries near 2^31,
+    where n max(N)^2 passes 2^53 and associativity runs on Python ints."""
+    n = draw(st.integers(1, 4))
+    big = draw(st.booleans())
+    entry = st.integers(0, 2) | (st.integers(2**30, 2**31) if big
+                                 else st.integers(0, 5))
+    return n, draw(st.lists(entry, min_size=n ** 3, max_size=n ** 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_tensors())
+def test_associativity_failure_names_first_quadruple(data):
+    n, flat = data
+    N = [[flat[n * n * i + n * j:n * n * i + n * j + n] for j in range(n)]
+         for i in range(n)]
+    expect = None
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    a = sum(N[i][j][m] * N[m][k][l] for m in range(n))
+                    b = sum(N[j][k][m] * N[i][m][l] for m in range(n))
+                    if expect is None and a != b:
+                        expect = (f"associativity: quadruple "
+                                  f"({i},{j},{k},{l}) {a} != {b}")
+    ring = FusionRing([str(i) for i in range(n)], 0,
+                      {(i, j, k): N[i][j][k] for i in range(n)
+                       for j in range(n) for k in range(n)})
+    report = ring.validate()
+    found = [f for f in report.failures if f.startswith("associativity")]
+    assert report.associative_ok is (expect is None)
+    assert found == ([] if expect is None else [expect])
+
+
 class TestOperations:
     def test_fibonacci_qdim_golden_ratio(self):
         phi = fibonacci_ring().qdim_pf(1)

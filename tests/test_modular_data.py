@@ -1,13 +1,20 @@
 """Exact S/T matrices, Gauss sums, and the Verlinde round-trip."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusioncat.cyclotomic import cyc_rational, cyc_root_of_unity
+from fusioncat import cyclotomic
+from fusioncat.cyclotomic import (OrderCapExceeded, cyc_rational,
+                                  cyc_root_of_unity, parse_cyc)
 from fusioncat.fusion_ring import FusionRing
-from fusioncat.modular_data import ModularDatum, VerlindeError
+from fusioncat.modular_data import (GlobalDimensionError, ModularDatum,
+                                    VerlindeError)
 
 
 def trivial_datum() -> ModularDatum:
@@ -85,6 +92,77 @@ class TestStilde:
         st = u_datum.stilde()
         for i in range(20):
             assert st[0][i] == u_datum.dims[i]
+
+
+# Dims of orders 1 to 8; all but the last square to rationals.
+_DIMS = ["1", "-1", "e(1/4)", "e(1/8)-e(3/8)", "e(1/3)-e(2/3)", "3/2",
+         "e(1/3)"]
+
+
+def shifted_pointed_datum(n: int, seed: int) -> ModularDatum:
+    """Pointed Z_n in shuffled label order with twists a x^2/n, the twists
+    of some pairs {x, -x} shifted by p/q (q | 12), and dims from _DIMS.
+
+    The twists stay dual-invariant (theta_x = theta_-x); the dims need not
+    be.  The conductor divides lcm(n, 24).
+    """
+    rng = random.Random(seed)
+    values = list(range(n))
+    rng.shuffle(values)
+    index = {x: i for i, x in enumerate(values)}
+    ring = FusionRing([f"g{x}" for x in values], index[0],
+                      {(index[x], index[y], index[(x + y) % n]): 1
+                       for x in values for y in values})
+    a = rng.randrange(1, 2 * n)
+    twists = {index[x]: Fraction(a * x * x, n) for x in values}
+    for x in rng.sample(values, rng.randrange(n + 1)):
+        shift = Fraction(rng.randrange(1, 12), rng.choice([2, 3, 4, 6, 12]))
+        for y in {x, -x % n}:
+            twists[index[y]] += shift
+    dims = {i: parse_cyc(rng.choice(_DIMS)) for i in range(n)}
+    return ModularDatum(ring, twists, dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10**6))
+def test_stilde_arrays_match_conjugate_form(n, seed):
+    # With dual-invariant twists, s~_{i,j} of (theta, d) is the conjugate
+    # form of (theta^-1, d) at (i*, j): a scalar reference.
+    md = shifted_pointed_datum(n, seed)
+    mirror = ModularDatum(md.ring, {i: -t for i, t in enumerate(md.twists)},
+                          dict(enumerate(md.dims)))
+    expect = mirror.stilde_conjugate_form()
+    dual = md.ring.dual_vector()
+    tensor = md.ring.tensor
+    # The order of the balancing sum's terms: theta_i, theta_j and
+    # theta_k d_k for every k with N_{i*,j}^k != 0.
+    orders = [[math.lcm(md.theta(i).order, md.theta(j).order, *(
+        math.lcm(md.theta(k).order, md.dims[k].order)
+        for k in range(n) if tensor[dual[i], j, k])) for j in range(n)]
+        for i in range(n)]
+    array = md._stilde()
+    stilde = md.stilde()
+    for i in range(n):
+        for j in range(n):
+            assert array.entry(i, j) == expect[dual[i]][j]
+            assert stilde[i][j] == expect[dual[i]][j]
+            assert stilde[i][j].order == orders[i][j]
+
+    glob = md.global_dimension()
+    if not glob.is_rational() or glob == 0:
+        with pytest.raises(GlobalDimensionError):
+            md.s_matrix()
+        return
+    s_orders = np.lcm(orders, md.D.order)
+    if s_orders.max() > cyclotomic.DEFAULT_ORDER_CAP:
+        with pytest.raises(OrderCapExceeded):
+            md.s_matrix()
+        return
+    s_matrix = md.s_matrix()
+    for i in range(n):
+        for j in range(n):
+            assert s_matrix[i][j] * md.D == expect[dual[i]][j]
+            assert s_matrix[i][j].order == s_orders[i, j]
 
 
 class TestVerification:
