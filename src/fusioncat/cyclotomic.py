@@ -511,7 +511,7 @@ class _CycArray:
         ctx = _order_context(self.order)
         wide = np.zeros(self.num.shape[:-1] + (self.order,),
                         dtype=self.num.dtype)
-        powers = (np.arange(ctx.phi) + np.asarray(expo)[..., None]) % self.order
+        powers = (np.arange(ctx.phi) + np.asarray(expo)[..., None]) % ctx.order
         np.put_along_axis(wide, powers, self.num, axis=-1)
         wide, rows = _exact(ctx.phi, wide, ctx.pow_matrix[:self.order])
         return _CycArray(wide @ rows, self.den, self.order)

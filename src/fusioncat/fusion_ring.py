@@ -155,8 +155,8 @@ class FusionRing:
         defect = self._associativity_defect()
         assoc = defect is None
         if not assoc:
-            failures.append(
-                "associativity: quadruple ({},{},{},{}) {} != {}".format(*defect))
+            failures.append("associativity: quadruple ({},{},{},{}) "
+                            "{} != {}".format(*defect))
 
         self._validation = ValidationReport(unit_ok, comm, duality_ok, assoc,
                                             tuple(failures))

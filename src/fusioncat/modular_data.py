@@ -196,7 +196,7 @@ class ModularDatum:
                          for t in self.twists])
 
     def _dims_at(self, order: int) -> _CycArray:
-        """The dims at conductor `order`; 0 for labels outside Q(zeta_order)."""
+        """The dims at conductor `order`, 0 for labels outside that field."""
         fits = order % self._label_orders() == 0
         dims, = _cyc_arrays([d if fit else cyc_rational(0)
                              for d, fit in zip(self.dims, fits)], order=order)
@@ -262,7 +262,8 @@ class ModularDatum:
         return out.tolist()
 
     def stilde(self) -> list[list[CycNum]]:
-        """Balancing matrix s~_{i,j} = sum_k N_{i',j}^k theta_k/(theta_i theta_j) d_k.
+        """Balancing matrix
+        s~_{i,j} = sum_k N_{i',j}^k theta_k/(theta_i theta_j) d_k.
 
         Built on the integer arrays of `_stilde_at`, each entry at the
         order of its terms (`_entry_orders`); cached.
@@ -383,7 +384,8 @@ class ModularDatum:
                                                                D.order))
             failures.append(f"(S S*)[{i}][{j}] = {entry}")
 
-        first_row = bool(s[self.ring.unit].equals(self._dims_at(s.order)).all())
+        dims = self._dims_at(s.order)
+        first_row = bool(s[self.ring.unit].equals(dims).all())
         if not first_row:
             failures.append("first row of S is not dims/D")
 
