@@ -13,6 +13,8 @@ from fusioncat import cyclotomic
 from fusioncat.cli import main
 from fusioncat.modular_data import ModularDatum
 
+from test_golden import CLI_SHA256
+
 
 def run_cli(argv, stdin_text=None, capsys=None):
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
@@ -220,8 +222,6 @@ class TestNoScalarStilde:
                              [("verify", "U"), ("verlinde", "VLtau")])
     def test_passes_without_scalar_stilde(self, command, catalog,
                                           monkeypatch, capsys):
-        from test_golden import CLI_SHA256
-
         def refuse(md):
             raise AssertionError("stilde() called")
         monkeypatch.setattr(ModularDatum, "stilde", refuse)

@@ -94,7 +94,7 @@ class TestStilde:
             assert st[0][i] == u_datum.dims[i]
 
 
-# Dims of orders 1 to 8; all but the last square to rationals.
+# Dims at orders 1, 3, 4 and 8; all but the last square to rationals.
 _DIMS = ["1", "-1", "e(1/4)", "e(1/8)-e(3/8)", "e(1/3)-e(2/3)", "3/2",
          "e(1/3)"]
 
@@ -123,15 +123,21 @@ def shifted_pointed_datum(n: int, seed: int) -> ModularDatum:
     return ModularDatum(ring, twists, dims)
 
 
+def conjugate_form_reference(md: ModularDatum) -> list[list]:
+    """s~ through the scalar `stilde_conjugate_form`: for dual-invariant
+    twists, s~_{i,j} of (theta, d) is the conjugate form of (theta^-1, d)
+    at (i*, j)."""
+    mirror = ModularDatum(md.ring, {i: -t for i, t in enumerate(md.twists)},
+                          dict(enumerate(md.dims)))
+    rows = mirror.stilde_conjugate_form()
+    return [rows[i] for i in md.ring.dual_vector()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 10**6))
 def test_stilde_arrays_match_conjugate_form(n, seed):
-    # With dual-invariant twists, s~_{i,j} of (theta, d) is the conjugate
-    # form of (theta^-1, d) at (i*, j): a scalar reference.
     md = shifted_pointed_datum(n, seed)
-    mirror = ModularDatum(md.ring, {i: -t for i, t in enumerate(md.twists)},
-                          dict(enumerate(md.dims)))
-    expect = mirror.stilde_conjugate_form()
+    expect = conjugate_form_reference(md)
     dual = md.ring.dual_vector()
     tensor = md.ring.tensor
     # The order of the balancing sum's terms: theta_i, theta_j and
@@ -144,8 +150,8 @@ def test_stilde_arrays_match_conjugate_form(n, seed):
     stilde = md.stilde()
     for i in range(n):
         for j in range(n):
-            assert array.entry(i, j) == expect[dual[i]][j]
-            assert stilde[i][j] == expect[dual[i]][j]
+            assert array.entry(i, j) == expect[i][j]
+            assert stilde[i][j] == expect[i][j]
             assert stilde[i][j].order == orders[i][j]
 
     glob = md.global_dimension()
@@ -161,8 +167,20 @@ def test_stilde_arrays_match_conjugate_form(n, seed):
     s_matrix = md.s_matrix()
     for i in range(n):
         for j in range(n):
-            assert s_matrix[i][j] * md.D == expect[dual[i]][j]
+            assert s_matrix[i][j] * md.D == expect[i][j]
             assert s_matrix[i][j].order == s_orders[i, j]
+
+
+def test_stilde_past_int64_matches_conjugate_form():
+    # Dims near 2^61 push the contraction and the shifts onto Python ints.
+    small = shifted_pointed_datum(7, 3)
+    dims = {i: d * cyc_rational(2**61 + i) for i, d in enumerate(small.dims)}
+    md = ModularDatum(small.ring, dict(enumerate(small.twists)), dims)
+    assert md._stilde().num.dtype == object
+    assert md.stilde() == conjugate_form_reference(md)
+    plus = sum((d * d * md.theta(i) for i, d in dims.items()),
+               cyc_rational(0))
+    assert md.gauss_sums()[0] == plus
 
 
 class TestVerification:
