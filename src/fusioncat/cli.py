@@ -3,7 +3,8 @@
 Subcommands: verify, fuse, qdim, smatrix, tmatrix, verlinde, catalog, char,
 count.  Exit codes: 0 success, 1 verification failure, 2 parse/usage error.
 Exact output is the default; `--format float` rounds at 10 significant
-digits.
+digits.  `char` and `count` are integer and Fraction work; only the other
+commands import the array modules, and with them numpy.
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cyclotomic
-from .cyclotomic import CycError, format_cyc
-from .fusion_ring import FcatDocument, FcatError, emit_fcat, parse_fcat
-from .modular_data import GlobalDimensionError, ModularDatum, VerlindeError
 from .orbifold_catalog import (build_U, build_VLtau, count_orbifold_irreducibles,
                                full_coset_pieces, resolve_label)
 from .qseries import character
+
+if TYPE_CHECKING:
+    from .fusion_ring import FcatDocument
+    from .modular_data import ModularDatum
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -44,6 +44,8 @@ def _build_catalog(name: str) -> ModularDatum:
 
 def _load_datum(args) -> tuple[ModularDatum | None, FcatDocument | None]:
     """Datum from --catalog or an FCAT file ('-' reads stdin)."""
+    from .fusion_ring import parse_fcat
+    from .modular_data import ModularDatum
     if getattr(args, "catalog", None):
         return _build_catalog(args.catalog), None
     path = getattr(args, "input", None)
@@ -80,6 +82,8 @@ def _float_str(x: float) -> str:
 # -- subcommand implementations ---------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .modular_data import VerlindeError
+    import numpy as np
     md, doc = _load_datum(args)
     ring = md.ring if md is not None else doc.ring
     report = ring.validate()
@@ -124,6 +128,7 @@ def cmd_qdim(args) -> int:
 
 
 def cmd_smatrix(args) -> int:
+    from .cyclotomic import format_cyc
     md = _require_datum(args)
     s = md.stilde() if args.unnormalized else md.s_matrix()
     n = md.ring.rank
@@ -139,6 +144,7 @@ def cmd_smatrix(args) -> int:
 
 
 def cmd_tmatrix(args) -> int:
+    from .cyclotomic import format_cyc
     md = _require_datum(args)
     if md.central_charge is None:
         raise CliError("central charge required for the T matrix")
@@ -152,6 +158,8 @@ def cmd_tmatrix(args) -> int:
 
 
 def cmd_verlinde(args) -> int:
+    from .modular_data import VerlindeError
+    import numpy as np
     md = _require_datum(args)
     try:
         tensor = md.verlinde()
@@ -164,6 +172,7 @@ def cmd_verlinde(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .fusion_ring import FcatDocument, emit_fcat
     md = _build_catalog(args.name)
     doc = FcatDocument(
         name=args.name,
@@ -189,6 +198,8 @@ def cmd_char(args) -> int:
             f"character not available for {args.label!r}: only the full-coset "
             "modules M^0 and M^1 have computable characters "
             "(eigenspace traces are out of scope)")
+    if args.cutoff < 0:
+        raise CliError(f"--cutoff must be non-negative, not {args.cutoff}")
     pieces = full_coset_pieces(_CHAR_PIECES[args.label])
     series = character(pieces, 3, Fraction(args.cutoff))
     for line in series.dump_lines():
@@ -277,12 +288,23 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+# Commands with no cyclotomic arithmetic; --order-cap does not apply.
+_NO_CYCLOTOMIC = (cmd_char, cmd_count)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # No command uses BLAS threads; starting them at `import numpy` costs CPU.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved_cap = cyclotomic.DEFAULT_ORDER_CAP
-    if args.order_cap is not None:
-        cyclotomic.DEFAULT_ORDER_CAP = args.order_cap
+    cyclotomic = None
+    if args.func not in _NO_CYCLOTOMIC:
+        # Imported first, so it compiles before numpy is resident: this
+        # keeps the peak RSS where the eager imports had it.
+        from . import cyclotomic
+        saved_cap = cyclotomic.DEFAULT_ORDER_CAP
+        if args.order_cap is not None:
+            cyclotomic.DEFAULT_ORDER_CAP = args.order_cap
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -295,13 +317,20 @@ def main(argv: list[str] | None = None) -> int:
             reason = f"{exc.filename}: {reason}"
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except (CliError, CycError, FcatError, GlobalDimensionError, KeyError,
-            ValueError) as exc:
+    except (CliError, KeyError, ValueError, ArithmeticError) as exc:
+        # FcatError is a ValueError.  CycError and GlobalDimensionError are
+        # resolved here, so `char` and `count` never import their modules.
+        if isinstance(exc, ArithmeticError):
+            from .cyclotomic import CycError
+            from .modular_data import GlobalDimensionError
+            if not isinstance(exc, (CycError, GlobalDimensionError)):
+                raise
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        cyclotomic.DEFAULT_ORDER_CAP = saved_cap
+        if cyclotomic is not None:
+            cyclotomic.DEFAULT_ORDER_CAP = saved_cap
 
 
 if __name__ == "__main__":

@@ -24,9 +24,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .cyclotomic import CycNum, parse_cyc
-from .fusion_ring import FusionRing
 from .lattice import (
     Coset,
     coset_L,
@@ -36,7 +35,13 @@ from .lattice import (
     min_vectors,
     tau_vector,
 )
-from .modular_data import ModularDatum
+
+# The builders and the fixture import the array modules when called, so
+# counting, the coset pieces and label resolution load no numpy.
+if TYPE_CHECKING:
+    from .cyclotomic import CycNum
+    from .fusion_ring import FusionRing
+    from .modular_data import ModularDatum
 
 __all__ = [
     "U_LABELS",
@@ -140,6 +145,8 @@ def _u_structure_constants() -> dict[tuple[int, int, int], int]:
 
 def build_U() -> ModularDatum:
     """The validated 20-object datum (central charge 3, global dimension 72)."""
+    from .fusion_ring import FusionRing
+    from .modular_data import ModularDatum
     ring = FusionRing(U_LABELS, unit=0,
                       structure_constants=_u_structure_constants(),
                       supplied_dual=dict(enumerate(U_DUALS)))
@@ -244,6 +251,8 @@ def vltau_weights() -> tuple[Fraction, ...]:
 
 def build_VLtau() -> ModularDatum:
     """The validated 30-object lattice-orbifold datum (central charge 2)."""
+    from .fusion_ring import FusionRing
+    from .modular_data import ModularDatum
     ring = FusionRing(VLTAU_LABELS, unit=0,
                       structure_constants=_vltau_structure_constants(),
                       supplied_dual=dict(enumerate(vltau_duals())))
@@ -415,6 +424,7 @@ def stilde_fixture() -> list[list[CycNum]]:
     The library's derived matrix is diffed against it, never silently
     reconciled.
     """
+    from .cyclotomic import parse_cyc
     text = (resources.files("fusioncat") / "data" / "stilde_u.grid"
             ).read_text(encoding="utf-8")
     grid: dict[tuple[int, int], CycNum] = {}

@@ -310,6 +310,18 @@ class TestCatalogChar:
         assert code == 0
         assert out.splitlines()[0] == "3/8 4"
 
+    def test_char_negative_cutoff_exits_2(self, capsys):
+        code, out, err = run_cli(["char", "M^0", "--cutoff", "-5"],
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: --cutoff must be non-negative, not -5"]
+
+    def test_char_zero_cutoff_is_valid(self, capsys):
+        code, _, err = run_cli(["char", "M^0", "--cutoff", "0"],
+                               capsys=capsys)
+        assert (code, err) == (0, "")
+
     def test_char_rejects_eigenspace_label(self, capsys):
         code, _, err = run_cli(["char", "M~_0[1]"], capsys=capsys)
         assert code == 2
