@@ -46,9 +46,12 @@ def _load_datum(args) -> tuple[ModularDatum | None, FcatDocument | None]:
     """Datum from --catalog or an FCAT file ('-' reads stdin)."""
     from .fusion_ring import parse_fcat
     from .modular_data import ModularDatum
-    if getattr(args, "catalog", None):
-        return _build_catalog(args.catalog), None
     path = getattr(args, "input", None)
+    if getattr(args, "catalog", None):
+        if path is not None:
+            raise CliError("give --catalog or an input file, not both "
+                           f"(input {path!r})")
+        return _build_catalog(args.catalog), None
     if path is None:
         raise CliError("an input file or --catalog is required")
     if path == "-":
@@ -297,6 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.order_cap is not None and args.order_cap < 1:
+        print(f"error: --order-cap must be at least 1, not {args.order_cap}",
+              file=sys.stderr)
+        return EXIT_USAGE
     cyclotomic = None
     if args.func not in _NO_CYCLOTOMIC:
         # Imported first, so it compiles before numpy is resident: this

@@ -9,6 +9,15 @@ theta functions, characters of lattice-coset modules assembled from
 quantum-dimension ratio limit qdim = lim_{y -> 0+} ch_M(iy)/ch_V(iy),
 evaluated at q = e^{-2 pi y} with a certified truncation-tail bound and
 Richardson-style extrapolation in y.
+
+Products run through one exact kernel, `_convolve`: Kronecker substitution
+packs each coefficient list into one int with byte-aligned slots, so a whole
+convolution is one big-int multiplication.  The slot width comes from the
+bound min(len a, len b) * max|a| * max|b| on every product coefficient, so
+no slot overflows into the next.  `QSeries.__mul__` takes this path when the
+operands, laid out densely on their common exponent grid, hold no more slots
+than the pair loop visits pairs (|left| * |right|); sparser series, such as
+1 + q + q^(10^9), keep the pair loop and never get a dense layout.
 """
 
 from __future__ import annotations
@@ -124,6 +133,11 @@ class QSeries:
                            min(self.truncation_order, other.truncation_order))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """Product, exact below min(T_self + lead_other, T_other + lead_self).
+
+        The lead of the zero series counts as 0.  Dense operands go through
+        `_convolve`, sparse ones through the pair loop (see the module doc).
+        """
         den = math.lcm(self.den, other.den)
         left, right = self._over(den), other._over(den)
         lead_left = left[0][0] if left else 0
@@ -131,14 +145,28 @@ class QSeries:
         cutoff = min(self.truncation_order + Fraction(lead_right, den),
                      other.truncation_order + Fraction(lead_left, den))
         limit = _ceil(den * cutoff)
-        data: dict[int, int] = {}
-        for n1, c1 in left:
-            room = limit - n1
-            for n2, c2 in right:
-                if n2 >= room:
-                    break
-                n = n1 + n2
-                data[n] = data.get(n, 0) + c1 * c2
+        if not left or not right:
+            return QSeries._of(den, {}, cutoff)
+        # Both operands lie on lead + g*Z; the product is dense on that grid.
+        g = math.gcd(*(n - lead_left for n, _ in left),
+                     *(n - lead_right for n, _ in right)) or 1
+        size = max(0, -(-(limit - lead_left - lead_right) // g))
+        span_left = min(size, (left[-1][0] - lead_left) // g + 1)
+        span_right = min(size, (right[-1][0] - lead_right) // g + 1)
+        if span_left + span_right <= len(left) * len(right):
+            product = _convolve(_dense(left, lead_left, g, span_left),
+                                _dense(right, lead_right, g, span_right), size)
+            base = lead_left + lead_right
+            data = {base + g * k: c for k, c in enumerate(product)}
+        else:
+            data = {}
+            for n1, c1 in left:
+                room = limit - n1
+                for n2, c2 in right:
+                    if n2 >= room:
+                        break
+                    n = n1 + n2
+                    data[n] = data.get(n, 0) + c1 * c2
         return QSeries._of(den, data, cutoff)
 
     def evaluate(self, y: float) -> float:
@@ -172,6 +200,59 @@ def _ceil(x: Fraction) -> int:
     return -(-x.numerator // x.denominator)
 
 
+def _dense(terms: list[tuple[int, int]], lead: int, g: int,
+           span: int) -> list[int]:
+    """Coefficients of the terms at lead + g*k for k < span, as a list."""
+    out = [0] * span
+    for n, c in terms:
+        k = (n - lead) // g
+        if k >= span:
+            break
+        out[k] = c
+    return out
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
+    """The first `size` coefficients of the product of the polynomials a, b.
+
+    Kronecker substitution: each list is packed into one int, one slot of w
+    bytes per coefficient, and one big-int product does the convolution.  No
+    product coefficient exceeds B = min(len a, len b) * max|a| * max|b| in
+    size, and w bytes hold B (and so, for B > 0, every input), so no slot
+    carries into the next.  Signed lists are split as a = a+ - a-, b = b+ - b-;
+    a+ b+ + a- b- and a+ b- + a- b+ obey the same bound, since a+ and a-
+    never share an index.
+    """
+    a, b = a[:size], b[:size]
+    if not a or not b:
+        return [0] * size
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * size
+    w = (bound.bit_length() + 7) // 8
+    if min(a) >= 0 and min(b) >= 0:
+        return _unpack(_pack(a, w) * _pack(b, w), w, size)
+    a_pos, a_neg, b_pos, b_neg = (_pack([max(sign * c, 0) for c in xs], w)
+                                  for xs in (a, b) for sign in (1, -1))
+    plus = _unpack(a_pos * b_pos + a_neg * b_neg, w, size)
+    minus = _unpack(a_pos * b_neg + a_neg * b_pos, w, size)
+    return [x - y for x, y in zip(plus, minus)]
+
+
+def _pack(coeffs: Sequence[int], w: int) -> int:
+    """sum of c_k * 256^(w*k) over non-negative c_k < 256^w."""
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs),
+                          "little")
+
+
+def _unpack(value: int, w: int, size: int) -> list[int]:
+    """The first `size` w-byte slots of a non-negative int, low slot first."""
+    raw = value.to_bytes(-(-value.bit_length() // 8), "little")
+    out = [int.from_bytes(raw[i:i + w], "little")
+           for i in range(0, min(len(raw), w * size), w)]
+    return out + [0] * (size - len(out))
+
+
 def _partitions_upto(n: int) -> list[int]:
     """p(0..n) via Euler's pentagonal-number recurrence."""
     p = [0] * (n + 1)
@@ -198,7 +279,7 @@ def eta_inverse_power(r: int, cutoff: Fraction | int = DEFAULT_CUTOFF
     """q^{-r/24} * prod_{n>=1} (1 - q^n)^{-r}, truncated.
 
     The product part for r = 1 has partition-number coefficients; higher r
-    is computed by repeated convolution of the integer product parts.
+    takes r - 1 truncated products with it, each one `_convolve` call.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -207,16 +288,9 @@ def eta_inverse_power(r: int, cutoff: Fraction | int = DEFAULT_CUTOFF
         return QSeries.one(cutoff)
     n_max = max(0, math.ceil(cutoff + Fraction(r, 24)) + 1)
     base = _partitions_upto(n_max)
-    coeffs = list(base)
+    coeffs = base
     for _ in range(r - 1):
-        nxt = [0] * (n_max + 1)
-        for a in range(n_max + 1):
-            ca = coeffs[a]
-            if not ca:
-                continue
-            for b in range(n_max + 1 - a):
-                nxt[a + b] += ca * base[b]
-        coeffs = nxt
+        coeffs = _convolve(coeffs, base, n_max + 1)
     return QSeries._of(24, {24 * n - r: coeffs[n] for n in range(n_max + 1)},
                        cutoff)
 
@@ -245,16 +319,23 @@ def character(pieces: Sequence[tuple[Coset, Coset]],
               c: Fraction | int,
               cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
     """Character of a module decomposed into (rank-1, rank-2) coset pieces:
-    q^{-c/24} * sum over pieces of theta_rank1 * theta_rank2 / eta^3."""
+    q^{-c/24} * sum over pieces of theta_rank1 * theta_rank2 / eta^3.
+
+    The theta products are summed first and multiplied by eta^-3 once.  For
+    c <= 3 the truncation order is the per-piece form's, min over pieces of
+    min(T_i + lead_eta, T_eta + lead_i) and the cutoff: theta coefficients
+    are positive counts, so leading terms never cancel in the sum.
+    """
     cutoff = Fraction(cutoff)
     c = Fraction(c)
     eta3 = eta_inverse_power(3, cutoff)
     # eta_inverse_power already carries q^{-3/24}; adjust to q^{-c/24}.
     eta3 = eta3.shift(Fraction(3, 24) - c / 24)
     total = QSeries.zero(cutoff)
-    for rank1, rank2 in pieces:
-        term = theta_coset(rank1, cutoff) * theta_coset(rank2, cutoff)
-        total = total + term * eta3
+    thetas = [theta_coset(rank1, cutoff) * theta_coset(rank2, cutoff)
+              for rank1, rank2 in pieces]
+    if thetas:
+        total = total + sum(thetas[1:], thetas[0]) * eta3
     return total
 
 

@@ -257,6 +257,30 @@ class TestOrderCap:
             md.D                  # 6 sqrt(2) lies at order 8
 
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_rejected_first(self, cap, capsys):
+        code, out, err = run_cli(["--order-cap", cap, "verify", "--catalog",
+                                  "U"], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: --order-cap must be at least 1, not {cap}"]
+
+
+class TestCatalogWithInput:
+    @pytest.mark.parametrize("argv", [
+        ["qdim", "--catalog", "U", "M^0"],
+        ["smatrix", "--catalog", "U", "/nonexistent"],
+        ["verify", "--catalog", "VLtau", "-"],
+        ["fuse", "--catalog", "U", "W6", "W6", "x.fcat"],
+    ], ids=["qdim", "smatrix", "verify", "fuse"])
+    def test_both_sources_is_one_error_line(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: give --catalog or an input file, not both "
+            f"(input {argv[-1]!r})"]
+
+
 class TestMatrices:
     def test_smatrix_grid_byte_stable(self, capsys):
         code, out1, _ = run_cli(["smatrix", "--catalog", "U"], capsys=capsys)

@@ -70,6 +70,11 @@ CHAR_SHA256 = {
         "e946861a1cb70cc895ff25e0b1eb627d3d115d01dad21a3d504352ee4328b465",
     ("M^1", 300):
         "ba3874597c2645ff9f837a54188186e9b2ee192ee0be92f50a4c3b272183f984",
+    # Coefficients near q^1000 pass 2^64, so the product slots span bytes.
+    ("M^0", 1000):
+        "baac9afb378c7375c96ced87fc739be9617bcf250fd0ccf4ebaf4108a93f4f96",
+    ("M^1", 1000):
+        "bd41004d9ac7373c7139bc11d78541fd113cf62da43d4601eb61351063bd3a66",
 }
 
 _FAILING_CHECKS = [

@@ -35,6 +35,7 @@ CLI_CASES = [
     (["char", "W3"], 2, []),
     (["count", "0"], 2, []),
     (["char", "M^0", "--cutoff", "-5"], 2, []),
+    (["--order-cap", "0", "char", "M^0"], 2, []),
     # the control: a matrix command does load them
     (["tmatrix", "--catalog", "U"], 0, list(HEAVY)),
 ]

@@ -1,6 +1,7 @@
 """q-series: eta powers, coset thetas, characters, and qdim ratio limits."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,8 @@ from fusioncat.lattice import (
     dual_coset_reps,
     lattice_L,
 )
+from fusioncat import qseries
+from fusioncat.orbifold_catalog import full_coset_pieces
 from fusioncat.qseries import (
     QSeries,
     TailBoundError,
@@ -115,6 +118,21 @@ class TestCharacter:
     def test_coefficients_nonnegative_integers(self):
         ch = character(self._m_pieces(0), 3, 8)
         assert all(isinstance(c, int) and c > 0 for _, c in ch.coeffs)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("cutoff", [F(0), F(1, 8), F(1, 3), F(7, 2),
+                                        F(100)])
+    def test_equals_per_piece_sum(self, i, cutoff):
+        # eta^-3 once on the summed thetas, against once per piece.
+        pieces = full_coset_pieces(i)
+        eta3 = eta_inverse_power(3, cutoff)
+        expected = QSeries.zero(cutoff)
+        for rank1, rank2 in pieces:
+            term = theta_coset(rank1, cutoff) * theta_coset(rank2, cutoff)
+            expected = expected + term * eta3
+        got = character(pieces, 3, cutoff)
+        assert got.coeffs == expected.coeffs
+        assert got.truncation_order == expected.truncation_order
 
 
 class TestSeriesAlgebra:
@@ -245,6 +263,95 @@ class TestAgainstReference:
         assert c + b == a
         assert (a + a.shift(0)).coefficient(F(3, 4)) == 4
         assert a.shift(F(1, 4)).shift(F(-1, 4)) == a
+
+
+# -- the Kronecker product kernel ---------------------------------------------
+
+def naive_convolve(a, b, size):
+    out = [0] * size
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < size:
+                out[i + j] += x * y
+    return out
+
+
+# Values around byte and 64-bit boundaries, so slot widths cross them.
+_EDGES = [0, 1, 255, 256, 2**64 - 1, 2**64, 2**130]
+big_coeffs = st.one_of(st.sampled_from(_EDGES + [-x for x in _EDGES]),
+                       st.integers(-2**130, 2**130))
+coeff_lists = st.one_of(
+    st.lists(big_coeffs, max_size=300),
+    st.lists(st.sampled_from(_EDGES), max_size=300),
+    st.lists(st.integers(0, 3), max_size=300))
+
+
+class TestConvolve:
+    @settings(max_examples=200, deadline=None)
+    @given(coeff_lists, coeff_lists, st.integers(0, 650))
+    def test_matches_naive(self, a, b, size):
+        assert qseries._convolve(a, b, size) == naive_convolve(a, b, size)
+
+    @pytest.mark.parametrize("x", _EDGES + [-2**130])
+    def test_single_slot_edges(self, x):
+        a = [x, -x, x, 0, x]
+        assert qseries._convolve(a, a, 12) == naive_convolve(a, a, 12)
+
+    def test_all_zero_operand(self):
+        # The product bound is 0 here, yet 2^64 needs a wide slot.
+        assert qseries._convolve([0, 0], [2**64, 256], 3) == [0, 0, 0]
+
+
+dense_series = st.tuples(
+    st.integers(-30, 30), st.sampled_from([1, 2, 3, 8, 24]),
+    st.sampled_from([1, 2, 5]),
+    st.lists(st.integers(-2**70, 2**70), min_size=2, max_size=80),
+    st.integers(-10, 200))
+
+
+def as_dense(raw):
+    """Series with coefficient k at (start + step*k)/den, below cutoff."""
+    start, den, step, cs, cut = raw
+    data = {F(start + step * k, den): c for k, c in enumerate(cs)}
+    cutoff = F(cut, den)
+    return QSeries.from_dict(data, cutoff), ref_series(data, cutoff), cutoff
+
+
+class TestDenseProduct:
+    @settings(max_examples=100, deadline=None)
+    @given(dense_series, dense_series)
+    def test_matches_reference(self, raw_a, raw_b):
+        a, ref_a, cut_a = as_dense(raw_a)
+        b, ref_b, cut_b = as_dense(raw_b)
+        prod = a * b
+        coeffs, cutoff = ref_mul(ref_a, cut_a, ref_b, cut_b)
+        assert prod.coeffs == coeffs
+        assert prod.truncation_order == cutoff
+
+    def test_characters_take_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = qseries._convolve
+
+        def spy(a, b, size):
+            calls.append(size)
+            return kernel(a, b, size)
+        monkeypatch.setattr(qseries, "_convolve", spy)
+        character(full_coset_pieces(0), 3, 30)
+        # three theta products, the sum times eta^-3, eta^-3's two powers
+        assert len(calls) == 6
+
+    def test_sparse_square_takes_the_pair_loop(self, monkeypatch):
+        # Laid out densely this would be 2e9 slots: fail before building one.
+        def refuse(*args):
+            raise AssertionError("dense layout of a sparse series")
+        monkeypatch.setattr(qseries, "_dense", refuse)
+        s = QSeries.from_dict({F(0): 1, F(1): 1, F(10**9): 1}, 3 * 10**9)
+        start = time.perf_counter()
+        square = s * s
+        assert time.perf_counter() - start < 0.5
+        assert square.coeffs == ((F(0), 1), (F(1), 2), (F(2), 1),
+                                 (F(10**9), 2), (F(10**9 + 1), 2),
+                                 (F(2 * 10**9), 1))
 
 
 class TestQdimRatio:
