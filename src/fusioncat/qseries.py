@@ -17,7 +17,8 @@ bound min(len a, len b) * max|a| * max|b| on every product coefficient, so
 no slot overflows into the next.  `QSeries.__mul__` takes this path when the
 operands, laid out densely on their common exponent grid, hold no more slots
 than the pair loop visits pairs (|left| * |right|); sparser series, such as
-1 + q + q^(10^9), keep the pair loop and never get a dense layout.
+1 + q + q^(10^9), keep the pair loop and never get a dense layout.  The
+layout stops at the full product's length, however far the cutoff lies.
 """
 
 from __future__ import annotations
@@ -150,9 +151,12 @@ class QSeries:
         # Both operands lie on lead + g*Z; the product is dense on that grid.
         g = math.gcd(*(n - lead_left for n, _ in left),
                      *(n - lead_right for n, _ in right)) or 1
-        size = max(0, -(-(limit - lead_left - lead_right) // g))
-        span_left = min(size, (left[-1][0] - lead_left) // g + 1)
-        span_right = min(size, (right[-1][0] - lead_right) // g + 1)
+        span_left = (left[-1][0] - lead_left) // g + 1
+        span_right = (right[-1][0] - lead_right) // g + 1
+        # Never lay out past the full product, whatever the cutoff.
+        size = max(0, min(-(-(limit - lead_left - lead_right) // g),
+                          span_left + span_right - 1))
+        span_left, span_right = min(size, span_left), min(size, span_right)
         if span_left + span_right <= len(left) * len(right):
             product = _convolve(_dense(left, lead_left, g, span_left),
                                 _dense(right, lead_right, g, span_right), size)
