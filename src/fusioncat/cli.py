@@ -21,6 +21,7 @@ from .orbifold_catalog import (build_U, build_VLtau, count_orbifold_irreducibles
 from .qseries import character
 
 if TYPE_CHECKING:
+    from .cyclotomic import CycNum
     from .fusion_ring import FcatDocument
     from .modular_data import ModularDatum
 
@@ -82,6 +83,14 @@ def _float_str(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _complex_str(x: CycNum) -> str:
+    """Real and imaginary part of x; a part that is exactly 0 prints as 0."""
+    z, conj = x.embed(), x.conj()
+    real = 0.0 if x == -conj else z.real
+    imag = 0.0 if x == conj else z.imag
+    return f"{_float_str(real)} {_float_str(imag)}"
+
+
 # -- subcommand implementations ---------------------------------------------
 
 def cmd_verify(args) -> int:
@@ -139,8 +148,7 @@ def cmd_smatrix(args) -> int:
         for j in range(n):
             entry = s[i][j]
             if args.format == "float":
-                z = entry.embed()
-                print(f"{i} {j} {_float_str(z.real)} {_float_str(z.imag)}")
+                print(f"{i} {j} {_complex_str(entry)}")
             else:
                 print(f"{i} {j} {format_cyc(entry)}")
     return EXIT_OK
@@ -153,8 +161,7 @@ def cmd_tmatrix(args) -> int:
         raise CliError("central charge required for the T matrix")
     for i, entry in enumerate(md.t_matrix()):
         if args.format == "float":
-            z = entry.embed()
-            print(f"{i} {_float_str(z.real)} {_float_str(z.imag)}")
+            print(f"{i} {_complex_str(entry)}")
         else:
             print(f"{i} {format_cyc(entry)}")
     return EXIT_OK

@@ -14,6 +14,8 @@ Matrices of such numbers are promoted once to one conductor and held as
 integer arrays over one denominator (`_CycArray`); their entrywise and
 matrix products are numpy contractions through the cached multiplication
 tensor of the field, under the same kind of certified int64 bound.
+`_CycArray.canonical` gives each entry at its minimal order, the one form
+a value has whatever order it was computed at; `hash` uses that form.
 """
 
 from __future__ import annotations
@@ -196,16 +198,6 @@ class CycNum:
 
     # -- basic views --------------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Canonical coefficients over the power basis zeta^0..zeta^{N-1}.
-
-        Entries of index >= phi(N) are zero by canonicality.
-        """
-        phi = len(self._num)
-        body = tuple(Fraction(x, self._den) for x in self._num)
-        return body + (Fraction(0),) * (self.order - phi)
-
     def is_zero(self) -> bool:
         return not any(self._num)
 
@@ -338,10 +330,15 @@ class CycNum:
     def __hash__(self):
         if self.is_rational():
             return hash(self.as_rational())
-        # Hash at a canonical minimal order so equal values hash equally.
-        m = _minimal_order(self)
-        v = _try_demote(self, m) or self
-        return hash((m, v._num, v._den))
+        # Hash the canonical form, so equal values hash equally.
+        v = self.canonical()
+        return hash((v.order, v._num, v._den))
+
+    def canonical(self) -> "CycNum":
+        """The same value at its minimal order (`_CycArray.canonical`)."""
+        one = _CycArray(np.array([self._num], dtype=object), self._den,
+                        self.order)
+        return one.canonical()[0]
 
     def __repr__(self):
         return f"CycNum({self.order}, {format_cyc(self)!r})"
@@ -369,66 +366,6 @@ def _mul_canonical(a: tuple[int, ...], b: tuple[int, ...],
     conv = np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
     res = conv @ ctx.pow_matrix[: len(conv)].astype(dtype, copy=False)
     return tuple(int(x) for x in res)
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _try_demote(x: CycNum, d: int) -> CycNum | None:
-    """Express x at divisor order d if possible, else None."""
-    if x.order % d:
-        return None
-    phi_d = _order_context(d).phi
-    # Solve by promoting the candidate basis of order d and matching.
-    basis = [CycNum(d, [0] * j + [1]).promote(x.order) for j in range(phi_d)]
-    rows = [b.coeffs[: _order_context(x.order).phi] for b in basis]
-    target = x.coeffs[: _order_context(x.order).phi]
-    sol = _solve_rational([list(col) for col in zip(*rows)], list(target))
-    if sol is None:
-        return None
-    return CycNum(d, sol)
-
-
-def _minimal_order(x: CycNum) -> int:
-    for d in _divisors(x.order):
-        if _try_demote(x, d) is not None:
-            return d
-    return x.order
-
-
-def _solve_rational(a: list[list[Fraction]], b: list[Fraction]
-                    ) -> list[Fraction] | None:
-    """Solve the (possibly overdetermined) exact system A x = b, or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    # Consistency of remaining rows.
-    for i in range(r, rows):
-        if m[i][cols]:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][cols]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +453,53 @@ class _CycArray:
         wide, rows = _exact(ctx.phi, wide, ctx.pow_matrix[:self.order])
         return _CycArray(wide @ rows, self.den, self.order)
 
+    def promote(self, order: int) -> "_CycArray":
+        """The same entries at `order`, a multiple of the conductor."""
+        if order == self.order:
+            return self
+        phi = _order_context(self.order).phi
+        basis = _order_context(order).pow_matrix[
+            np.arange(phi) * (order // self.order)]
+        num, basis = _exact(phi, self.num, basis)
+        return _CycArray(num @ basis, self.den, order)
+
+    def canonical(self) -> np.ndarray:
+        """Each entry as a CycNum at its minimal order, in an object array
+        of the entry shape; equal values come out with equal coefficients.
+
+        An entry lies in Q(zeta_d), d | N, exactly when sigma_k: zeta ->
+        zeta^k fixes it for every unit k = 1 mod d, and its minimal order is
+        the smallest such d.  Each sigma_k is one product with permuted
+        power rows, taken one unit at a time; the entries of order d < N
+        then move down through one cached rational matrix (`_demotion`).
+        """
+        n, ctx = self.order, _order_context(self.order)
+        num = self.num.reshape(-1, ctx.phi)
+        divisors = [d for d in range(1, n) if n % d == 0]
+        fixed = {d: np.ones(len(num), dtype=bool) for d in divisors}
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                x, rows = _exact(ctx.phi, num,
+                                 ctx.pow_matrix[np.arange(ctx.phi) * k % n])
+                fixed_by_k = (x @ rows == x).all(axis=-1)
+                for d in divisors:
+                    if (k - 1) % d == 0:
+                        fixed[d] &= fixed_by_k
+        orders = np.full(len(num), n)
+        for d in reversed(divisors):
+            orders[fixed[d]] = d
+        out = np.empty(len(num), dtype=object)
+        for d in set(orders.tolist()):
+            at = np.flatnonzero(orders == d)
+            coeffs, den = num[at], self.den
+            if d < n:
+                demote, scale = _demotion(n, d)
+                coeffs, demote = _exact(ctx.phi, coeffs, demote)
+                coeffs, den = coeffs @ demote, den * scale
+            for t, c in zip(at.tolist(), coeffs.tolist()):
+                out[t] = CycNum(d, _num=tuple(c), _den=den)
+        return out.reshape(self.num.shape[:-1])
+
     def sum(self) -> CycNum:
         """The sum of all entries."""
         num, = _exact(self.num[..., 0].size, self.num)
@@ -535,6 +519,41 @@ class _CycArray:
                        dtype=object)
         num[..., 0] = numerators
         return cls(_exact(1, num)[0], den, order)
+
+
+@functools.lru_cache(maxsize=None)
+def _demotion(n: int, d: int) -> tuple[np.ndarray, int]:
+    """(R, r) such that y = x @ R / r for every element of Q(zeta_d), with x
+    its coefficients at order n and y those at order d (d | n).
+
+    Promotion is y -> y @ P, P the rows of zeta_d^j = zeta_n^(j n/d).
+    Gauss-Jordan on [P | I] picks phi(d) pivot columns c of P and gives
+    E = P[:, c]^-1, so y = x[c] @ E: R holds r E in the rows c.
+    """
+    phi_d = _order_context(d).phi
+    promote = _order_context(n).pow_matrix[np.arange(phi_d) * (n // d)]
+    aug = [[Fraction(int(v)) for v in row]
+           + [Fraction(i == j) for j in range(phi_d)]
+           for i, row in enumerate(promote)]
+    pivots: list[int] = []
+    for col in range(promote.shape[1]):
+        r = len(pivots)
+        p = next((i for i in range(r, phi_d) if aug[i][col]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [v / aug[r][col] for v in aug[r]]
+        for i in range(phi_d):
+            if i != r and (f := aug[i][col]):
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+        if len(pivots) == phi_d:
+            break
+    inverse = [row[-phi_d:] for row in aug]
+    scale = math.lcm(*(v.denominator for row in inverse for v in row))
+    demote = np.zeros((promote.shape[1], phi_d), dtype=object)
+    demote[pivots] = [[int(v * scale) for v in row] for row in inverse]
+    return _exact(1, demote)[0], scale
 
 
 def _cyc_arrays(*blocks, order: int = 1) -> list[_CycArray]:
@@ -560,9 +579,7 @@ def _cyc_arrays(*blocks, order: int = 1) -> list[_CycArray]:
             rows = [t for t, x in enumerate(xs) if x.order == o]
             coeffs = np.array([[c * (den // xs[t]._den) for c in xs[t]._num]
                                for t in rows], dtype=object)
-            basis = ctx.pow_matrix[np.arange(coeffs.shape[1]) * (order // o)]
-            coeffs, basis = _exact(coeffs.shape[1], coeffs, basis)
-            num[rows] = coeffs @ basis
+            num[rows] = _CycArray(coeffs, den, o).promote(order).num
         out.append(_CycArray(_exact(1, num)[0].reshape(g.shape + (ctx.phi,)),
                              den, order))
     return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -203,10 +204,20 @@ def _coset_points(c: Coset, cap: Fraction
     for i, r in enumerate(rep):
         bound = math.isqrt(math.floor(d * d * cap * inv[i][i]))
         ranges.append(range(r - d * ((bound + r) // d), bound + 1, d))
+    # <x,x> = sum_i x_i (G_ii x_i + 2 sum_{j<i} G_ij x_j): coordinate i adds
+    # a term whose linear part the coordinates before it fix.  Extending
+    # every prefix by each x_i in turn gives itertools.product's order; the
+    # later coordinates can still lower a prefix's norm, so only the full
+    # norm is held against the limit.
     limit = math.floor(cap * s)
-    return d, s, [(x, n) for x in itertools.product(*ranges)
-                  if (n := sum(xi * sum(gij * xj for gij, xj in zip(row, x))
-                               for xi, row in zip(x, gram))) <= limit]
+    points: list[tuple[tuple[int, ...], int]] = [((), 0)] if limit >= 0 else []
+    for i, r in enumerate(ranges):
+        diag, twice = gram[i][i], [2 * gij for gij in gram[i][:i]]
+        most = limit if i == len(ranges) - 1 else math.inf
+        points = [(x + (xi,), m) for x, n in points
+                  for lin in (sum(map(operator.mul, twice, x)),)
+                  for xi in r if (m := n + xi * (diag * xi + lin)) <= most]
+    return d, s, points
 
 
 def _coset_vectors(c: Coset, norm_cap: Fraction

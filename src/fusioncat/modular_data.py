@@ -16,8 +16,9 @@ contractions through the multiplication tensor of Q(zeta_L)
 (`cyclotomic._CycArray`).  Every contraction runs in int64 only under a
 certified overflow bound and in Python ints otherwise, so every result is
 exact; there is no floating-point or modular shortcut.  `stilde()` and
-`s_matrix()` give the same matrices as lists of `CycNum`, each entry at the
-order a sum of its terms gives it, since that order fixes its printed text.
+`s_matrix()` give the same matrices as lists of `CycNum`: S is one array at
+lcm(L, order of D), and each entry of either comes out at its minimal order
+(`_CycArray.canonical`), so its printed text depends on its value alone.
 
 A datum that fails verification is still fully computable; verification
 failure is diagnostic, not fatal.
@@ -152,9 +153,8 @@ class ModularDatum:
 
     def gauss_sums(self) -> tuple[CycNum, CycNum]:
         """(p+, p-) with p± = sum d_i^2 theta_i^{±1}, at the conductor L."""
-        order = self._conductor()
-        powers = self._twist_powers(order)
-        dims = self._dims_at(order)
+        powers = self._twist_powers()
+        dims = self._dims_array()
         squares = dims * dims
         return (squares.times_root(powers).sum(),
                 squares.times_root(-powers).sum())
@@ -176,100 +176,53 @@ class ModularDatum:
 
     # -- matrices -----------------------------------------------------------
 
-    def _label_orders(self) -> np.ndarray:
-        """lcm(ord theta_k, ord d_k) per label k: the field of theta_k d_k."""
-        return np.array([math.lcm(t.denominator, d.order)
-                         for t, d in zip(self.twists, self.dims)])
-
     def _conductor(self) -> int:
         """L, the lcm of the twist denominators and the dim orders.
 
         Every entry of s~ lies in Q(zeta_L) (Ng-Schauenburg), and the unit
         row s~_{0,j} = d_j needs all of L.
         """
-        return math.lcm(*self._label_orders())
+        return math.lcm(*(t.denominator for t in self.twists),
+                        *(d.order for d in self.dims))
 
-    def _twist_powers(self, order: int) -> np.ndarray:
-        """a_k with theta_k = zeta_order^a_k; 0 where theta_k lies outside."""
+    def _twist_powers(self) -> np.ndarray:
+        """a_k with theta_k = zeta_L^a_k."""
+        order = self._conductor()
         return np.array([t.numerator * (order // t.denominator)
-                         if order % t.denominator == 0 else 0
                          for t in self.twists])
 
-    def _dims_at(self, order: int) -> _CycArray:
-        """The dims at conductor `order`, 0 for labels outside that field."""
-        fits = order % self._label_orders() == 0
-        dims, = _cyc_arrays([d if fit else cyc_rational(0)
-                             for d, fit in zip(self.dims, fits)], order=order)
+    def _dims_array(self) -> _CycArray:
+        """The dims at the conductor L."""
+        dims, = _cyc_arrays(self.dims, order=self._conductor())
         return dims
 
-    def _dual_tensor(self) -> np.ndarray:
-        """[i, j, k] = N_{i*,j}^k."""
-        return self.ring.tensor[list(self.ring.dual_vector())]
-
-    def _stilde_at(self, order: int) -> _CycArray:
-        """s~ at conductor `order` from the balancing formula, cached.
+    def _stilde(self) -> _CycArray:
+        """s~ at the conductor L from the balancing formula, cached; the
+        input of every matrix layer.
 
         The sum over k of N_{i*,j}^k theta_k d_k is one integer contraction
         of the dual-permuted fusion tensor with the (n, phi) coefficients of
-        theta_k d_k, and theta_i^-1 theta_j^-1 is a power shift.  Only the
-        labels k whose theta_k d_k lies in Q(zeta_order) enter, so the
-        entries whose order (`_entry_orders`) divides `order` come out
-        right; at a multiple of the conductor, all of them do.
+        theta_k d_k, and theta_i^-1 theta_j^-1 is a power shift.
         """
-        key = f"stilde@{order}"
-        if key not in self._cache:
+        if "s~" not in self._cache:
             n = self.ring.rank
-            powers = self._twist_powers(order)
-            theta_dims = self._dims_at(order).times_root(powers)
-            tensor, coeffs = _exact(n, self._dual_tensor(), theta_dims.num)
+            powers = self._twist_powers()
+            theta_dims = self._dims_array().times_root(powers)
+            dual_tensor = self.ring.tensor[list(self.ring.dual_vector())]
+            tensor, coeffs = _exact(n, dual_tensor, theta_dims.num)
             total = _CycArray(np.tensordot(tensor, coeffs, axes=1),
-                              theta_dims.den, order)
-            self._cache[key] = total.times_root(-np.add.outer(powers, powers))
-        return self._cache[key]  # type: ignore[return-value]
-
-    def _stilde(self) -> _CycArray:
-        """s~ at the datum's conductor L, the input of every matrix layer."""
-        return self._stilde_at(self._conductor())
-
-    def _entry_orders(self) -> np.ndarray:
-        """The order of each s~_{i,j} as a sum of CycNum terms gives it.
-
-        That is lcm(ord theta_i, ord theta_j, and lcm(ord theta_k, ord d_k)
-        over every k with N_{i*,j}^k != 0); `format_cyc` renders an entry
-        at its order, so the printed text depends on it.
-        """
-        orders = np.lcm.reduce(
-            np.where(self._dual_tensor() != 0, self._label_orders(), 1),
-            axis=-1)
-        theta = np.array([t.denominator for t in self.twists])
-        return np.lcm(orders, np.lcm.outer(theta, theta))
-
-    def _entries(self, orders: np.ndarray, scale: CycNum | None = None
-                 ) -> list[list[CycNum]]:
-        """s~ (times `scale`) as CycNum, entry (i, j) at order orders[i, j].
-
-        One contraction per distinct order m gives the entries of order m;
-        the orders are taken as they first appear in row-major order, so an
-        order above the cap is reported for the first entry that needs it.
-        """
-        out = np.empty(orders.shape, dtype=object)
-        for m in dict.fromkeys(orders.ravel().tolist()):
-            block = self._stilde_at(m)
-            if scale is not None:
-                block = block * _cyc_arrays([[scale]], order=m)[0]
-            for i, j in np.argwhere(orders == m).tolist():
-                out[i, j] = block.entry(i, j)
-        return out.tolist()
+                              theta_dims.den, theta_dims.order)
+            self._cache["s~"] = total.times_root(-np.add.outer(powers, powers))
+        return self._cache["s~"]  # type: ignore[return-value]
 
     def stilde(self) -> list[list[CycNum]]:
         """Balancing matrix
         s~_{i,j} = sum_k N_{i',j}^k theta_k/(theta_i theta_j) d_k.
 
-        Built on the integer arrays of `_stilde_at`, each entry at the
-        order of its terms (`_entry_orders`); cached.
+        The array of `_stilde`, each entry at its minimal order; cached.
         """
         if "stilde" not in self._cache:
-            self._cache["stilde"] = self._entries(self._entry_orders())
+            self._cache["stilde"] = self._stilde().canonical().tolist()
         return self._cache["stilde"]  # type: ignore[return-value]
 
     def stilde_conjugate_form(self) -> list[list[CycNum]]:
@@ -294,12 +247,14 @@ class ModularDatum:
     def s_matrix(self) -> list[list[CycNum]]:
         """S = s~ D / D^2, exact; D^2 is rational, so no inverse is solved.
 
-        Entry (i, j) lies at lcm(order of s~_{i,j}, order of D); cached.
+        Computed at lcm(L, order of D), each entry then at its minimal
+        order; cached.
         """
         if "S" not in self._cache:
-            scale = self.D * (1 / self._d_squared())
-            orders = np.lcm(self._entry_orders(), scale.order)
-            self._cache["S"] = self._entries(orders, scale)
+            scale, = _cyc_arrays([[self.D * (1 / self._d_squared())]],
+                                 order=self._conductor())
+            s = self._stilde().promote(scale.order) * scale
+            self._cache["S"] = s.canonical().tolist()
         return self._cache["S"]  # type: ignore[return-value]
 
     def t_matrix(self) -> list[CycNum]:
@@ -324,7 +279,7 @@ class ModularDatum:
         phase = cyc_root_of_unity(c8.numerator, c8.denominator)
         t, scale = _cyc_arrays([self.t_matrix()], [[phase * self.D]],
                                order=self._conductor())
-        st = self._stilde_at(t.order)
+        st = self._stilde().promote(t.order)
         st_t = st * t
         return bool(((st_t @ st_t) @ st_t).equals((st @ st) * scale).all())
 
@@ -384,7 +339,7 @@ class ModularDatum:
                                                                D.order))
             failures.append(f"(S S*)[{i}][{j}] = {entry}")
 
-        dims = self._dims_at(s.order)
+        dims = self._dims_array()
         first_row = bool(s[self.ring.unit].equals(dims).all())
         if not first_row:
             failures.append("first row of S is not dims/D")

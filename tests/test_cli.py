@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -302,6 +303,18 @@ class TestMatrices:
             capsys=capsys)
         first = out.splitlines()[0].split()
         assert abs(float(first[2]) - 1 / (72 ** 0.5)) < 1e-9
+
+    @pytest.mark.parametrize("catalog", ["U", "VLtau"])
+    def test_smatrix_float_prints_exact_zero_parts_as_0(self, catalog,
+                                                        capsys):
+        # S_00 = 1/D is real: its imaginary part prints 0, not 1e-18 noise.
+        code, out, _ = run_cli(
+            ["smatrix", "--catalog", catalog, "--format", "float"],
+            capsys=capsys)
+        assert code == 0
+        assert out.splitlines()[0].endswith(" 0")
+        exponents = [int(x) for x in re.findall(r"e-(\d+)", out)]
+        assert all(x <= 12 for x in exponents)
 
     def test_tmatrix(self, capsys):
         code, out, _ = run_cli(["tmatrix", "--catalog", "U"], capsys=capsys)

@@ -182,6 +182,7 @@ def test_promotion_round_trip(a):
     promoted = a.promote(72)
     assert promoted == a
     assert hash(promoted) == hash(a)
+    assert format_cyc(promoted.canonical()) == format_cyc(a.canonical())
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,7 +24,7 @@ CLI_SHA256 = {
     ("verlinde", "U"):
         "5d6d5f957e4f5255e392ae22ecd858993199ae730becd295d061cdab8a41d873",
     ("smatrix", "U"):
-        "f53d081899024cdd1c2fbeb0c01803c2b5b06467039ef00e66f9d51202465197",
+        "6361945f16ff3ad4166e4eeaf3ba74eb0461aeed3373eb7b6d5077e8aa4fe433",
     ("tmatrix", "U"):
         "eeede8fd626aaf40603f2235286569949ad4058d8d1e4436c087c8e9097d229c",
     ("verify", "VLtau"):
@@ -36,9 +36,9 @@ CLI_SHA256 = {
     ("tmatrix", "VLtau"):
         "0da540e846551cb6cdfe69a671723eb63b712785e9fa13c071d0941492b8425c",
     ("smatrix --unnormalized", "U"):
-        "4617bead2b78032836181f6a07cbbbc8e2f7b560b2fab62be28e3e996d8cbc48",
+        "43142e417f3b71c0cc0ab0a96de33221a17d5926daedefe9ba6cc8d4f7a7ec73",
     ("smatrix --unnormalized", "VLtau"):
-        "3bd8933169aef1e3c02f0a68e0015002ab15963b4778a302a6a9244d9e0ded2b",
+        "0671609c2eef4187678c7a8d645ea993a46843feec63a92933fb01df4c10fa46",
 }
 
 # sha256 of `catalog <name>` stdout; every call exits 0.
@@ -48,7 +48,8 @@ CATALOG_SHA256 = {
 }
 
 # sha256 of `smatrix [--unnormalized] <file>` stdout on pointed_fcat(n, a, seed).
-# S lies at order 44 (Z11) and 60 (Z15), s-tilde at orders dividing n.
+# S is computed at order 44 (Z11) and 60 (Z15), s-tilde at order n; each
+# entry prints at its minimal order.
 POINTED_SHA256 = {
     (11, 3, 1, "smatrix"):
         "765b39aa723219f18a356e06c1188df7a0bce61d3515fd0418b337d2c7907ccb",
@@ -57,7 +58,7 @@ POINTED_SHA256 = {
     (15, 2, 2, "smatrix"):
         "2d67ea936a23263b884656dc45598389c441a054dcf0cd3e19c39e310345a52a",
     (15, 2, 2, "smatrix --unnormalized"):
-        "edba06947eb6a76c0cc89649f01bf08a56320fa79946553b120b424811785d58",
+        "94f6e4337a18186ec0d51f5d9833895e6b8267a71b7a9d8a429dd1408915bb35",
 }
 
 # sha256 of `char <label> --cutoff <c>` stdout; every call exits 0.
