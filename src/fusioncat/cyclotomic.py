@@ -51,7 +51,7 @@ class CycError(ArithmeticError):
 
 
 class OrderCapExceeded(CycError):
-    """A common-order promotion would exceed the configured order cap."""
+    """A cyclotomic field above the configured order cap was asked for."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +96,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@functools.lru_cache(maxsize=None)
 def _order_context(n: int) -> "_OrderContext":
-    return _OrderContext(n)
+    """The reduction data of Q(zeta_n), the one place a field is built.
+
+    Every field comes through here, so this is the only check of the order
+    cap: it reads DEFAULT_ORDER_CAP at call time, and before the cache, so a
+    lowered cap also refuses a field that was built before.
+    """
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(
+            f"promotion to order {n} exceeds cap {DEFAULT_ORDER_CAP}")
+    return _cached_context(n)
 
 
 class _OrderContext:
@@ -125,9 +133,7 @@ class _OrderContext:
                     shifted[j] -= lead * phi_poly[j]
             cur = shifted
             rows.append(list(cur))
-        self.pow_rows = rows
         self.pow_matrix = np.array(rows, dtype=np.int64)
-        self.pow_max = int(np.abs(self.pow_matrix).max()) if rows else 1
         self.roots = np.exp(2j * np.pi * np.arange(self.phi) / n)
 
     @functools.cached_property
@@ -140,6 +146,9 @@ class _OrderContext:
     def conj_matrix(self) -> np.ndarray:
         """Row j = canonical coefficients of x^(-j) mod Phi_n."""
         return self.pow_matrix[-np.arange(self.phi) % self.order]
+
+
+_cached_context = functools.lru_cache(maxsize=None)(_OrderContext)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +175,7 @@ class CycNum:
 
     __slots__ = ("order", "_num", "_den")
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction | int] | None = None,
+    def __init__(self, order: int, coeffs: Sequence[Fraction | int] = (),
                  *, _num: tuple[int, ...] | None = None, _den: int = 1):
         ctx = _order_context(order)
         self.order = order
@@ -175,23 +184,10 @@ class CycNum:
                 raise ValueError("wrong canonical length")
             self._num, self._den = _normalize(_num, _den)
             return
-        if coeffs is None:
-            coeffs = ()
         fracs = [Fraction(c) for c in coeffs]
         if len(fracs) > ctx.phi:
-            # Reduce higher powers through the precomputed rows.
-            acc = [Fraction(0)] * ctx.phi
-            for k, c in enumerate(fracs):
-                if c:
-                    row = ctx.pow_rows[k] if k < len(ctx.pow_rows) else None
-                    if row is None:
-                        raise ValueError("coefficient index out of range")
-                    for j, r in enumerate(row):
-                        if r:
-                            acc[j] += c * r
-            fracs = acc
-        else:
-            fracs = fracs + [Fraction(0)] * (ctx.phi - len(fracs))
+            raise ValueError("more coefficients than the degree phi(N)")
+        fracs += [Fraction(0)] * (ctx.phi - len(fracs))
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         num = tuple(int(f * den) for f in fracs)
         self._num, self._den = _normalize(num, den)
@@ -217,33 +213,26 @@ class CycNum:
             return self
         if order % self.order:
             raise ValueError("target order must be a multiple of current order")
-        ctx = _order_context(order)
-        step = order // self.order
-        acc = [0] * ctx.phi
-        for j, c in enumerate(self._num):
-            if c:
-                row = ctx.pow_rows[j * step]
-                for t, r in enumerate(row):
-                    if r:
-                        acc[t] += c * r
-        return CycNum(order, _num=tuple(acc), _den=self._den)
+        return self._row().promote(order).entry(0)
+
+    def _row(self) -> "_CycArray":
+        """This value as a one-entry array."""
+        return _CycArray(np.array([self._num], dtype=object), self._den,
+                         self.order)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _common(self, other: "CycNum", cap: int) -> tuple["CycNum", "CycNum"]:
+    def _common(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.order == other.order:
             return self, other
         m = math.lcm(self.order, other.order)
-        if m > cap:
-            raise OrderCapExceeded(
-                f"promotion to order {m} exceeds cap {cap}")
         return self.promote(m), other.promote(m)
 
     def __add__(self, other):
         other = _coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other, DEFAULT_ORDER_CAP)
+        a, b = self._common(other)
         den = math.lcm(a._den, b._den)
         fa, fb = den // a._den, den // b._den
         num = tuple(x * fa + y * fb for x, y in zip(a._num, b._num))
@@ -273,7 +262,7 @@ class CycNum:
         other = _coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other, DEFAULT_ORDER_CAP)
+        a, b = self._common(other)
         ctx = _order_context(a.order)
         num = _mul_canonical(a._num, b._num, ctx)
         return CycNum(a.order, _num=num, _den=a._den * b._den)
@@ -320,11 +309,7 @@ class CycNum:
             return self.is_rational() and self.as_rational() == other
         if not isinstance(other, CycNum):
             return NotImplemented
-        try:
-            a, b = self._common(other, max(DEFAULT_ORDER_CAP,
-                                           self.order * other.order))
-        except OrderCapExceeded:  # pragma: no cover
-            return False
+        a, b = self._common(other)
         return a._num == b._num and a._den == b._den
 
     def __hash__(self):
@@ -336,9 +321,7 @@ class CycNum:
 
     def canonical(self) -> "CycNum":
         """The same value at its minimal order (`_CycArray.canonical`)."""
-        one = _CycArray(np.array([self._num], dtype=object), self._den,
-                        self.order)
-        return one.canonical()[0]
+        return self._row().canonical()[0]
 
     def __repr__(self):
         return f"CycNum({self.order}, {format_cyc(self)!r})"
@@ -359,13 +342,12 @@ def _mul_canonical(a: tuple[int, ...], b: tuple[int, ...],
                    ctx: _OrderContext) -> tuple[int, ...]:
     """The convolution of a and b reduced through the power rows; in int64
     under the certified bound, else in Python ints."""
-    phi = ctx.phi
-    conv_bound = phi * max(1, *map(abs, a)) * max(1, *map(abs, b))
-    dtype = (np.int64 if conv_bound * (2 * phi) * ctx.pow_max < _INT64_SAFE
-             else object)
-    conv = np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
-    res = conv @ ctx.pow_matrix[: len(conv)].astype(dtype, copy=False)
-    return tuple(int(x) for x in res)
+    # A convolution coefficient sums at most phi products, and each row
+    # product at most 2 phi - 1 of those.
+    a, b, rows = _exact(2 * ctx.phi ** 2, np.array(a, dtype=object),
+                        np.array(b, dtype=object),
+                        ctx.pow_matrix[: 2 * ctx.phi - 1])
+    return tuple(int(x) for x in np.convolve(a, b) @ rows)
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +541,14 @@ def _demotion(n: int, d: int) -> tuple[np.ndarray, int]:
 def _cyc_arrays(*blocks, order: int = 1) -> list[_CycArray]:
     """Nested sequences of CycNum as arrays over one conductor.
 
-    The conductor is the lcm of `order` and all entries' orders, checked
-    against DEFAULT_ORDER_CAP as it stands at call time; the denominator is
-    the lcm of the entries' denominators.  Each entry is promoted once.
+    The conductor is the lcm of `order` and all entries' orders (a field
+    above the cap is refused where it is built, by `_order_context`); the
+    denominator is the lcm of the entries' denominators.  Each entry is
+    promoted once.
     """
     grids = [np.array(b, dtype=object) for b in blocks]
     entries = [x for g in grids for x in g.flat]
     order = math.lcm(order, *(x.order for x in entries))
-    if order > DEFAULT_ORDER_CAP:
-        raise OrderCapExceeded(
-            f"promotion to order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     den = math.lcm(*(x._den for x in entries))
     ctx = _order_context(order)
     out = []
@@ -595,13 +575,8 @@ def cyc_root_of_unity(num: int, den: int) -> CycNum:
         raise ValueError("denominator must be positive")
     f = Fraction(num, den)
     f -= math.floor(f)
-    q = f.denominator
-    p = f.numerator
-    ctx = _order_context(q)
-    acc = [0] * ctx.phi
-    for t, r in enumerate(ctx.pow_rows[p % q]):
-        acc[t] += r
-    return CycNum(q, _num=tuple(acc), _den=1)
+    row = _order_context(f.denominator).pow_matrix[f.numerator]
+    return CycNum(f.denominator, _num=tuple(int(x) for x in row))
 
 
 def cyc_rational(r: Fraction | int, order: int = 1) -> CycNum:
@@ -622,49 +597,42 @@ def cyc_inv(a: CycNum) -> CycNum:
     return others * (1 / (a * others).as_rational())
 
 
-def cyc_sqrt_rational(r: Fraction | int, *, order_cap: int | None = None
-                      ) -> CycNum:
+def cyc_sqrt_rational(r: Fraction | int) -> CycNum:
     """Exact square root of a rational inside a cyclotomic field.
 
     sqrt(2) lives at order 8, sqrt(p) for odd prime p at order p or 4p
     (through quadratic Gauss sums), and products combine through lcm of
-    orders; exceeding the cap (DEFAULT_ORDER_CAP as it stands at call time,
-    unless given) raises OrderCapExceeded.
+    orders.  Only primes up to the order cap can enter a field within it,
+    so the factor search stops there.  What it leaves is 1, a prime, or a
+    product of primes above the cap; the root of such a product, unless it
+    is a square, asks `_order_context` for a field above the cap, which
+    refuses it.
     """
-    if order_cap is None:
-        order_cap = DEFAULT_ORDER_CAP
     r = Fraction(r)
     if r == 0:
         return cyc_rational(0)
     if r < 0:
-        i_unit = cyc_root_of_unity(1, 4)
-        return i_unit * cyc_sqrt_rational(-r, order_cap=order_cap)
-    m = r.numerator * r.denominator
-    square, squarefree = 1, 1
-    n, p = m, 2
-    while p * p <= n:
+        return cyc_root_of_unity(1, 4) * cyc_sqrt_rational(-r)
+    n = r.numerator * r.denominator
+    square, primes = 1, []
+    p = 2
+    while p * p <= n and p <= DEFAULT_ORDER_CAP:
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         square *= p ** (e // 2)
         if e % 2:
-            squarefree *= p
+            primes.append(p)
         p += 1
-    if n > 1:
-        squarefree *= n
-    result: CycNum = cyc_rational(Fraction(square, r.denominator))
-    rem = squarefree
-    if rem % 2 == 0:
-        rem //= 2
-        root2 = cyc_root_of_unity(1, 8) + cyc_root_of_unity(-1, 8)
-        result = _mul_capped(result, root2, order_cap)
-    q = 3
-    while rem > 1:
-        if rem % q == 0:
-            rem //= q
-            result = _mul_capped(result, _sqrt_odd_prime(q), order_cap)
-        q += 2
+    if math.isqrt(n) ** 2 == n:
+        square *= math.isqrt(n)
+    else:
+        primes.append(n)
+    result = cyc_rational(Fraction(square, r.denominator))
+    for p in primes:
+        result = result * (cyc_root_of_unity(1, 8) + cyc_root_of_unity(-1, 8)
+                           if p == 2 else _sqrt_odd_prime(p))
     return result
 
 
@@ -677,13 +645,6 @@ def _sqrt_odd_prime(p: int) -> CycNum:
     if p % 4 == 1:
         return gauss
     return gauss * cyc_root_of_unity(-1, 4)
-
-
-def _mul_capped(a: CycNum, b: CycNum, cap: int) -> CycNum:
-    m = math.lcm(a.order, b.order)
-    if m > cap:
-        raise OrderCapExceeded(f"promotion to order {m} exceeds cap {cap}")
-    return a.promote(m) * b.promote(m)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +733,10 @@ class _Parser:
         num = int(self.take())
         if self.peek() == "/":
             self.take("/")
-            return Fraction(num, int(self.take()))
+            den = int(self.take())
+            if den == 0:
+                raise ValueError(f"zero denominator in {num}/0")
+            return Fraction(num, den)
         return Fraction(num)
 
 
@@ -781,7 +745,10 @@ def parse_cyc(text: str) -> CycNum:
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty expression")
-    return _Parser(tokens).parse()
+    try:
+        return _Parser(tokens).parse()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
 
 
 def format_cyc(x: CycNum) -> str:

@@ -368,7 +368,7 @@ def parse_fcat(text: str) -> FcatDocument:
                 raise err(lineno, f"unknown directive {directive!r}")
         except FcatError:
             raise
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise err(lineno, f"malformed {directive!r} directive: {exc}") from exc
 
     if unit is None:

@@ -301,7 +301,6 @@ class ModularDatum:
     def _check_modular(self) -> ModularReport:
         n = self.ring.rank
         dual = self.ring.dual_vector()
-        D = self.D
         glob = self._d_squared()
         s = self._stilde()
         failures: list[str] = []
@@ -331,12 +330,8 @@ class ModularDatum:
         gram = s @ s.conj().T
         nonunit = first(np.triu(~gram.equals(times_d2(np.eye(n, dtype=int)))))
         if nonunit:
-            # Rendered at the conductor of S, lcm(N, order of D): every row
-            # of s~ carries every twist and dimension, so each row's
-            # entries have lcm order N.
             i, j = nonunit
-            entry = (gram.entry(i, j) / glob).promote(math.lcm(s.order,
-                                                               D.order))
+            entry = (gram.entry(i, j) / glob).canonical()
             failures.append(f"(S S*)[{i}][{j}] = {entry}")
 
         dims = self._dims_array()

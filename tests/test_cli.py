@@ -232,7 +232,61 @@ class TestNoScalarStilde:
                 == CLI_SHA256[command, catalog])
 
 
+def _z2_fcat(dim: str = "1", twist: str = "1/4") -> str:
+    """Z2 with dims 1 and `dim`: the global dimension is 1 + dim^2."""
+    return ("category z2\nlabel 0 a\nlabel 1 b\nunit 0\n"
+            "N 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\nN 1 1 0 1\n"
+            f"twist 0 0/1\ntwist 1 {twist}\ndim 0 1\ndim 1 {dim}\n")
+
+
+def _cli_in_subprocess(argv, prelude="", timeout=120):
+    """Run the CLI in a fresh interpreter after `prelude`, so limits the
+    prelude sets apply to that process only."""
+    code = (prelude + "\nimport runpy\n"
+            "runpy.run_module('fusioncat.cli', run_name='__main__')")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=timeout)
+
+
 class TestOrderCap:
+    # Each field above the cap is refused where it would be built, before
+    # its tables are allocated.
+
+    @pytest.mark.parametrize("dim,order", [
+        ("e(1/2003)", 2003),      # a dim that is a root of unity of order 2003
+        ("40", 1601),             # D^2 = 1601, a prime
+    ])
+    def test_field_above_cap_is_never_built(self, dim, order, tmp_path,
+                                            capsys, refuse_fields_above_cap):
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat(dim=dim))
+        code, _, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: promotion to order {order} exceeds cap 720"]
+
+    def test_prime_global_dimension_fits_in_memory(self, tmp_path):
+        # D^2 = 1 + 110^2 = 12101, a prime: Q(zeta_12101) needs gigabytes.
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat(dim="110"))
+        proc = _cli_in_subprocess(
+            ["verify", str(path)],
+            prelude="import resource\nresource.setrlimit("
+                    "resource.RLIMIT_AS, (1 << 30, 1 << 30))")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: promotion to order 12101 exceeds cap 720"]
+
+    def test_huge_global_dimension_is_refused_quickly(self, tmp_path):
+        # D^2 = 1 + 10^24: no trial division past the cap.
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat(dim="1000000000000"))
+        proc = _cli_in_subprocess(["verify", str(path)], timeout=20)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert re.fullmatch(r"error: promotion to order \d+ exceeds cap 720",
+                            proc.stderr.strip())
+
     def test_cap_exceeded_is_one_error_line(self, capsys):
         code, _, err = run_cli(["--order-cap", "10", "verify", "--catalog",
                                 "U"], capsys=capsys)
@@ -265,6 +319,24 @@ class TestOrderCap:
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             f"error: --order-cap must be at least 1, not {cap}"]
+
+
+class TestZeroDenominator:
+    @pytest.mark.parametrize("twist,dim,message", [
+        ("1/0", "1", "error: line 10: malformed 'twist' directive"),
+        ("1/4", "1/0", "error: bad dim expression for label 1: "
+                       "zero denominator in 1/0"),
+        ("1/4", "e(1/0)", "error: bad dim expression for label 1: "
+                          "zero denominator in 1/0"),
+    ])
+    def test_zero_denominator_is_one_error_line(self, twist, dim, message,
+                                                tmp_path, capsys):
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat(dim=dim, twist=twist))
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(message)
 
 
 class TestCatalogWithInput:

@@ -113,6 +113,18 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_cyc("2**3")
 
+    @pytest.mark.parametrize("text", ["1/0", "e(1/0)", "3*e(2/00)"])
+    def test_parse_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_cyc(text)
+
+    @pytest.mark.parametrize("text", ["(" * 2000 + "1" + ")" * 2000,
+                                      "-" * 5000 + "1"],
+                             ids=["parentheses", "minus signs"])
+    def test_parse_rejects_deep_nesting(self, text):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_cyc(text)
+
     def test_format_is_canonical(self):
         # Same number written two ways formats identically.
         a = e(1, 3) + e(2, 3)          # = -1
@@ -316,6 +328,34 @@ def test_rational_array_equals_promoted_rationals():
     expect, = _cyc_arrays([[cyc_rational(Fraction(int(v), 4)).promote(36)
                             for v in row] for row in values])
     assert arr.equals(expect).all()
+
+
+def test_equality_promotes_like_addition(refuse_fields_above_cap):
+    # lcm(701, 709) = 497009: equality does not raise the cap to reach it.
+    with pytest.raises(OrderCapExceeded,
+                       match="promotion to order 497009 exceeds cap 720"):
+        e(1, 701) == e(1, 709)
+
+
+def test_lowered_cap_refuses_a_cached_field(monkeypatch):
+    e(1, 12)                      # builds and caches Q(zeta_12)
+    monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 10)
+    with pytest.raises(OrderCapExceeded):
+        e(5, 12)
+
+
+def test_sqrt_factor_search_stops_at_the_cap(refuse_fields_above_cap):
+    # 727 is the first prime above the cap of 720.
+    assert cyc_sqrt_rational(2 * 727 ** 2) == 727 * cyc_sqrt_rational(2)
+    with pytest.raises(OrderCapExceeded,
+                       match="promotion to order 727 exceeds cap 720"):
+        cyc_sqrt_rational(2 * 727)
+
+
+def test_more_coefficients_than_the_degree_is_an_error():
+    assert CycNum(3, [1, 2]) == 1 + 2 * e(1, 3)
+    with pytest.raises(ValueError):
+        CycNum(3, [0, 0, 1])
 
 
 def test_sqrt_cap_is_read_at_call_time(monkeypatch):

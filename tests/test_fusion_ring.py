@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusioncat.cyclotomic import OrderCapExceeded
 from fusioncat.fusion_ring import (
     FcatDocument,
     FcatError,
@@ -267,3 +268,32 @@ def test_fcat_round_trip_random(ring):
     back = parse_fcat(emitted)
     assert back.ring == ring
     assert emit_fcat(back) == emitted
+
+
+# Fuzz of the twist and dim values of FCAT text: zero, negative and huge
+# denominators, malformed fractions and deep nesting.
+_Z2_RING = ("label 0 a\nlabel 1 b\nunit 0\n"
+            "N 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\nN 1 1 0 1\n")
+_integer_text = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30),
+                          st.sampled_from([701, 709, 727, 2003])
+                          ).map(str) | st.just("9" * 5000)
+_fraction_text = (
+    st.builds("{}/{}".format, _integer_text, _integer_text)
+    | _integer_text
+    | st.text(alphabet="0123456789-+*/e() ", max_size=12))
+_dim_text = (
+    _fraction_text
+    | st.builds("e({})".format, _fraction_text)
+    | st.builds("{}*e({})-e({})".format, _fraction_text, _fraction_text,
+                _fraction_text)
+    | st.integers(0, 2000).map(lambda k: "(" * k + "1" + ")" * k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fraction_text, _dim_text)
+def test_parse_fcat_fails_only_with_parse_or_cap_errors(twist, dim):
+    text = _Z2_RING + f"twist 0 0/1\ntwist 1 {twist}\ndim 0 1\ndim 1 {dim}\n"
+    try:
+        parse_fcat(text)
+    except (FcatError, OrderCapExceeded):
+        pass

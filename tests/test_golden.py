@@ -147,7 +147,7 @@ def test_perturbed_z3_report_lines():
         "  detail: (S^2)[0][0] != C[0][0]",
         "  detail: S[i'][j'] != S[i][j] somewhere",
         "  detail: (S S*)[0][1] = "
-        "-1/3+1/3*e(1/18)+1/3*e(1/9)+1/3*e(1/6)-1/3*e(2/9)",
+        "1/3*e(1/9)-1/3*e(2/9)+1/3*e(1/3)-1/3*e(5/9)",
         "  detail: p+ p- != D^2",
         "  detail: p+/p- != e^{2 pi i c/4}",
     ]
@@ -159,7 +159,8 @@ def test_perturbed_u_report_lines():
         "  detail: S[0][8] != S[8][0]",
         "  detail: (S^2)[0][0] != C[0][0]",
         "  detail: S[i'][j'] != S[i][j] somewhere",
-        "  detail: (S S*)[0][1] = -1/18*e(1/18)+1/9*e(1/6)-1/18*e(5/18)",
+        "  detail: (S S*)[0][1] = "
+        "1/9-1/18*e(1/9)+1/9*e(1/3)-1/18*e(4/9)+1/18*e(5/9)",
         "  detail: p+ p- != D^2",
         "  detail: p+/p- != e^{2 pi i c/4}",
     ]
