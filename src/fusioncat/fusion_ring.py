@@ -3,13 +3,14 @@
 A ring is a finite label set with nonnegative-integer structure constants
 N[i][j][k], a distinguished unit, and the duality involution derived from
 the unit row (a supplied involution is cross-checked, never trusted).
-Quantum dimensions come from Perron-Frobenius power iteration on the fusion
-matrices.  The module also owns the line-oriented FCAT v1 text format.
+Quantum dimensions are the spectral radii (Perron-Frobenius eigenvalues) of
+the fusion matrices.  The module also owns `CheckReport`, the shape of every
+check report, and the line-oriented FCAT v1 text format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -27,40 +28,51 @@ __all__ = [
     "emit_fcat",
 ]
 
-PF_TOLERANCE = 1e-12
-PF_MAX_ITERATIONS = 100_000
-
 
 class FcatError(ValueError):
     """Malformed FCAT v1 input; message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-axiom pass/fail with the first violating tuple on failure."""
+def check(label: str):
+    """A report field holding one check's result, printed under `label`."""
+    return field(metadata={"label": label})
 
-    unit_ok: bool
-    commutative_ok: bool
-    duality_ok: bool
-    associative_ok: bool
-    failures: tuple[str, ...] = ()
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Results of exact checks, each a `check` field: True passes, False
+    fails, None is skipped.  Subclasses end with `failures`, the first
+    violation of each failed check, printed after `note`."""
+
+    note = "detail"
+
+    def checks(self) -> list[tuple[str, bool | None]]:
+        return [(f.metadata["label"], getattr(self, f.name))
+                for f in fields(self) if "label" in f.metadata]
 
     @property
     def passed(self) -> bool:
-        return (self.unit_ok and self.commutative_ok and self.duality_ok
-                and self.associative_ok)
+        return all(ok is not False for _, ok in self.checks())
 
     def lines(self) -> list[str]:
-        def mark(ok: bool) -> str:
-            return "PASS" if ok else "FAIL"
-        out = [
-            f"unit law            {mark(self.unit_ok)}",
-            f"commutativity       {mark(self.commutative_ok)}",
-            f"duality uniqueness  {mark(self.duality_ok)}",
-            f"associativity       {mark(self.associative_ok)}",
-        ]
-        out.extend(f"  violation: {f}" for f in self.failures)
-        return out
+        checks = self.checks()
+        width = max(len(label) for label, _ in checks) + 2
+        marks = {True: "PASS", False: "FAIL", None: "SKIP"}
+        return ([label.ljust(width) + marks[ok] for label, ok in checks]
+                + [f"  {self.note}: {f}" for f in self.failures])
+
+
+@dataclass(frozen=True)
+class ValidationReport(CheckReport):
+    """Per-axiom pass/fail with the first violating tuple on failure."""
+
+    unit_ok: bool = check("unit law")
+    commutative_ok: bool = check("commutativity")
+    duality_ok: bool = check("duality uniqueness")
+    associative_ok: bool = check("associativity")
+    failures: tuple[str, ...] = ()
+
+    note = "violation"
 
 
 class FusionRing:
@@ -87,7 +99,6 @@ class FusionRing:
         self._tensor = tensor
         self.supplied_dual = dict(supplied_dual) if supplied_dual else None
         self._validation: ValidationReport | None = None
-        self._qdim_cache: dict[int, float] = {}
 
     # -- basic access -------------------------------------------------------
 
@@ -122,14 +133,13 @@ class FusionRing:
         t = self._tensor
         failures: list[str] = []
 
-        unit_ok = bool(np.array_equal(t[self.unit], np.eye(n, dtype=np.int64))
-                       and np.array_equal(t[:, self.unit, :],
-                                          np.eye(n, dtype=np.int64)))
-        if not unit_ok:
-            bad = np.argwhere(t[self.unit] != np.eye(n, dtype=np.int64))
-            if len(bad):
-                j, k = map(int, bad[0])
-                failures.append(f"unit: N[unit,{j}]^{k} = {t[self.unit, j, k]}")
+        eye = np.eye(n, dtype=np.int64)
+        bad = [f"unit: N[{side.format(j)}]^{k} = {mat[j, k]}"
+               for side, mat in (("unit,{}", t[self.unit]),
+                                 ("{},unit", t[:, self.unit]))
+               for j, k in np.argwhere(mat != eye)[:1].tolist()]
+        unit_ok = not bad
+        failures.extend(bad[:1])
 
         comm = np.array_equal(t, t.transpose(1, 0, 2))
         if not comm:
@@ -220,38 +230,17 @@ class FusionRing:
         return RingElement(self, out)
 
     def qdim_pf(self, i: int) -> float:
-        """Perron-Frobenius eigenvalue of the fusion matrix N_i."""
+        """Perron-Frobenius eigenvalue of N_i: its spectral radius (N_i >= 0)."""
         self.require_valid()
-        if i in self._qdim_cache:
-            return self._qdim_cache[i]
-        matrix = self._tensor[i].astype(float)
-        vec = np.ones(self.rank)
-        value = 1.0
-        for _ in range(PF_MAX_ITERATIONS):
-            nxt = matrix @ vec
-            norm = float(np.linalg.norm(nxt))
-            if norm == 0.0:
-                raise ArithmeticError("fusion matrix annihilates the cone")
-            nxt /= norm
-            new_value = float(nxt @ (matrix @ nxt))
-            if abs(new_value - value) <= PF_TOLERANCE:
-                self._qdim_cache[i] = new_value
-                return new_value
-            value, vec = new_value, nxt
-        raise ArithmeticError("power iteration did not converge "
-                              f"for label {i} (malformed ring?)")
+        return float(abs(np.linalg.eigvals(self._tensor[i])).max())
 
     def simple_currents(self) -> set[int]:
-        """Labels of quantum dimension 1; fusing with them permutes labels."""
+        """Labels of quantum dimension 1: those whose fusion matrix is a
+        permutation matrix, so fusing with them permutes labels."""
         self.require_valid()
-        out = set()
-        for i in range(self.rank):
-            if abs(self.qdim_pf(i) - 1.0) < 1e-8:
-                # Exact criterion: the fusion matrix is a permutation matrix.
-                mat = self._tensor[i]
-                if (mat.sum(axis=1) == 1).all() and (mat.sum(axis=0) == 1).all():
-                    out.add(i)
-        return out
+        cols, rows = self._tensor.sum(axis=1), self._tensor.sum(axis=2)
+        return {i for i in range(self.rank)
+                if (cols[i] == 1).all() and (rows[i] == 1).all()}
 
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
@@ -360,15 +349,17 @@ def parse_fcat(text: str) -> FcatDocument:
                 i, j, k, m = map(int, args)
                 constants[(i, j, k)] = m
             elif directive == "twist":
-                num, den = args[1].split("/")
-                twists[int(args[0])] = Fraction(int(num), int(den))
+                num, den = map(int, args[1].split("/"))
+                if den == 0:
+                    raise ValueError(f"zero denominator in {args[1]}")
+                twists[int(args[0])] = Fraction(num, den)
             elif directive == "dim":
                 dims_raw[int(args[0])] = " ".join(args[1:])
             else:
                 raise err(lineno, f"unknown directive {directive!r}")
         except FcatError:
             raise
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
+        except (ValueError, IndexError) as exc:
             raise err(lineno, f"malformed {directive!r} directive: {exc}") from exc
 
     if unit is None:

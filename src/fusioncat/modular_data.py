@@ -43,7 +43,7 @@ from .cyclotomic import (
     cyc_root_of_unity,
     cyc_sqrt_rational,
 )
-from .fusion_ring import FusionRing
+from .fusion_ring import CheckReport, FusionRing, check
 
 __all__ = [
     "GlobalDimensionError",
@@ -62,41 +62,18 @@ class GlobalDimensionError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ModularReport:
+class ModularReport(CheckReport):
     """Exact check results for one modular datum."""
 
-    symmetric: bool
-    s_squared_is_charge_conjugation: bool
-    dual_invariance: bool          # S_{i',j'} = S_{i,j}
-    unitary: bool
-    first_row_is_dims: bool        # S_{0,i} = d_i / D
-    gauss_product_ok: bool         # p+ p- = D^2
-    gauss_ratio_ok: bool | None    # p+/p- = e^{2 pi i c/4}; None if c unknown
+    symmetric: bool = check("S symmetric")
+    s_squared_is_charge_conjugation: bool = check("S^2 = charge conjugation")
+    dual_invariance: bool = check("S dual-invariant")  # S_{i',j'} = S_{i,j}
+    unitary: bool = check("S unitary")
+    first_row_is_dims: bool = check("first row = dims/D")   # S_{0,i} = d_i/D
+    gauss_product_ok: bool = check("Gauss sums p+p- = D^2")
+    # p+/p- = e^{2 pi i c/4}; None if c is unknown
+    gauss_ratio_ok: bool | None = check("Gauss ratio e^(2 pi i c/4)")
     failures: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        checks = [self.symmetric, self.s_squared_is_charge_conjugation,
-                  self.dual_invariance, self.unitary, self.first_row_is_dims,
-                  self.gauss_product_ok]
-        if self.gauss_ratio_ok is not None:
-            checks.append(self.gauss_ratio_ok)
-        return all(checks)
-
-    def lines(self) -> list[str]:
-        def mark(ok: bool | None) -> str:
-            if ok is None:
-                return "SKIP"
-            return "PASS" if ok else "FAIL"
-        return [
-            f"S symmetric                 {mark(self.symmetric)}",
-            f"S^2 = charge conjugation    {mark(self.s_squared_is_charge_conjugation)}",
-            f"S dual-invariant            {mark(self.dual_invariance)}",
-            f"S unitary                   {mark(self.unitary)}",
-            f"first row = dims/D          {mark(self.first_row_is_dims)}",
-            f"Gauss sums p+p- = D^2       {mark(self.gauss_product_ok)}",
-            f"Gauss ratio e^(2 pi i c/4)  {mark(self.gauss_ratio_ok)}",
-        ] + [f"  detail: {f}" for f in self.failures]
 
 
 class ModularDatum:
@@ -162,16 +139,20 @@ class ModularDatum:
     def infer_central_charge_mod8(self) -> Fraction | None:
         """c mod 8 from the exact identity p+ = D e^{2 pi i c/8}, if it holds.
 
-        None also when D has no square-root rule (irrational D^2).
+        p+/D lies in Q(zeta_m), m = lcm(2, ord p+, ord D), whose roots of unity
+        are the e(k/m): the phase of p+ (D > 0) names k, the exact product
+        decides.  None also when D has no square-root rule (irrational D^2).
         """
         try:
             D = self.D
         except GlobalDimensionError:
             return None
         plus, _ = self.gauss_sums()
-        for m in range(8):
-            if plus == D * cyc_root_of_unity(m, 8):
-                return Fraction(m)
+        m = math.lcm(2, plus.order, D.order)
+        z = plus.embed()
+        k = round(math.atan2(z.imag, z.real) * m / (2 * math.pi)) % m
+        if plus == D * cyc_root_of_unity(k, m):
+            return Fraction(8 * k, m)
         return None
 
     # -- matrices -----------------------------------------------------------

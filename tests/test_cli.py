@@ -323,7 +323,8 @@ class TestOrderCap:
 
 class TestZeroDenominator:
     @pytest.mark.parametrize("twist,dim,message", [
-        ("1/0", "1", "error: line 10: malformed 'twist' directive"),
+        ("1/0", "1", "error: line 10: malformed 'twist' directive: "
+                     "zero denominator in 1/0"),
         ("1/4", "1/0", "error: bad dim expression for label 1: "
                        "zero denominator in 1/0"),
         ("1/4", "e(1/0)", "error: bad dim expression for label 1: "
@@ -335,8 +336,61 @@ class TestZeroDenominator:
         path.write_text(_z2_fcat(dim=dim, twist=twist))
         code, out, err = run_cli(["verify", str(path)], capsys=capsys)
         assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith(message)
+        assert err.splitlines() == [message]
+
+
+_ISING = """category Ising
+label 0 1
+label 1 psi
+label 2 sigma
+unit 0
+N 0 0 0 1
+N 0 1 1 1
+N 0 2 2 1
+N 1 0 1 1
+N 1 1 0 1
+N 1 2 2 1
+N 2 0 2 1
+N 2 1 2 1
+N 2 2 0 1
+N 2 2 1 1
+twist 0 0/1
+twist 1 1/2
+twist 2 1/16
+dim 0 1
+dim 1 1
+dim 2 e(1/8)+e(-1/8)
+"""
+
+
+class TestIsing:
+    """Ising: N_sigma has eigenvalues sqrt 2, -sqrt 2 and 0, and c = 1/2 is
+    not an integer."""
+
+    @pytest.fixture
+    def ising(self, tmp_path):
+        path = tmp_path / "ising.fcat"
+        path.write_text(_ISING)
+        return str(path)
+
+    def test_qdim_is_the_spectral_radius(self, ising, capsys):
+        code, out, _ = run_cli(["qdim", ising], capsys=capsys)
+        assert code == 0
+        assert out.splitlines() == ["1 1", "psi 1", "sigma 1.414213562"]
+
+    def test_verify_infers_a_fractional_central_charge(self, ising, capsys):
+        code, out, _ = run_cli(["verify", ising], capsys=capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 12
+        assert all(line.endswith(" PASS") for line in lines)
+
+    def test_tmatrix_uses_the_inferred_central_charge(self, ising, capsys):
+        code, out, _ = run_cli(["tmatrix", ising], capsys=capsys)
+        assert code == 0
+        # e(h - c/24) with c = 1/2: e(-1/48), e(23/48), e(1/24).
+        assert out.splitlines() == ["0 e(7/48)-e(5/16)",
+                                    "1 -e(7/48)+e(5/16)", "2 e(1/24)"]
 
 
 class TestCatalogWithInput:

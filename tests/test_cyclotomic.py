@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: examples, canonical forms, and field axioms."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -345,11 +346,30 @@ def test_lowered_cap_refuses_a_cached_field(monkeypatch):
 
 
 def test_sqrt_factor_search_stops_at_the_cap(refuse_fields_above_cap):
-    # 727 is the first prime above the cap of 720.
+    # 727 is the first prime above the cap of 720; 727 = 3 mod 4, so
+    # sqrt(727) needs order 4 * 727.
     assert cyc_sqrt_rational(2 * 727 ** 2) == 727 * cyc_sqrt_rational(2)
     with pytest.raises(OrderCapExceeded,
-                       match="promotion to order 727 exceeds cap 720"):
+                       match="promotion to order 2908 exceeds cap 720"):
         cyc_sqrt_rational(2 * 727)
+
+
+def test_sqrt_is_refused_before_building_a_smaller_field(monkeypatch):
+    # 719 = 3 mod 4: sqrt(719) needs Q(zeta_2876), which the cap refuses,
+    # so Q(zeta_719) must not be built on the way there.
+    built = []
+    init = cyclotomic._OrderContext.__init__
+
+    def spy(ctx, n):
+        built.append(n)
+        init(ctx, n)
+    monkeypatch.setattr(cyclotomic._OrderContext, "__init__", spy)
+    monkeypatch.setattr(cyclotomic, "_cached_context", functools.lru_cache(
+        maxsize=None)(cyclotomic._OrderContext))
+    with pytest.raises(OrderCapExceeded,
+                       match="promotion to order 2876 exceeds cap 720"):
+        cyc_sqrt_rational(719)
+    assert 719 not in built
 
 
 def test_more_coefficients_than_the_degree_is_an_error():

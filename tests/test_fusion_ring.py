@@ -41,6 +41,15 @@ class TestValidation:
         assert not report.passed
         assert any("unit" in f for f in report.failures)
 
+    def test_broken_right_unit_is_named(self):
+        # Z2 with N[1,0]^0 = 1: the unit row is right, the unit column not.
+        ring = FusionRing(["1", "g"], 0, {(0, 0, 0): 1, (0, 1, 1): 1,
+                                          (1, 0, 1): 1, (1, 0, 0): 1,
+                                          (1, 1, 0): 1})
+        report = ring.validate()
+        assert not report.unit_ok
+        assert "  violation: unit: N[1,unit]^0 = 1" in report.lines()
+
     def test_broken_associativity_detected(self):
         # Klein-four group ring with one product corrupted: b*c = b
         # instead of a, so (a*b)*c = c*c = 1 but a*(b*c) = a*b = c.

@@ -39,6 +39,10 @@ CLI_SHA256 = {
         "43142e417f3b71c0cc0ab0a96de33221a17d5926daedefe9ba6cc8d4f7a7ec73",
     ("smatrix --unnormalized", "VLtau"):
         "0671609c2eef4187678c7a8d645ea993a46843feec63a92933fb01df4c10fa46",
+    ("qdim", "U"):
+        "4f30d487755bbfd6f81acf20b7c7853e2e034523bf5d9c8845a7843e17ee3ab9",
+    ("qdim", "VLtau"):
+        "bea78e4946762cbdf9f16df583e8361a63c6b5385f467b54acfc2430ef919fab",
 }
 
 # sha256 of `catalog <name>` stdout; every call exits 0.
