@@ -3,8 +3,8 @@
 Subcommands: verify, fuse, qdim, smatrix, tmatrix, verlinde, catalog, char,
 count.  Exit codes: 0 success, 1 verification failure, 2 parse/usage error.
 Exact output is the default; `--format float` rounds at 10 significant
-digits.  `char` and `count` are integer and Fraction work; only the other
-commands import the array modules, and with them numpy.
+digits.  Each command imports only the modules it runs: `char` and `count`
+load no numpy, and the matrix commands on an FCAT file no catalog module.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .orbifold_catalog import (build_U, build_VLtau, count_orbifold_irreducibles,
-                               full_coset_pieces, resolve_label)
-from .qseries import character
-
 if TYPE_CHECKING:
     from .cyclotomic import CycNum
     from .fusion_ring import FcatDocument
     from .modular_data import ModularDatum
+    from .qseries import QSeries
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -32,6 +29,23 @@ EXIT_USAGE = 2
 
 class CliError(Exception):
     """Usage-level error: printed as a single diagnostic line, exit 2."""
+
+
+# Called through these names, so that a caller can wrap them in place.
+
+def build_U() -> ModularDatum:
+    from . import orbifold_catalog
+    return orbifold_catalog.build_U()
+
+
+def build_VLtau() -> ModularDatum:
+    from . import orbifold_catalog
+    return orbifold_catalog.build_VLtau()
+
+
+def character(pieces, c: int, cutoff: Fraction) -> QSeries:
+    from . import qseries
+    return qseries.character(pieces, c, cutoff)
 
 
 def _build_catalog(name: str) -> ModularDatum:
@@ -119,6 +133,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from .orbifold_catalog import resolve_label
     md, doc = _load_datum(args)
     ring = md.ring if md is not None else doc.ring
     a = resolve_label(ring, args.a)
@@ -128,6 +143,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_qdim(args) -> int:
+    from .orbifold_catalog import resolve_label
     md, doc = _load_datum(args)
     ring = md.ring if md is not None else doc.ring
     if args.label:
@@ -203,6 +219,7 @@ _CHAR_PIECES = {
 
 
 def cmd_char(args) -> int:
+    from .orbifold_catalog import full_coset_pieces
     if args.label not in _CHAR_PIECES:
         raise CliError(
             f"character not available for {args.label!r}: only the full-coset "
@@ -218,6 +235,7 @@ def cmd_char(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .orbifold_catalog import count_orbifold_irreducibles
     print(count_orbifold_irreducibles(args.n))
     return EXIT_OK
 
@@ -313,8 +331,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     cyclotomic = None
     if args.func not in _NO_CYCLOTOMIC:
-        # Imported first, so it compiles before numpy is resident: this
-        # keeps the peak RSS where the eager imports had it.
+        # Imported first, so that they compile before numpy is resident:
+        # this keeps the peak RSS where the eager imports had it.
+        if args.func in (cmd_catalog, cmd_fuse, cmd_qdim) or args.catalog:
+            from . import orbifold_catalog  # noqa: F401
         from . import cyclotomic
         saved_cap = cyclotomic.DEFAULT_ORDER_CAP
         if args.order_cap is not None:

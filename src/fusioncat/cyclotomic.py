@@ -7,13 +7,15 @@ downstream matrix identities (S^2 = C, Verlinde integrality, ...) are exact.
 
 Internally a value keeps an integer coefficient vector over the canonical
 power basis zeta^0 .. zeta^{phi(N)-1} plus a common positive denominator.
-Multiplication is a numpy convolution reduced through the power rows, in
-int64 under an explicit overflow bound and in Python ints past it.
+Multiplication is a numpy convolution reduced through the power rows.
 
 Matrices of such numbers are promoted once to one conductor and held as
-integer arrays over one denominator (`_CycArray`); their entrywise and
-matrix products are numpy contractions through the cached multiplication
-tensor of the field, under the same kind of certified int64 bound.
+integer arrays over one denominator (`_CycArray`).  An entrywise or matrix
+product builds the unreduced polynomial product, contracted over the inner
+index, in 2 phi - 1 slots and reduces it once through the power rows.
+Every contraction runs in the narrowest of three exact tiers that `_exact`
+certifies from a bound on its partial sums: float64 on BLAS below 2^53,
+int64 below 2^62, Python ints past that; all three run the same code.
 `_CycArray.canonical` gives each entry at its minimal order, the one form
 a value has whatever order it was computed at; `hash` uses that form.
 """
@@ -43,8 +45,6 @@ __all__ = [
 
 DEFAULT_ORDER_CAP = 720
 
-_INT64_SAFE = 2**62
-
 
 class CycError(ArithmeticError):
     """Base error for cyclotomic arithmetic."""
@@ -57,12 +57,6 @@ class OrderCapExceeded(CycError):
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense, lowest degree first)
 # ---------------------------------------------------------------------------
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
 
 def _poly_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Exact division of integer polynomials (remainder must vanish)."""
@@ -79,7 +73,7 @@ def _poly_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
                 a[i - db + j] -= q * b[j]
     if any(a[:db]):
         raise CycError("non-exact polynomial division (remainder)")
-    return _poly_trim(out)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,17 +129,6 @@ class _OrderContext:
             rows.append(list(cur))
         self.pow_matrix = np.array(rows, dtype=np.int64)
         self.roots = np.exp(2j * np.pi * np.arange(self.phi) / n)
-
-    @functools.cached_property
-    def mul_tensor(self) -> np.ndarray:
-        """M[p, q, :] = canonical coefficients of x^(p+q) mod Phi_n."""
-        k = np.arange(self.phi)
-        return self.pow_matrix[k[:, None] + k[None, :]]
-
-    @functools.cached_property
-    def conj_matrix(self) -> np.ndarray:
-        """Row j = canonical coefficients of x^(-j) mod Phi_n."""
-        return self.pow_matrix[-np.arange(self.phi) % self.order]
 
 
 _cached_context = functools.lru_cache(maxsize=None)(_OrderContext)
@@ -290,11 +273,7 @@ class CycNum:
 
     def _galois(self, k: int) -> "CycNum":
         """The automorphism zeta -> zeta^k, for k prime to the order."""
-        ctx = _order_context(self.order)
-        rows = ctx.pow_matrix[np.arange(ctx.phi) * k % self.order]
-        num, rows = _exact(ctx.phi, np.array(self._num, dtype=object), rows)
-        return CycNum(self.order, _num=tuple(int(x) for x in num @ rows),
-                      _den=self._den)
+        return self._row().galois(k).entry(0)
 
     def embed(self) -> complex:
         """Double-precision complex embedding sum c_k e^{2 pi i k / N}."""
@@ -341,14 +320,14 @@ def _coerce(x, order: int):
 
 def _mul_canonical(a: tuple[int, ...], b: tuple[int, ...],
                    ctx: _OrderContext) -> tuple[int, ...]:
-    """The convolution of a and b reduced through the power rows; in int64
-    under the certified bound, else in Python ints."""
+    """The convolution of a and b reduced through the power rows, in the
+    tier `_exact` certifies."""
     # A convolution coefficient sums at most phi products, and each row
     # product at most 2 phi - 1 of those.
-    a, b, rows = _exact(2 * ctx.phi ** 2, np.array(a, dtype=object),
+    a, b, rows = _exact(ctx.phi * (2 * ctx.phi - 1), np.array(a, dtype=object),
                         np.array(b, dtype=object),
                         ctx.pow_matrix[: 2 * ctx.phi - 1])
-    return tuple(int(x) for x in np.convolve(a, b) @ rows)
+    return tuple(_int(np.convolve(a, b) @ rows).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -356,26 +335,35 @@ def _mul_canonical(a: tuple[int, ...], b: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 def _exact(terms: int, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The operands of a contraction, as int64 or as object arrays.
+    """The operands of a contraction, in the narrowest exact tier.
 
     Each output coefficient is a sum of at most `terms` products of one
-    entry from each array; int64 is used only while that many products of
-    the largest entries stay below _INT64_SAFE, else Python ints.
+    entry from each array, so `terms` times the largest entries bounds
+    every product and every partial sum.  Below 2^53 these are integers
+    that float64 holds exactly, in any summation order and with FMA, so
+    the contraction may run on BLAS; `_int` casts its result back.  Below
+    2^62 the operands are int64, past that Python ints (object arrays).
     """
     bound = terms
     for x in arrays:
-        bound *= max(1, int(np.abs(x).max(initial=0)))
-    dtype = np.int64 if bound < _INT64_SAFE else object
+        bound *= max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
+    dtype = (np.float64 if bound < 2**53
+             else np.int64 if bound < 2**62 else object)
     return [x.astype(dtype, copy=False) for x in arrays]
+
+
+def _int(x: np.ndarray) -> np.ndarray:
+    """A result of an `_exact` contraction as stored: float64 cast back to
+    int64, which is exact under the bound; int64 and object unchanged."""
+    return x.astype(np.int64) if x.dtype == np.float64 else x
 
 
 class _CycArray:
     """Array of elements of Q(zeta_N) at one conductor N.
 
     ``num[..., :]`` holds each entry's canonical coefficients over
-    zeta^0 .. zeta^{phi(N)-1}; all entries share the denominator ``den``.
-    Products run through the order context's multiplication tensor, in
-    int64 when _exact certifies the bound, else in Python ints.
+    zeta^0 .. zeta^{phi(N)-1}, as int64 or as Python ints, never floats;
+    all entries share the denominator ``den``.
     """
 
     __slots__ = ("num", "den", "order")
@@ -391,30 +379,46 @@ class _CycArray:
     def T(self) -> "_CycArray":
         return _CycArray(self.num.swapaxes(0, 1), self.den, self.order)
 
-    def conj(self) -> "_CycArray":
+    def galois(self, k: int) -> "_CycArray":
+        """Each entry under zeta -> zeta^k, for k prime to the conductor."""
         ctx = _order_context(self.order)
-        num, conj = _exact(ctx.phi, self.num, ctx.conj_matrix)
-        return _CycArray(num @ conj, self.den, self.order)
+        num, rows = _exact(ctx.phi, self.num,
+                           ctx.pow_matrix[np.arange(ctx.phi) * k % self.order])
+        return _CycArray(_int(num @ rows), self.den, self.order)
 
-    # Both products take one power zeta^q of the right factor at a time,
-    # so no temporary carries a (phi, phi) pair of axes.
+    def conj(self) -> "_CycArray":
+        return self.galois(-1)
+
+    # Both products add up the unreduced product in 2 phi - 1 slots, one
+    # power zeta^p of the left factor at a time, and reduce it once.  A
+    # slot sums phi products (times the inner length for @), a reduced
+    # coefficient 2 phi - 1 slots: the bound `_exact` certifies.
 
     def __mul__(self, other: "_CycArray") -> "_CycArray":
         """Entrywise field product, broadcasting the entry axes."""
         ctx = _order_context(self.order)
-        a, b, m = _exact(ctx.phi ** 2, self.num, other.num, ctx.mul_tensor)
-        out = sum((a @ m[:, q]) * b[..., q, None] for q in range(ctx.phi))
-        return _CycArray(out, self.den * other.den, self.order)
+        phi = ctx.phi
+        a, b, rows = _exact(phi * (2 * phi - 1), self.num, other.num,
+                            ctx.pow_matrix[:2 * phi - 1])
+        wide = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1]
+                        + (2 * phi - 1,), dtype=a.dtype)
+        for p in range(phi):
+            wide[..., p:p + phi] += a[..., p, None] * b
+        return _CycArray(_int(wide @ rows), self.den * other.den, self.order)
 
     def __matmul__(self, other: "_CycArray") -> "_CycArray":
         """Matrix product: out[i, k] = sum_j self[i, j] * other[j, k]."""
         ctx = _order_context(self.order)
-        a, b, m = _exact(self.num.shape[1] * ctx.phi ** 2,
-                         self.num, other.num, ctx.mul_tensor)
-        out = sum((a @ m[:, q]).transpose(0, 2, 1) @ b[..., q]  # (i, r, k)
-                  for q in range(ctx.phi))
-        return _CycArray(out.transpose(0, 2, 1), self.den * other.den,
-                         self.order)
+        phi = ctx.phi
+        (n, inner, _), k = self.num.shape, other.num.shape[1]
+        a, b, rows = _exact(inner * phi * (2 * phi - 1), self.num, other.num,
+                            ctx.pow_matrix[:2 * phi - 1])
+        a = np.ascontiguousarray(np.moveaxis(a, -1, 0))  # a[p]: one dgemm
+        b = b.reshape(inner, k * phi)
+        wide = np.zeros((n, k, 2 * phi - 1), dtype=a.dtype)
+        for p in range(phi):
+            wide[..., p:p + phi] += (a[p] @ b).reshape(n, k, phi)
+        return _CycArray(_int(wide @ rows), self.den * other.den, self.order)
 
     def equals(self, other: "_CycArray") -> np.ndarray:
         """Boolean mask of the entries where both arrays hold one value."""
@@ -434,7 +438,7 @@ class _CycArray:
         powers = (np.arange(ctx.phi) + np.asarray(expo)[..., None]) % ctx.order
         np.put_along_axis(wide, powers, self.num, axis=-1)
         wide, rows = _exact(ctx.phi, wide, ctx.pow_matrix[:self.order])
-        return _CycArray(wide @ rows, self.den, self.order)
+        return _CycArray(_int(wide @ rows), self.den, self.order)
 
     def promote(self, order: int) -> "_CycArray":
         """The same entries at `order`, a multiple of the conductor."""
@@ -444,7 +448,7 @@ class _CycArray:
         basis = _order_context(order).pow_matrix[
             np.arange(phi) * (order // self.order)]
         num, basis = _exact(phi, self.num, basis)
-        return _CycArray(num @ basis, self.den, order)
+        return _CycArray(_int(num @ basis), self.den, order)
 
     def canonical(self) -> np.ndarray:
         """Each entry as a CycNum at its minimal order, in an object array
@@ -453,18 +457,18 @@ class _CycArray:
         An entry lies in Q(zeta_d), d | N, exactly when sigma_k: zeta ->
         zeta^k fixes it for every unit k = 1 mod d, and its minimal order is
         the smallest such d.  Each sigma_k is one product with permuted
-        power rows, taken one unit at a time; the entries of order d < N
-        then move down through one cached rational matrix (`_demotion`).
+        power rows (`galois`), taken one unit at a time; the entries of
+        order d < N then move down through one cached rational matrix
+        (`_demotion`).
         """
         n, ctx = self.order, _order_context(self.order)
-        num = self.num.reshape(-1, ctx.phi)
+        flat = _CycArray(self.num.reshape(-1, ctx.phi), self.den, n)
+        num = flat.num
         divisors = [d for d in range(1, n) if n % d == 0]
         fixed = {d: np.ones(len(num), dtype=bool) for d in divisors}
         for k in range(2, n):
             if math.gcd(k, n) == 1:
-                x, rows = _exact(ctx.phi, num,
-                                 ctx.pow_matrix[np.arange(ctx.phi) * k % n])
-                fixed_by_k = (x @ rows == x).all(axis=-1)
+                fixed_by_k = (flat.galois(k).num == num).all(axis=-1)
                 for d in divisors:
                     if (k - 1) % d == 0:
                         fixed[d] &= fixed_by_k
@@ -478,7 +482,7 @@ class _CycArray:
             if d < n:
                 demote, scale = _demotion(n, d)
                 coeffs, demote = _exact(ctx.phi, coeffs, demote)
-                coeffs, den = coeffs @ demote, den * scale
+                coeffs, den = _int(coeffs @ demote), den * scale
             for t, c in zip(at.tolist(), coeffs.tolist()):
                 out[t] = CycNum(d, _num=tuple(c), _den=den)
         return out.reshape(self.num.shape[:-1])
@@ -487,11 +491,11 @@ class _CycArray:
         """The sum of all entries."""
         num, = _exact(self.num[..., 0].size, self.num)
         total = num.reshape(-1, num.shape[-1]).sum(axis=0)
-        return CycNum(self.order, _num=tuple(int(x) for x in total),
+        return CycNum(self.order, _num=tuple(_int(total).tolist()),
                       _den=self.den)
 
     def entry(self, *index: int) -> CycNum:
-        return CycNum(self.order, _num=tuple(int(x) for x in self.num[index]),
+        return CycNum(self.order, _num=tuple(self.num[index].tolist()),
                       _den=self.den)
 
     @classmethod
@@ -501,7 +505,7 @@ class _CycArray:
         num = np.zeros(np.shape(numerators) + (_order_context(order).phi,),
                        dtype=object)
         num[..., 0] = numerators
-        return cls(_exact(1, num)[0], den, order)
+        return cls(_int(*_exact(1, num)), den, order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -536,7 +540,7 @@ def _demotion(n: int, d: int) -> tuple[np.ndarray, int]:
     scale = math.lcm(*(v.denominator for row in inverse for v in row))
     demote = np.zeros((promote.shape[1], phi_d), dtype=object)
     demote[pivots] = [[int(v * scale) for v in row] for row in inverse]
-    return _exact(1, demote)[0], scale
+    return _int(*_exact(1, demote)), scale
 
 
 def _cyc_arrays(*blocks, order: int = 1) -> list[_CycArray]:
@@ -561,8 +565,8 @@ def _cyc_arrays(*blocks, order: int = 1) -> list[_CycArray]:
             coeffs = np.array([[c * (den // xs[t]._den) for c in xs[t]._num]
                                for t in rows], dtype=object)
             num[rows] = _CycArray(coeffs, den, o).promote(order).num
-        out.append(_CycArray(_exact(1, num)[0].reshape(g.shape + (ctx.phi,)),
-                             den, order))
+        num = _int(*_exact(1, num)).reshape(g.shape + (ctx.phi,))
+        out.append(_CycArray(num, den, order))
     return out
 
 
@@ -756,28 +760,16 @@ def parse_cyc(text: str) -> CycNum:
 
 def format_cyc(x: CycNum) -> str:
     """Canonical textual form `c*e(p/q)` terms joined by +/-."""
-    parts: list[tuple[Fraction, Fraction]] = []  # (coeff, exponent fraction)
-    phi = len(x._num)
-    for j in range(phi):
-        if x._num[j]:
-            parts.append((Fraction(x._num[j], x._den), Fraction(j, x.order)))
-    if not parts:
-        return "0"
     chunks: list[str] = []
-    for idx, (coeff, expo) in enumerate(parts):
-        mag = abs(coeff)
-        if expo == 0:
-            body = _frac_str(mag)
-        elif mag == 1:
-            body = f"e({expo.numerator}/{expo.denominator})"
-        else:
-            body = f"{_frac_str(mag)}*e({expo.numerator}/{expo.denominator})"
-        if idx == 0:
-            chunks.append(body if coeff > 0 else "-" + body)
-        else:
-            chunks.append(("+" if coeff > 0 else "-") + body)
-    return "".join(chunks)
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    for j, c in enumerate(x._num):
+        if not c:
+            continue
+        g = math.gcd(c, x._den)
+        mag, den = abs(c) // g, x._den // g
+        body = str(mag) if den == 1 else f"{mag}/{den}"
+        if j:
+            g = math.gcd(j, x.order)
+            root = f"e({j // g}/{x.order // g})"
+            body = root if body == "1" else f"{body}*{root}"
+        chunks.append(("-" if c < 0 else "+" if chunks else "") + body)
+    return "".join(chunks) or "0"

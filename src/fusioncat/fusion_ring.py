@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, format_cyc, parse_cyc
+from .cyclotomic import CycNum, _exact, format_cyc, parse_cyc
 
 __all__ = [
     "FusionRing",
@@ -177,14 +177,13 @@ class FusionRing:
         sum_m N_ij^m N_mk^l differs from sum_m N_jk^m N_im^l, with both
         sides, or None.
 
-        One label i at a time, so temporaries are O(n^3).  float64 (BLAS) is
-        exact while n max(N)^2 < 2^53, since every partial sum is then an
-        integer float64 holds exactly; past that, Python ints.
+        One label i at a time, so temporaries are O(n^3).  Each side sums n
+        products of two entries of N, and `_exact` picks the tier from that
+        bound: float64 on BLAS, int64 or Python ints.
         """
         n = self.rank
         t = self._tensor
-        exact = n * int(t.max(initial=0)) ** 2 < 2 ** 53
-        t = t.astype(np.float64 if exact else object)
+        t, = _exact(n * int(t.max(initial=0)), t)     # n max(N) * max(N)
         rows, cols = t.reshape(n, n * n), t.reshape(n * n, n)
         for i in range(n):
             left = (t[i] @ rows).reshape(n, n, n)

@@ -11,14 +11,18 @@ with D the positive square root of the global dimension D^2 (a rational).
 
 The matrix layers -- the checks of `verify_modular`, the Verlinde structure
 constants and the (ST)^3 relation -- take that array directly and never S,
-so that no square root enters them; their matrix products are numpy
-contractions through the multiplication tensor of Q(zeta_L)
-(`cyclotomic._CycArray`).  Every contraction runs in int64 only under a
-certified overflow bound and in Python ints otherwise, so every result is
-exact; there is no floating-point or modular shortcut.  `stilde()` and
-`s_matrix()` give the same matrices as lists of `CycNum`: S is one array at
-lcm(L, order of D), and each entry of either comes out at its minimal order
-(`_CycArray.canonical`), so its printed text depends on its value alone.
+so that no square root enters them; their products are numpy contractions
+in Q(zeta_L) (`cyclotomic._CycArray`): the unreduced polynomial product,
+reduced once through the power rows.  Each contraction runs in the narrowest
+exact tier that a bound on its partial sums allows (`cyclotomic._exact`):
+float64 on BLAS below 2^53, where every partial sum is an integer float64
+holds exactly; int64 below 2^62; Python ints past that.  Every result is
+exact: there is no modular shortcut, and no float without the bound.
+
+`stilde()` and `s_matrix()` give the same matrices as lists of `CycNum`:
+S is one array at lcm(L, order of D), and each entry of either comes out at
+its minimal order (`_CycArray.canonical`), so its printed text depends on
+its value alone.
 
 A datum that fails verification is still fully computable; verification
 failure is diagnostic, not fatal.
@@ -38,6 +42,7 @@ from .cyclotomic import (
     _CycArray,
     _cyc_arrays,
     _exact,
+    _int,
     cyc_inv,
     cyc_rational,
     cyc_root_of_unity,
@@ -191,7 +196,7 @@ class ModularDatum:
             theta_dims = self._dims_array().times_root(powers)
             dual_tensor = self.ring.tensor[list(self.ring.dual_vector())]
             tensor, coeffs = _exact(n, dual_tensor, theta_dims.num)
-            total = _CycArray(np.tensordot(tensor, coeffs, axes=1),
+            total = _CycArray(_int(np.tensordot(tensor, coeffs, axes=1)),
                               theta_dims.den, theta_dims.order)
             self._cache["s~"] = total.times_root(-np.add.outer(powers, powers))
         return self._cache["s~"]  # type: ignore[return-value]
@@ -205,25 +210,6 @@ class ModularDatum:
         if "stilde" not in self._cache:
             self._cache["stilde"] = self._stilde().canonical().tolist()
         return self._cache["stilde"]  # type: ignore[return-value]
-
-    def stilde_conjugate_form(self) -> list[list[CycNum]]:
-        """Same matrix through the conjugate identity
-        s~_{i,j} = sum_k N_{i,j}^k theta_i theta_j/theta_k d_k."""
-        n = self.ring.rank
-        thetas = [self.theta(i) for i in range(n)]
-        inv_thetas = [t.conj() for t in thetas]
-        tensor = self.ring.tensor
-        rows: list[list[CycNum]] = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = cyc_rational(0)
-                for k in np.nonzero(tensor[i, j])[0]:
-                    k = int(k)
-                    acc = acc + inv_thetas[k] * self.dims[k] * tensor[i, j, k]
-                row.append(acc * thetas[i] * thetas[j])
-            rows.append(row)
-        return rows
 
     def s_matrix(self) -> list[list[CycNum]]:
         """S = s~ D / D^2, exact; D^2 is rational, so no inverse is solved.
@@ -272,8 +258,9 @@ class ModularDatum:
         The S checks run on s~ = D S over one conductor: symmetry and dual
         invariance compare entries, S^2 = C is s~^2 = D^2 C, unitarity is
         s~ s~* = D^2 I, and the first row is s~_{0,i} = d_i.  The two matrix
-        products cost O(n^3 phi(N)^2) integer operations.  Each failure
-        detail names the first failing entry in row-major order.
+        products cost O(n^3 phi(N)^2) exact multiply-adds, phi(N) dgemm calls
+        each in the float64 tier, and one reduction of O(n^2 phi(N)^2).  Each
+        failure detail names the first failing entry in row-major order.
         """
         if "report" not in self._cache:
             self._cache["report"] = self._check_modular()
@@ -347,8 +334,9 @@ class ModularDatum:
         the field products s~_{i,m} s~_{j,m} (j >= i) are contracted over m
         with conj(s~_{k,m}) / d_m as one matrix product, and the whole
         (j, k) slice is checked for rational, non-negative integer values.
-        Each d_m^-1 is computed once.  The cost is O(n^4 phi(N)^2) integer
-        operations in numpy, and no temporary is larger than n^2 phi(N).
+        Each d_m^-1 is computed once.  The cost is O(n^4 phi(N)^2) exact
+        multiply-adds in numpy, on BLAS in the float64 tier, and no temporary
+        is larger than the n^2 (2 phi(N) - 1) slots of an unreduced product.
         The first failing value in (i, j >= i, k) order raises.
         """
         if require_verified and not self.verify_modular().passed:

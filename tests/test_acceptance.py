@@ -52,6 +52,7 @@ from fusioncat.qseries import (
     theta_coset,
     theta_lattice_dual_sum,
 )
+from reference import stilde_conjugate_form
 
 
 # Errata of the printed table, read off the table itself.  In the block of
@@ -152,7 +153,7 @@ def test_criterion_3_modular_consistency(u_datum):
     assert report.s_squared_is_charge_conjugation
     assert report.unitary
     assert report.dual_invariance
-    assert u_datum.stilde() == u_datum.stilde_conjugate_form()
+    assert u_datum.stilde() == stilde_conjugate_form(u_datum)
     print("CRITERION 3: PASS")
 
 

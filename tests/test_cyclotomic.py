@@ -1,7 +1,10 @@
 """Exact cyclotomic arithmetic: examples, canonical forms, and field axioms."""
 
+import contextlib
 import functools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -308,6 +311,91 @@ def test_small_products_stay_int64():
     arr, = _cyc_arrays([[e(1, 72), e(5, 8)], [cyc_rational(3), e(1, 9)]])
     assert (arr @ arr).num.dtype == np.int64
     assert (arr * arr.conj()).num.dtype == np.int64
+
+
+# The three tiers of `_exact`, with the bound the array products certify: a
+# coefficient of a @ b sums inner * phi * (2 phi - 1) products of an entry
+# of a, an entry of b and a power row; of a * b, phi * (2 phi - 1).
+_TIERS = {"float64": (1, 2**53), "int64": (2**54, 2**62),
+          "object": (2**63, 2**90)}
+
+
+def _tier(bound):
+    return next(t for t, (_, top) in _TIERS.items() if bound < top)
+
+
+@contextlib.contextmanager
+def tiers_taken():
+    """The dtypes `_exact` hands out while the block runs."""
+    taken = []
+    exact = cyclotomic._exact
+
+    def spy(terms, *arrays):
+        out = exact(terms, *arrays)
+        taken.append(out[0].dtype.name)
+        return out
+    with mock.patch.object(cyclotomic, "_exact", spy):
+        yield taken
+
+
+@st.composite
+def coefficient_array(draw, shape, phi, top):
+    """Integer coefficients in [-top, top], one of them exactly +-top."""
+    size = math.prod(shape) * phi
+    flat = draw(st.lists(st.integers(-top, top), min_size=size, max_size=size))
+    flat[draw(st.integers(0, size - 1))] = draw(st.sampled_from([-top, top]))
+    return np.array(flat, dtype=object).reshape(shape + (phi,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(_TIERS)), st.sampled_from(["@", "*"]),
+       st.data())
+def test_products_match_scalar_arithmetic_in_each_tier(tier, op, data):
+    n = data.draw(st.sampled_from(_ORDERS))
+    ctx = cyclotomic._order_context(n)
+    rows, inner, cols = (data.draw(st.integers(1, 3)) for _ in range(3))
+    terms = ctx.phi * (2 * ctx.phi - 1) * (inner if op == "@" else 1)
+    terms *= int(abs(ctx.pow_matrix[:2 * ctx.phi - 1]).max())
+    low, high = _TIERS[tier]
+    top = max(1, math.isqrt(data.draw(st.integers(low, high - 1)) // terms))
+    assert _tier(terms * top * top) == tier
+    shape_b = (inner, cols) if op == "@" else (rows, inner)
+    a = _CycArray(data.draw(coefficient_array((rows, inner), ctx.phi, top)),
+                  data.draw(st.integers(1, 5)), n)
+    b = _CycArray(data.draw(coefficient_array(shape_b, ctx.phi, top)),
+                  data.draw(st.integers(1, 5)), n)
+    with tiers_taken() as taken:
+        out = a @ b if op == "@" else a * b
+    assert taken == [tier]
+    assert out.num.dtype != np.float64
+    for i, k in np.ndindex(out.num.shape[:-1]):
+        if op == "@":
+            expect = sum((a.entry(i, j) * b.entry(j, k)
+                          for j in range(inner)), cyc_rational(0))
+        else:
+            expect = a.entry(i, k) * b.entry(i, k)
+        assert out.entry(i, k) == expect
+
+
+def test_odd_product_past_2_pow_53_is_exact():
+    # (2^27+1)^2 = 2^54 + 2^28 + 1 is odd; float64 would round it to even.
+    x = _CycArray(np.array([[[2**27 + 1]]]), 1, 1)
+    for out in (x @ x, x * x):
+        assert out.entry(0, 0) == (2**27 + 1) ** 2
+
+
+def test_product_just_under_the_bound_takes_the_float_tier():
+    top = math.isqrt(2**53 - 1)                  # top^2 < 2^53, odd
+    x = _CycArray(np.array([[[top]]]), 1, 1)
+    with tiers_taken() as taken:
+        product, square = x @ x, x * x
+    assert taken == ["float64", "float64"]
+    assert product.num.dtype == square.num.dtype == np.int64
+    assert product.entry(0, 0) == square.entry(0, 0) == top ** 2
+    y = _CycArray(np.array([[[top + 2]]]), 1, 1)
+    with tiers_taken() as taken:
+        assert (y @ y).entry(0, 0) == (top + 2) ** 2
+    assert taken == ["int64"]
 
 
 def test_array_conductor_above_cap_raises():

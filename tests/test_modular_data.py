@@ -16,6 +16,7 @@ from fusioncat.cyclotomic import (OrderCapExceeded, cyc_rational,
 from fusioncat.fusion_ring import FusionRing
 from fusioncat.modular_data import (GlobalDimensionError, ModularDatum,
                                     VerlindeError)
+from reference import stilde_conjugate_form
 
 
 def trivial_datum() -> ModularDatum:
@@ -84,10 +85,10 @@ class TestStilde:
                                + cyc_rational(2) * cyc_root_of_unity(1, 9))
 
     def test_conjugate_form_matches(self, u_datum):
-        assert u_datum.stilde() == u_datum.stilde_conjugate_form()
+        assert u_datum.stilde() == stilde_conjugate_form(u_datum)
 
     def test_conjugate_form_matches_vltau(self, vltau_datum):
-        assert vltau_datum.stilde() == vltau_datum.stilde_conjugate_form()
+        assert vltau_datum.stilde() == stilde_conjugate_form(vltau_datum)
 
     def test_first_row_is_dims(self, u_datum):
         st = u_datum.stilde()
@@ -142,7 +143,7 @@ def conjugate_form_reference(md: ModularDatum) -> list[list]:
     at (i*, j)."""
     mirror = ModularDatum(md.ring, {i: -t for i, t in enumerate(md.twists)},
                           dict(enumerate(md.dims)))
-    rows = mirror.stilde_conjugate_form()
+    rows = stilde_conjugate_form(mirror)
     return [rows[i] for i in md.ring.dual_vector()]
 
 

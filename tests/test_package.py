@@ -1,8 +1,9 @@
 """The lazy package surface, and which modules a process loads.
 
 `import fusioncat` loads no submodule; `char` and `count` are integer and
-Fraction work and must never load numpy or the cyclotomic module.  Module
-loading is checked in a fresh interpreter through `sys.modules`.
+Fraction work and must never load numpy or the cyclotomic module; a call on
+an FCAT file loads none of the catalog modules.  Module loading is checked
+in a fresh interpreter through `sys.modules`.
 """
 
 import importlib
@@ -98,3 +99,50 @@ class TestNumpyNotLoaded:
             assert line.startswith("error: ")
         else:
             assert proc.stderr == ""
+
+
+# The modules only the catalogs and the characters use.
+CATALOG = ("fusioncat.orbifold_catalog", "fusioncat.lattice",
+           "fusioncat.qseries")
+
+# Runs the CLI and prints, as the last stdout line, every fusioncat module and
+# numpy in `sys.modules` order: a module takes its place there when it has
+# finished loading.
+_RUN_CLI_ORDER = """\
+import atexit, sys
+atexit.register(lambda: print("loaded:", *[m for m in sys.modules
+                                           if m.split(".")[0] in
+                                           ("fusioncat", "numpy")
+                                           and m.count(".") <= 1
+                                           and not m.startswith("numpy.")]))
+from fusioncat.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+SEMION = ("category semion\nlabel 0 1\nlabel 1 s\nunit 0\n"
+          "N 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\nN 1 1 0 1\n"
+          "twist 0 0/1\ntwist 1 1/4\ndim 0 1\ndim 1 1\n")
+
+
+def _loaded_in_order(argv):
+    proc = _python("-c", _RUN_CLI_ORDER, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded[0] == "loaded:"
+    return loaded[1:]
+
+
+class TestCommandImports:
+    @pytest.mark.parametrize("command", ["verify", "smatrix", "verlinde"])
+    def test_fcat_call_loads_no_catalog_module(self, command, tmp_path):
+        path = tmp_path / "semion.fcat"
+        path.write_text(SEMION)
+        loaded = _loaded_in_order([command, str(path)])
+        assert "fusioncat.modular_data" in loaded
+        assert [m for m in CATALOG if m in loaded] == []
+
+    def test_catalog_module_compiles_before_numpy(self):
+        # Compiled after numpy, it raises the peak RSS of a catalog call.
+        loaded = _loaded_in_order(["verify", "--catalog", "U"])
+        assert (loaded.index("fusioncat.orbifold_catalog")
+                < loaded.index("numpy"))
