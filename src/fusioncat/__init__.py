@@ -19,15 +19,14 @@ _EXPORTS = {
                    "parse_cyc"),
     "fusion_ring": ("FusionRing", "RingElement", "ValidationReport",
                     "FcatDocument", "FcatError", "parse_fcat", "emit_fcat"),
-    "lattice": ("Lattice", "Coset", "dual_coset_reps", "coset_add",
-                "coset_neg", "min_norm", "min_vectors",
-                "orbifold_decomposition", "tau_action"),
+    "lattice": ("Lattice", "Coset", "dual_coset_reps", "min_norm",
+                "min_vectors", "orbifold_decomposition", "tau_action"),
     "modular_data": ("ModularDatum", "ModularReport", "VerlindeError"),
     "orbifold_catalog": ("build_U", "build_VLtau",
                          "count_orbifold_irreducibles", "weight_table_check",
                          "stilde_fixture", "stilde_fixture_diff"),
     "qseries": ("QSeries", "eta_inverse_power", "theta_coset", "character",
-                "qdim_ratio", "qdim_ratio_extrapolated"),
+                "qdim_limit"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -219,7 +219,7 @@ _CHAR_PIECES = {
 
 
 def cmd_char(args) -> int:
-    from .orbifold_catalog import full_coset_pieces
+    from .lattice import full_coset_pieces
     if args.label not in _CHAR_PIECES:
         raise CliError(
             f"character not available for {args.label!r}: only the full-coset "

@@ -99,7 +99,7 @@ def _order_context(n: int) -> "_OrderContext":
     """
     if n > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(
-            f"promotion to order {n} exceeds cap {DEFAULT_ORDER_CAP}")
+            f"cyclotomic order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     return _cached_context(n)
 
 

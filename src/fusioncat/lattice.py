@@ -10,8 +10,10 @@ for every positive-definite Gram matrix and needs no eigensolver.
 
 The module also hard-codes the concrete rank-2 lattice (Gram
 [[4,-2],[-2,4]], isometric to sqrt(2)A2) with its twelve dual cosets, the
-order-3 isometry acting on them, and the three-piece decomposition of the
-rank-3 lattice Z alpha^3 into (rank-1 coset) x (rank-2 coset) pairs.
+order-3 isometry acting on them, and the three-piece split of the rank-3
+lattice Z alpha^3 and of its cosets into (rank-1 coset) x (rank-2 coset)
+pairs.  `coset_pieces` states that split once; the alpha-lattice, the
+untwisted modules of the 20-object catalog and their characters all read it.
 """
 
 from __future__ import annotations
@@ -21,17 +23,17 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "Lattice",
     "Coset",
     "dual_coset_reps",
-    "coset_add",
-    "coset_neg",
     "min_norm",
     "min_vectors",
     "tau_action",
+    "coset_pieces",
+    "full_coset_pieces",
     "orbifold_decomposition",
     "lattice_L",
     "lattice_Zbeta1",
@@ -146,14 +148,6 @@ class Coset:
 
     def __neg__(self) -> "Coset":
         return Coset(self.lattice, tuple(-x for x in self.rep))
-
-
-def coset_add(a: Coset, b: Coset) -> Coset:
-    return a + b
-
-
-def coset_neg(a: Coset) -> Coset:
-    return -a
 
 
 def dual_coset_reps(lat: Lattice) -> list[Coset]:
@@ -333,10 +327,30 @@ def alpha_to_beta(coords: Sequence[Fraction | int]
     return b1, (b2, b3)
 
 
-@dataclass(frozen=True)
-class DecompositionPiece:
+class DecompositionPiece(NamedTuple):
+    """A (rank-1 coset, rank-2 coset) pair, as `qseries.character` takes it."""
+
     rank1: Coset
     rank2: Coset
+
+
+def coset_pieces(i: int, two_part: str) -> list[DecompositionPiece]:
+    """The three pieces (i/2 + j/3) b1 + Z b1 times the L-coset (two_part, j),
+    j = 0, 1, 2, of one coset of the alpha-lattice.
+
+    Z b1 + L has index 3 in the alpha-lattice (det 6 * 12 = 72 against 8), so
+    each coset of the alpha-lattice is three cosets of Z b1 + L.  i = 0 with
+    two_part "0" is the alpha-lattice itself; i = 0, 1 with two_part "0" are
+    the cosets under the untwisted eigenspaces of the 20-object catalog, and
+    with two_part "c" the full-coset modules M^i.
+    """
+    return [DecompositionPiece(coset_Zbeta1(Fraction(i, 2) + Fraction(j, 3)),
+                               coset_L(two_part, j)) for j in range(3)]
+
+
+def full_coset_pieces(i: int) -> list[DecompositionPiece]:
+    """The pieces of the full-coset module M^i (i = 0, 1)."""
+    return coset_pieces(i, "c")
 
 
 def orbifold_decomposition(*, verify_samples: int = 2) -> list[DecompositionPiece]:
@@ -345,11 +359,7 @@ def orbifold_decomposition(*, verify_samples: int = 2) -> list[DecompositionPiec
     Membership is verified by sampling: every alpha-lattice vector within the
     sample box lands in exactly one piece.
     """
-    pieces = [
-        DecompositionPiece(coset_Zbeta1(0), coset_L("0", 0)),
-        DecompositionPiece(coset_Zbeta1(Fraction(1, 3)), coset_L("0", 1)),
-        DecompositionPiece(coset_Zbeta1(Fraction(2, 3)), coset_L("0", 2)),
-    ]
+    pieces = coset_pieces(0, "0")
     r = verify_samples
     for coords in itertools.product(range(-r, r + 1), repeat=3):
         b1, (b2, b3) = alpha_to_beta(coords)

@@ -4,8 +4,9 @@ orbifold datum ("U") and the 30-object lattice-orbifold datum ("VLtau").
 Both are assembled from index arithmetic over (Z2 or Z3) x Z3 label grids,
 with twists and quantum dimensions attached, and validated at build time.
 The module also owns the orbifold counting formula, the exact recomputation
-of the conformal-weight table from lattice minima, and the golden fixture
-holding the transcribed 20 x 20 s-tilde table.
+of the conformal-weight table from lattice minima, the exact quantum
+dimensions of the untwisted labels from the characters' y -> 0 limits, and
+the golden fixture holding the transcribed 20 x 20 s-tilde table.
 
 Convention notes (documented once, here):
 - For products of two like-twisted objects, the output epsilon pair is
@@ -28,16 +29,19 @@ from typing import TYPE_CHECKING
 
 from .lattice import (
     Coset,
+    DecompositionPiece,
     coset_L,
-    coset_Zbeta1,
+    coset_pieces,
+    full_coset_pieces,
     lattice_L,
     min_norm,
     min_vectors,
+    orbifold_decomposition,
     tau_vector,
 )
 
 # The builders and the fixture import the array modules when called, so
-# counting, the coset pieces and label resolution load no numpy.
+# counting, the weight check and label resolution load no numpy.
 if TYPE_CHECKING:
     from .cyclotomic import CycNum
     from .fusion_ring import FusionRing
@@ -52,7 +56,7 @@ __all__ = [
     "build_U",
     "build_VLtau",
     "count_orbifold_irreducibles",
-    "full_coset_pieces",
+    "untwisted_qdims",
     "weight_table_check",
     "WeightCheckEntry",
     "WeightCheckReport",
@@ -305,62 +309,57 @@ class WeightCheckReport:
         return out
 
 
-def _rank1_parts(i: int) -> list[Fraction]:
-    """beta1-coordinates of the three rank-1 coset reps for index i."""
-    return [Fraction(i, 2), Fraction(3 * i + 2, 6), Fraction(3 * i + 4, 6)]
+def _label_parts(index: int) -> tuple[int, int | None, int]:
+    """(i, eps, k) of the U label `index`: lattice index i, eigenspace eps
+    (None for M^i) and twist exponent k (0 for the untwisted labels)."""
+    if index < 6:
+        return (*divmod(index, 3), 0)
+    if index < 8:
+        return index - 6, None, 0
+    k, base = divmod(index - 8, 6)
+    return (*divmod(base, 3), k + 1)
 
 
-def _rank1_weight(t: Fraction) -> Fraction:
-    return min_norm(coset_Zbeta1(t)) / 2
+def _label_pieces(i: int, eps: int | None) -> list[DecompositionPiece]:
+    """The pieces of M^i for eps None, else those of the coset under
+    M~_i[eps], whose rank-1 parts the twisted labels (i, eps) share."""
+    return full_coset_pieces(i) if eps is None else coset_pieces(i, "0")
 
 
-def _eigen_coset_weight(j: int, eps: int) -> Fraction:
+def _certify_tau_fixes_no_vector() -> None:
+    """det(tau - 1) != 0, so tau fixes no nonzero vector of the rank-2 space
+    and acts on its Heisenberg plane with the primitive cube roots of 1."""
+    (a, b), (c, d) = ([t - x for t, x in zip(tau_vector(e), e)]
+                      for e in ((1, 0), (0, 1)))
+    if a * d - b * c == 0:
+        raise AssertionError("tau fixes a nonzero vector of the rank-2 space")
+
+
+def _eigen_coset_weight(c: Coset, eps: int) -> Fraction:
     """Lowest weight of the tau-eigenspace [eps] of the rank-2 coset module
-    for the order-3 class j.
+    of the order-3 class c.
 
-    For j != 0 the minimal vectors fall into free tau-orbits, so each
+    For c != 0 the minimal vectors fall into free tau-orbits, so each
     eigenspace contains a lowest-weight vector and the eigenspace minimum
-    equals the coset minimum.  For j = 0 the only weight-0 vector is the
+    equals the coset minimum.  For c = 0 the only weight-0 vector is the
     vacuum (eigenvalue 1) and the weight-1 space is the two-dimensional
     degree-1 Heisenberg plane, on which the order-3 isometry acts with the
     two primitive cube-root eigenvalues; the lattice itself contributes
     nothing below weight 2.
     """
-    c = coset_L("0", j % 3)
     if not c.is_zero:
         for x in min_vectors(c):
             if tau_vector(x) == x:
                 raise AssertionError(
-                    f"minimal vector {x} of class j={j} is tau-fixed; "
+                    f"minimal vector {x} of class {c.rep} is tau-fixed; "
                     "eigenspace minimum would not equal the coset minimum")
         return min_norm(c) / 2
-    # Vacuum class: certify there is no lattice vector of norm 2, and that
-    # tau fixes no nonzero vector of the rank-2 space.
+    # Vacuum class: certify there is no lattice vector of norm 2.
     lattice_min = min(lattice_L().norm(x) for x in min_vectors(c))
     if lattice_min <= 2:
         raise AssertionError("lattice has vectors of norm <= 2")
-    if any(tau_vector(x) == x for x in min_vectors(c)):
-        raise AssertionError("tau fixes a minimal lattice vector")
+    _certify_tau_fixes_no_vector()
     return Fraction(0) if eps % 3 == 0 else Fraction(1)
-
-
-def _u_decomposition_rank2(index: int) -> list[tuple[str, int]]:
-    """(kind, parameter) descriptors of the three rank-2 factors, in the
-    order matching _rank1_parts: kinds 'c' (coset j), 'eigen' (class j),
-    'twisted' (lattice index j)."""
-    if 6 <= index <= 7:
-        return [("c", 0), ("c", 1), ("c", 2)]
-    if index < 6:
-        return [("eigen", 0), ("eigen", 1), ("eigen", 2)]
-    k = 1 if index < 14 else 2
-    return [("twisted", 0), ("twisted", (2 * k) % 3), ("twisted", k % 3)]
-
-
-def full_coset_pieces(i: int) -> list[tuple[Coset, Coset]]:
-    """(rank-1 coset, rank-2 coset) pieces of the full-coset module M^i."""
-    rank2 = _u_decomposition_rank2(U_LABELS.index(f"M^{i}"))
-    return [(coset_Zbeta1(t), coset_L(kind, j))
-            for t, (kind, j) in zip(_rank1_parts(i), rank2)]
 
 
 def weight_table_check() -> WeightCheckReport:
@@ -374,40 +373,56 @@ def weight_table_check() -> WeightCheckReport:
     entries: list[WeightCheckEntry] = []
     for index, name in enumerate(U_LABELS):
         table = U_WEIGHTS[index]
-        if index < 6:
-            i, eps = divmod(index, 3)
-        elif index < 8:
-            i, eps = index - 6, None
-        else:
-            base = index - 8 if index < 14 else index - 14
-            i, eps = divmod(base, 3)
-        r1 = _rank1_parts(i)
-        r2 = _u_decomposition_rank2(index)
-        if index < 8:
-            values = []
-            for t, (kind, j) in zip(r1, r2):
-                if kind == "c":
-                    part = min_norm(coset_L("c", j)) / 2
-                else:
-                    part = _eigen_coset_weight(j, eps)
-                values.append(_rank1_weight(t) + part)
+        i, eps, k = _label_parts(index)
+        pieces = _label_pieces(i, eps)
+        rank1 = [min_norm(piece.rank1) / 2 for piece in pieces]
+        if k == 0:
+            values = [w + (min_norm(rank2) / 2 if eps is None
+                           else _eigen_coset_weight(rank2, eps))
+                      for w, (_, rank2) in zip(rank1, pieces)]
             recomputed = min(values)
             ok = recomputed == table
             detail = "pieces " + ", ".join(str(v) for v in values)
             entries.append(WeightCheckEntry(name, table, recomputed, ok, detail))
         else:
-            k = 1 if index < 14 else 2
-            congruent = []
-            for t, (_, j) in zip(r1, r2):
-                cls = (_rank1_weight(t)
-                       + Fraction(10 - 3 * (j * j + eps), 9)) % 1
-                congruent.append(cls)
+            # Piece m of a tau^k-twisted label has lattice index 2km mod 3.
+            congruent = [(w + Fraction(10 - 3 * ((2 * k * m % 3) ** 2 + eps),
+                                       9)) % 1
+                         for m, w in enumerate(rank1)]
             ok = all(c == table % 1 for c in congruent)
             detail = ("pieces mod 1 "
                       + ", ".join(str(c) for c in congruent)
                       + f" (twist exponent {k})")
             entries.append(WeightCheckEntry(name, table, None, ok, detail))
     return WeightCheckReport(tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# Exact quantum dimensions of the untwisted labels
+# ---------------------------------------------------------------------------
+
+def untwisted_qdims() -> tuple[Fraction, ...]:
+    """Quantum dimensions of the 8 untwisted labels of U, exactly, as the
+    y -> 0 limits of their characters over the vacuum character.
+
+    Every piece is a coset of Z b1 + L over the same eta^3 (`qdim_limit`).
+    M^i is the sum of its three pieces.  M~_i[eps] is one tau-eigenspace of
+    the coset under it, and takes 1/3 of each piece's leading term, because
+    tau fixes no nonzero vector of the rank-2 space (the tau-twisted traces
+    grow as e^{pi/(36y)}, against e^{pi/(4y)}).  The vacuum M~_0[0] is the
+    tau-fixed eigenspace of the alpha-lattice, so it takes 1/3 of its pieces.
+    """
+    from .qseries import qdim_limit   # here, so catalog calls never load it
+    _certify_tau_fixes_no_vector()
+    eigenspace = Fraction(1, 3)
+    alpha = orbifold_decomposition()
+    dims = []
+    for index in range(8):
+        i, eps, _ = _label_parts(index)
+        share = 1 if eps is None else eigenspace
+        pieces = _label_pieces(i, eps)
+        dims.append(share * qdim_limit(pieces, alpha) / eigenspace)
+    return tuple(dims)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ the lcm of their reduced denominators, so sums, products and shifts run on
 Python ints and a Fraction is built only where an exponent is read out.
 Provides eta-power inverses (partition generating functions), lattice-coset
 theta functions, characters of lattice-coset modules assembled from
-(rank-1 coset, rank-2 coset) decomposition pieces, and the numerical
-quantum-dimension ratio limit qdim = lim_{y -> 0+} ch_M(iy)/ch_V(iy),
-evaluated at q = e^{-2 pi y} with a certified truncation-tail bound and
-Richardson-style extrapolation in y.
+(rank-1 coset, rank-2 coset) decomposition pieces, and the exact limit
+lim_{y -> 0+} of a ratio of such piece sums at q = e^{-2 pi y}, from which
+quantum dimensions are read (`qdim_limit`).
 
 Products run through one exact kernel, `_convolve`: Kronecker substitution
 packs each coefficient list into one int with byte-aligned slots, so a whole
@@ -27,30 +26,20 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .lattice import Coset, _coset_points
 
 __all__ = [
     "QSeries",
-    "TailBoundError",
     "eta_inverse_power",
     "theta_coset",
-    "theta_lattice_dual_sum",
     "character",
-    "qdim_ratio",
-    "qdim_ratio_extrapolated",
+    "qdim_limit",
     "DEFAULT_CUTOFF",
-    "DEFAULT_PROBE_YS",
 ]
 
 DEFAULT_CUTOFF = Fraction(30)
-DEFAULT_PROBE_YS = (0.04, 0.02, 0.01)
-TAIL_RELATIVE_BOUND = 1e-12
-
-
-class TailBoundError(ArithmeticError):
-    """Truncation tail is not provably negligible at the requested y."""
 
 
 @dataclass(frozen=True)
@@ -114,10 +103,6 @@ class QSeries:
             raise ValueError("zero series has no leading exponent")
         return Fraction(self.terms[0][0], self.den)
 
-    def denom(self) -> int:
-        """Common denominator of all exponents (1 for the zero series)."""
-        return self.den
-
     def shift(self, delta: Fraction) -> "QSeries":
         delta = Fraction(delta)
         den = math.lcm(self.den, delta.denominator)
@@ -172,13 +157,6 @@ class QSeries:
                     n = n1 + n2
                     data[n] = data.get(n, 0) + c1 * c2
         return QSeries._of(den, data, cutoff)
-
-    def evaluate(self, y: float) -> float:
-        """Value at q = e^{-2 pi y} for real y > 0 (no tail check)."""
-        if y <= 0:
-            raise ValueError("y must be positive")
-        return sum(c * math.exp(-2 * math.pi * y * (n / self.den))
-                   for n, c in self.terms)
 
     def dump_lines(self) -> list[str]:
         """CLI-facing `exponent coefficient` pairs, ascending exponents."""
@@ -309,16 +287,6 @@ def theta_coset(c: Coset, cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
     return QSeries._of(2 * s, Counter(n for _, n in points), cutoff)
 
 
-def theta_lattice_dual_sum(cosets: Iterable[Coset],
-                           cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
-    """Coefficientwise sum of theta_coset over the given cosets."""
-    cutoff = Fraction(cutoff)
-    total = QSeries.zero(cutoff)
-    for c in cosets:
-        total = total + theta_coset(c, cutoff)
-    return total
-
-
 def character(pieces: Sequence[tuple[Coset, Coset]],
               c: Fraction | int,
               cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
@@ -343,46 +311,24 @@ def character(pieces: Sequence[tuple[Coset, Coset]],
     return total
 
 
-def _evaluate_with_tail_check(series: QSeries, y: float) -> float:
-    value = series.evaluate(y)
-    if not series.terms:
-        return value
-    # First-omitted-term estimate: the tail starting at the truncation order
-    # is bounded by (max |coefficient|) * x^T / (1 - x) with x = e^{-2 pi y}
-    # per unit exponent step; exponent steps are at least 1/denom apart, so
-    # use the per-step ratio x^{1/denom}.
-    x = math.exp(-2 * math.pi * y)
-    step = x ** (1.0 / series.denom())
-    if step >= 1.0:
-        raise TailBoundError("y too small for any tail bound")
-    max_coeff = max(abs(cf) for _, cf in series.terms)
-    tail = max_coeff * (x ** float(series.truncation_order)) / (1.0 - step)
-    if tail > TAIL_RELATIVE_BOUND * abs(value):
-        raise TailBoundError(
-            f"tail estimate {tail:.3e} exceeds {TAIL_RELATIVE_BOUND:g} of "
-            f"value {value:.6e} at y={y}; raise the cutoff")
-    return value
+def qdim_limit(numerator: Sequence[Sequence[Coset]],
+               denominator: Sequence[Sequence[Coset]]) -> Fraction:
+    """The exact limit as y -> 0+ of sum_num / sum_den at q = e^{-2 pi y}.
 
-
-def qdim_ratio(numerator: QSeries, denominator: QSeries, y: float) -> float:
-    """numerator(iy)/denominator(iy) at q = e^{-2 pi y}, tail-certified."""
-    if numerator.truncation_order != denominator.truncation_order:
-        raise ValueError("numerator and denominator cutoffs differ")
-    num = _evaluate_with_tail_check(numerator, y)
-    den = _evaluate_with_tail_check(denominator, y)
-    if abs(den) < 1e-300:
-        raise ZeroDivisionError("denominator evaluates below 1e-300")
-    return num / den
-
-
-def qdim_ratio_extrapolated(numerator: QSeries, denominator: QSeries,
-                            ys: Sequence[float] = DEFAULT_PROBE_YS) -> float:
-    """Neville extrapolation of the ratio to y = 0 over the probe points."""
-    xs = list(ys)
-    vals = [qdim_ratio(numerator, denominator, y) for y in xs]
-    n = len(xs)
-    for level in range(1, n):
-        for i in range(n - level):
-            vals[i] = ((0.0 - xs[i + level]) * vals[i]
-                       - (0.0 - xs[i]) * vals[i + 1]) / (xs[i] - xs[i + level])
-    return vals[0]
+    Each sum runs over pieces, and a piece, a tuple of cosets as `character`
+    takes them, stands for the product of their theta series.  By Poisson
+    summation a coset theta of a positive-definite lattice K of rank r is
+    y^{-r/2} det(K)^{-1/2} (1 + O(e^{-pi m/y})) as y -> 0, with m the least
+    nonzero norm on the dual lattice of K: the leading term does not depend
+    on the coset.  So pieces of one total rank and one product of
+    determinants share their leading term, and the limit is the ratio of the
+    piece counts.  Two characters of one central charge, over the same eta
+    power, have the limit ratio of their pieces.
+    """
+    shapes = {(sum(c.lattice.rank for c in piece),
+               math.prod(c.lattice.determinant() for c in piece))
+              for piece in (*numerator, *denominator)}
+    if len(shapes) > 1:
+        raise ValueError("pieces differ in total rank or in the product of "
+                         "their determinants")
+    return Fraction(len(numerator), len(denominator))

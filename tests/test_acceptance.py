@@ -47,11 +47,7 @@ from fusioncat.orbifold_catalog import (
     vltau_duals,
     weight_table_check,
 )
-from fusioncat.qseries import (
-    qdim_ratio_extrapolated,
-    theta_coset,
-    theta_lattice_dual_sum,
-)
+from fusioncat.qseries import QSeries, qdim_limit, theta_coset
 from reference import stilde_conjugate_form
 
 
@@ -201,13 +197,12 @@ def test_criterion_7_vltau_ring(vltau_datum):
 
 def test_criterion_8_characters_and_ratio():
     cutoff = F(30)
-    total = theta_lattice_dual_sum(dual_coset_reps(lattice_L()), cutoff)
+    total = sum((theta_coset(c, cutoff) for c in dual_coset_reps(lattice_L())),
+                QSeries.zero(cutoff))
     dual = Lattice.from_rows([[F(1, 3), F(1, 6)], [F(1, 6), F(1, 3)]])
     assert total == theta_coset(Coset.of(dual, [0, 0]), cutoff)
 
-    num = theta_coset(coset_Zbeta1(F(1, 2)), 600)
-    den = theta_coset(coset_Zbeta1(0), 600)
-    assert qdim_ratio_extrapolated(num, den) == pytest.approx(1.0, abs=1e-3)
+    assert qdim_limit([(coset_Zbeta1(F(1, 2)),)], [(coset_Zbeta1(0),)]) == 1
     print("CRITERION 8: PASS")
 
 

@@ -263,7 +263,7 @@ class TestOrderCap:
         code, _, err = run_cli(["verify", str(path)], capsys=capsys)
         assert code == 2
         assert err.splitlines() == [
-            f"error: promotion to order {order} exceeds cap 720"]
+            f"error: cyclotomic order {order} exceeds cap 720"]
 
     def test_prime_global_dimension_fits_in_memory(self, tmp_path):
         # D^2 = 1 + 110^2 = 12101, a prime: Q(zeta_12101) needs gigabytes.
@@ -275,7 +275,7 @@ class TestOrderCap:
                     "resource.RLIMIT_AS, (1 << 30, 1 << 30))")
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            "error: promotion to order 12101 exceeds cap 720"]
+            "error: cyclotomic order 12101 exceeds cap 720"]
 
     def test_huge_global_dimension_is_refused_quickly(self, tmp_path):
         # D^2 = 1 + 10^24: no trial division past the cap.
@@ -284,7 +284,7 @@ class TestOrderCap:
         proc = _cli_in_subprocess(["verify", str(path)], timeout=20)
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
-        assert re.fullmatch(r"error: promotion to order \d+ exceeds cap 720",
+        assert re.fullmatch(r"error: cyclotomic order \d+ exceeds cap 720",
                             proc.stderr.strip())
 
     def test_cap_exceeded_is_one_error_line(self, capsys):
@@ -292,7 +292,7 @@ class TestOrderCap:
                                 "U"], capsys=capsys)
         assert code == 2
         assert err.splitlines() == [
-            "error: promotion to order 36 exceeds cap 10"]
+            "error: cyclotomic order 36 exceeds cap 10"]
 
     def test_cap_restored_after_main(self, capsys):
         before = cyclotomic.DEFAULT_ORDER_CAP

@@ -422,7 +422,7 @@ def test_rational_array_equals_promoted_rationals():
 def test_equality_promotes_like_addition(refuse_fields_above_cap):
     # lcm(701, 709) = 497009: equality does not raise the cap to reach it.
     with pytest.raises(OrderCapExceeded,
-                       match="promotion to order 497009 exceeds cap 720"):
+                       match="cyclotomic order 497009 exceeds cap 720"):
         e(1, 701) == e(1, 709)
 
 
@@ -438,7 +438,7 @@ def test_sqrt_factor_search_stops_at_the_cap(refuse_fields_above_cap):
     # sqrt(727) needs order 4 * 727.
     assert cyc_sqrt_rational(2 * 727 ** 2) == 727 * cyc_sqrt_rational(2)
     with pytest.raises(OrderCapExceeded,
-                       match="promotion to order 2908 exceeds cap 720"):
+                       match="cyclotomic order 2908 exceeds cap 720"):
         cyc_sqrt_rational(2 * 727)
 
 
@@ -455,7 +455,7 @@ def test_sqrt_is_refused_before_building_a_smaller_field(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_cached_context", functools.lru_cache(
         maxsize=None)(cyclotomic._OrderContext))
     with pytest.raises(OrderCapExceeded,
-                       match="promotion to order 2876 exceeds cap 720"):
+                       match="cyclotomic order 2876 exceeds cap 720"):
         cyc_sqrt_rational(719)
     assert 719 not in built
 

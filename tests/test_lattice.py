@@ -14,8 +14,6 @@ from fusioncat.lattice import (
     alpha_to_beta,
     coset_L,
     coset_Zbeta1,
-    coset_add,
-    coset_neg,
     decomposition_piece_of,
     dual_coset_reps,
     lattice_L,
@@ -83,28 +81,28 @@ class TestCosetArithmetic:
 
     def test_add_example(self):
         # c-coset plus order-3 coset 1: rep (7/6, 1/3) reduces to (1/6, 1/3).
-        total = coset_add(coset_L("c", 0), coset_L("0", 1))
+        total = coset_L("c", 0) + coset_L("0", 1)
         assert total == coset_L("c", 1)
         raw = (F(1, 2) + F(2, 3), F(0) + F(1, 3))
         assert Coset.of(lattice_L(), raw) == total
 
     def test_add_zero(self):
         zero = coset_L("0", 0)
-        assert coset_add(zero, zero).is_zero
+        assert (zero + zero).is_zero
 
     def test_two_torsion(self):
         a = coset_L("a", 0)
-        assert coset_add(a, a).is_zero
+        assert (a + a).is_zero
 
     def test_neg_inverse(self):
         for i in "0abc":
             for j in range(3):
                 c = coset_L(i, j)
-                assert coset_add(c, coset_neg(c)).is_zero
+                assert (c + -c).is_zero
 
     def test_mismatched_lattices_rejected(self):
         with pytest.raises(ValueError):
-            coset_add(coset_L("0", 0), coset_Zbeta1(0))
+            coset_L("0", 0) + coset_Zbeta1(0)
 
 
 class TestMinNorm:
@@ -286,11 +284,10 @@ def l_cosets(draw):
 @settings(max_examples=30, deadline=None)
 @given(l_cosets(), l_cosets())
 def test_coset_addition_commutes(a, b):
-    assert coset_add(a, b) == coset_add(b, a)
+    assert a + b == b + a
 
 
 @settings(max_examples=30, deadline=None)
 @given(l_cosets(), l_cosets())
 def test_tau_is_additive(a, b):
-    assert tau_action(coset_add(a, b)) == coset_add(tau_action(a),
-                                                    tau_action(b))
+    assert tau_action(a + b) == tau_action(a) + tau_action(b)

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from fusioncat.lattice import coset_L, coset_Zbeta1
+from fusioncat.cyclotomic import cyc_rational
+from fusioncat.lattice import coset_L, coset_Zbeta1, full_coset_pieces
+from fusioncat import orbifold_catalog
 from fusioncat.orbifold_catalog import (
     U_DIMS,
     U_DUALS,
@@ -13,10 +15,10 @@ from fusioncat.orbifold_catalog import (
     U_WEIGHTS,
     VLTAU_LABELS,
     count_orbifold_irreducibles,
-    full_coset_pieces,
     resolve_label,
     stilde_fixture,
     stilde_fixture_diff,
+    untwisted_qdims,
     vltau_duals,
     weight_table_check,
 )
@@ -90,6 +92,19 @@ class TestBuildU:
 
     def test_duals(self, u_datum):
         assert u_datum.ring.dual_vector() == U_DUALS
+
+    def test_untwisted_qdims_from_the_characters(self, u_datum):
+        # The y -> 0 limits of the characters against the S matrix.
+        dims = untwisted_qdims()
+        assert dims == U_DIMS[:8]
+        s = u_datum.s_matrix()
+        for i, d in enumerate(dims):
+            assert s[i][0] == s[0][0] * cyc_rational(d)
+
+    def test_untwisted_qdims_need_tau_fixed_point_free(self, monkeypatch):
+        monkeypatch.setattr(orbifold_catalog, "tau_vector", lambda x: x)
+        with pytest.raises(AssertionError, match="tau fixes"):
+            untwisted_qdims()
 
     def test_qdims(self, u_datum):
         for i in range(20):

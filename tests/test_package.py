@@ -141,6 +141,11 @@ class TestCommandImports:
         assert "fusioncat.modular_data" in loaded
         assert [m for m in CATALOG if m in loaded] == []
 
+    def test_char_loads_no_catalog_builder(self):
+        loaded = _loaded_in_order(["char", "M^0", "--cutoff", "30"])
+        assert "fusioncat.qseries" in loaded
+        assert "fusioncat.orbifold_catalog" not in loaded
+
     def test_catalog_module_compiles_before_numpy(self):
         # Compiled after numpy, it raises the peak RSS of a catalog call.
         loaded = _loaded_in_order(["verify", "--catalog", "U"])

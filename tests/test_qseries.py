@@ -1,4 +1,4 @@
-"""q-series: eta powers, coset thetas, characters, and qdim ratio limits."""
+"""q-series: eta powers, coset thetas, characters, and exact qdim limits."""
 
 import math
 from fractions import Fraction as F
@@ -13,19 +13,17 @@ from fusioncat.lattice import (
     coset_L,
     coset_Zbeta1,
     dual_coset_reps,
+    full_coset_pieces,
     lattice_L,
+    orbifold_decomposition,
 )
 from fusioncat import qseries
-from fusioncat.orbifold_catalog import full_coset_pieces
 from fusioncat.qseries import (
     QSeries,
-    TailBoundError,
     character,
     eta_inverse_power,
-    qdim_ratio,
-    qdim_ratio_extrapolated,
+    qdim_limit,
     theta_coset,
-    theta_lattice_dual_sum,
 )
 
 
@@ -84,7 +82,9 @@ class TestTheta:
 
     def test_coset_sum_equals_dual_lattice_theta(self):
         cutoff = F(30)
-        total = theta_lattice_dual_sum(dual_coset_reps(lattice_L()), cutoff)
+        total = sum((theta_coset(c, cutoff)
+                     for c in dual_coset_reps(lattice_L())),
+                    QSeries.zero(cutoff))
         dual = Lattice.from_rows([[F(1, 3), F(1, 6)], [F(1, 6), F(1, 3)]])
         direct = theta_coset(Coset.of(dual, [0, 0]), cutoff)
         assert total == direct
@@ -206,7 +206,7 @@ class TestAgainstReference:
     def check(self, series, coeffs, cutoff):
         assert series.coeffs == coeffs
         assert series.truncation_order == cutoff
-        assert series.denom() == ref_denom(coeffs)
+        assert series.den == ref_denom(coeffs)
         assert series.dump_lines() == [
             f"{e.numerator}/{e.denominator} {c}" if e.denominator != 1
             else f"{e.numerator} {c}" for e, c in coeffs]
@@ -368,45 +368,40 @@ class TestDenseProduct:
                                  (F(2 * 10**9), 1))
 
 
-class TestQdimRatio:
+class TestQdimLimit:
     def test_trivial_ratio(self):
-        x = theta_coset(coset_Zbeta1(0), 300)
-        assert qdim_ratio(x, x, 0.05) == 1.0
+        x = [(coset_Zbeta1(0),)]
+        assert qdim_limit(x, x) == 1
 
-    def test_simple_current_ratio_single_y(self):
-        num = theta_coset(coset_Zbeta1(F(1, 2)), 600)
-        den = theta_coset(coset_Zbeta1(0), 600)
-        assert qdim_ratio(num, den, 0.02) == pytest.approx(1.0, abs=1e-3)
-
-    def test_simple_current_extrapolated(self):
-        num = theta_coset(coset_Zbeta1(F(1, 2)), 600)
-        den = theta_coset(coset_Zbeta1(0), 600)
-        assert qdim_ratio_extrapolated(num, den) == pytest.approx(1.0,
-                                                                 abs=1e-3)
+    def test_simple_current_ratio(self):
+        assert qdim_limit([(coset_Zbeta1(F(1, 2)),)],
+                          [(coset_Zbeta1(0),)]) == 1
 
     def test_c_coset_ratio(self):
-        num = theta_coset(coset_L("c", 0), 300)
-        den = theta_coset(coset_L("0", 0), 300)
-        assert qdim_ratio(num, den, 0.02) == pytest.approx(1.0, abs=1e-3)
+        assert qdim_limit([(coset_L("c", 0),)], [(coset_L("0", 0),)]) == 1
 
-    def test_monotone_convergence_in_cutoff(self):
-        num_lo = theta_coset(coset_Zbeta1(F(1, 2)), 200)
-        den_lo = theta_coset(coset_Zbeta1(0), 200)
-        num_hi = theta_coset(coset_Zbeta1(F(1, 2)), 600)
-        den_hi = theta_coset(coset_Zbeta1(0), 600)
-        y = 0.04
-        lo = qdim_ratio(num_lo, den_lo, y)
-        hi = qdim_ratio(num_hi, den_hi, y)
-        assert abs(hi - 1.0) <= abs(lo - 1.0) + 1e-15
-
-    def test_tail_bound_violation_raises(self):
-        num = theta_coset(coset_Zbeta1(F(1, 2)), 10)
-        den = theta_coset(coset_Zbeta1(0), 10)
-        with pytest.raises(TailBoundError):
-            qdim_ratio(num, den, 0.001)
-
-    def test_mismatched_cutoffs_rejected(self):
-        a = theta_coset(coset_Zbeta1(0), 10)
-        b = theta_coset(coset_Zbeta1(0), 20)
+    def test_mismatched_determinants_rejected(self):
+        other = Coset.of(Lattice.from_rows([[2]]), [0])
         with pytest.raises(ValueError):
-            qdim_ratio(a, b, 0.05)
+            qdim_limit([(coset_Zbeta1(0),)], [(other,)])
+
+    def test_mismatched_ranks_rejected(self):
+        with pytest.raises(ValueError):
+            qdim_limit([(coset_Zbeta1(0), coset_L("0", 0))],
+                       [(coset_L("0", 0),)])
+
+    def test_truncated_series_agree_at_small_y(self):
+        # A float cross-check of the exact limit: at y = 0.04 the dual-lattice
+        # corrections are below e^{-pi/(2y)} ~ 1e-17 and the cut tail below
+        # e^{-2 pi y 200} ~ 1e-22, relative.
+        cutoff, y = 200, 0.04
+
+        def value(pieces):
+            series = sum((theta_coset(r1, cutoff) * theta_coset(r2, cutoff)
+                          for r1, r2 in pieces), QSeries.zero(cutoff))
+            return sum(c * math.exp(-2 * math.pi * y * n / series.den)
+                       for n, c in series.terms)
+
+        ratio = value(full_coset_pieces(0)) / value(orbifold_decomposition())
+        limit = qdim_limit(full_coset_pieces(0), orbifold_decomposition())
+        assert abs(ratio - limit) < 1e-6
