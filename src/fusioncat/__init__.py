@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "cyclotomic": ("CycNum", "CycError", "OrderCapExceeded", "cyc_rational",
-                   "cyc_root_of_unity", "cyc_sqrt_rational", "format_cyc",
-                   "parse_cyc"),
+                   "cyc_root_of_unity", "format_cyc", "parse_cyc"),
     "fusion_ring": ("FusionRing", "RingElement", "ValidationReport",
                     "FcatDocument", "FcatError", "parse_fcat", "emit_fcat"),
     "lattice": ("Lattice", "Coset", "dual_coset_reps", "min_norm",

@@ -77,11 +77,9 @@ def _load_datum(args) -> tuple[ModularDatum | None, FcatDocument | None]:
     if doc.has_modular_annotations and doc.ring.validate().passed:
         md = ModularDatum(doc.ring, doc.twists, doc.dims)
         # FCAT carries no central charge; infer c mod 8 from the Gauss sums
-        # so the ratio check and T matrix are available when possible.
-        inferred = md.infer_central_charge_mod8()
-        if inferred is not None:
-            md = ModularDatum(doc.ring, doc.twists, doc.dims,
-                              central_charge=inferred)
+        # so the ratio check and T matrix are available when possible.  No
+        # value cached before verify_modular depends on c.
+        md.central_charge = md.infer_central_charge_mod8()
         return md, doc
     return None, doc
 
@@ -254,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fusioncat",
         description="Exact fusion-ring and modular-data toolkit")
     parser.add_argument("--order-cap", type=int, default=None,
-                        help="cap on cyclotomic order promotion")
+                        help="cap on the order N of every cyclotomic field "
+                             "Q(zeta_N) that is built")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run all consistency checks")

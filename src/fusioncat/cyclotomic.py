@@ -37,7 +37,6 @@ __all__ = [
     "cyc_root_of_unity",
     "cyc_rational",
     "cyc_inv",
-    "cyc_sqrt_rational",
     "parse_cyc",
     "format_cyc",
     "DEFAULT_ORDER_CAP",
@@ -498,15 +497,6 @@ class _CycArray:
         return CycNum(self.order, _num=tuple(self.num[index].tolist()),
                       _den=self.den)
 
-    @classmethod
-    def rational(cls, numerators: np.ndarray, den: int, order: int
-                 ) -> "_CycArray":
-        """Rational entries numerators/den, from an integer array."""
-        num = np.zeros(np.shape(numerators) + (_order_context(order).phi,),
-                       dtype=object)
-        num[..., 0] = numerators
-        return cls(_int(*_exact(1, num)), den, order)
-
 
 @functools.lru_cache(maxsize=None)
 def _demotion(n: int, d: int) -> tuple[np.ndarray, int]:
@@ -600,58 +590,6 @@ def cyc_inv(a: CycNum) -> CycNum:
         if math.gcd(k, a.order) == 1:
             others = others * a._galois(k)
     return others * (1 / (a * others).as_rational())
-
-
-def cyc_sqrt_rational(r: Fraction | int) -> CycNum:
-    """Exact square root of a rational inside a cyclotomic field.
-
-    sqrt(2) lives at order 8, sqrt(p) for odd prime p at order p or 4p
-    (through quadratic Gauss sums), and products combine through lcm of
-    orders.  Only primes up to the order cap can enter a field within it,
-    so the factor search stops there.  What it leaves is 1, a prime, or a
-    product of primes above the cap; the root of such a product, unless it
-    is a square, asks `_order_context` for a field above the cap, which
-    refuses it.
-    """
-    r = Fraction(r)
-    if r == 0:
-        return cyc_rational(0)
-    if r < 0:
-        return cyc_root_of_unity(1, 4) * cyc_sqrt_rational(-r)
-    n = r.numerator * r.denominator
-    square, primes = 1, []
-    p = 2
-    while p * p <= n and p <= DEFAULT_ORDER_CAP:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        square *= p ** (e // 2)
-        if e % 2:
-            primes.append(p)
-        p += 1
-    if math.isqrt(n) ** 2 == n:
-        square *= math.isqrt(n)
-    else:
-        primes.append(n)
-    result = cyc_rational(Fraction(square, r.denominator))
-    for p in primes:
-        result = result * (cyc_root_of_unity(1, 8) + cyc_root_of_unity(-1, 8)
-                           if p == 2 else _sqrt_odd_prime(p))
-    return result
-
-
-def _sqrt_odd_prime(p: int) -> CycNum:
-    # Ask for the conductor of Q(sqrt p) first: the cap refuses it early.
-    _order_context(p if p % 4 == 1 else 4 * p)
-    gauss = cyc_rational(0)
-    for k in range(1, p):
-        legendre = pow(k, (p - 1) // 2, p)
-        sign = 1 if legendre == 1 else -1
-        gauss = gauss + sign * cyc_root_of_unity(k, p)
-    if p % 4 == 1:
-        return gauss
-    return gauss * cyc_root_of_unity(-1, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ where L, the lcm of the twist denominators and the dim orders, is the
 conductor of the field Q(zeta_L) that holds all of s-tilde: the sum over k
 is one contraction of the dual-permuted fusion tensor with the coefficients
 of theta_k d_k, and theta_i^-1 theta_j^-1 is a power shift.  S = s~ D / D^2
-with D the positive square root of the global dimension D^2 (a rational).
+with D the real root of the global dimension D^2 that the Gauss sum
+p+ = D e(c/8) carries (`_gauss_root`); D^2 need not be rational.
 
 The matrix layers -- the checks of `verify_modular`, the Verlinde structure
 constants and the (ST)^3 relation -- take that array directly and never S,
-so that no square root enters them; their products are numpy contractions
+so that only D^2 enters the first two; their products are numpy contractions
 in Q(zeta_L) (`cyclotomic._CycArray`): the unreduced polynomial product,
 reduced once through the power rows.  Each contraction runs in the narrowest
 exact tier that a bound on its partial sums allows (`cyclotomic._exact`):
@@ -24,8 +25,9 @@ S is one array at lcm(L, order of D), and each entry of either comes out at
 its minimal order (`_CycArray.canonical`), so its printed text depends on
 its value alone.
 
-A datum that fails verification is still fully computable; verification
-failure is diagnostic, not fatal.
+A datum that fails verification is still computable: verification failure
+is diagnostic, not fatal.  Only S and the (ST)^3 relation need D, and a
+datum whose Gauss sums give no D, which is then not modular, has neither.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .cyclotomic import (
     cyc_inv,
     cyc_rational,
     cyc_root_of_unity,
-    cyc_sqrt_rational,
 )
 from .fusion_ring import CheckReport, FusionRing, check
 
@@ -63,7 +64,8 @@ class VerlindeError(ArithmeticError):
 
 
 class GlobalDimensionError(ArithmeticError):
-    """The global dimension is irrational or zero, so S = s~/D is undefined."""
+    """The global dimension is zero, or the Gauss sums give no real root of
+    it, so S = s~/D is undefined."""
 
 
 @dataclass(frozen=True)
@@ -115,50 +117,68 @@ class ModularDatum:
             self._cache["glob"] = (dims * dims).sum()
         return self._cache["glob"]  # type: ignore[return-value]
 
-    def _d_squared(self) -> Fraction:
-        """D^2 as a rational; S = s~/D needs it rational and nonzero."""
+    def _nonzero_global_dimension(self) -> CycNum:
+        """D^2, which S = s~/D and every check on s~ need nonzero."""
         glob = self.global_dimension()
-        if not glob.is_rational():
-            raise GlobalDimensionError(
-                f"global dimension {glob} is irrational; no square-root rule")
         if glob.is_zero():
             raise GlobalDimensionError(
                 "global dimension is 0; S = s~/D is undefined")
-        return glob.as_rational()
+        return glob
 
     @property
     def D(self) -> CycNum:
-        """Positive square root of the global dimension."""
-        if "D" not in self._cache:
-            self._cache["D"] = cyc_sqrt_rational(self._d_squared())
-        return self._cache["D"]  # type: ignore[return-value]
+        """The real root of the global dimension with p+ = D e(c/8)
+        (`_gauss_root`); positive, as the phase of p+ picks it."""
+        glob = self._nonzero_global_dimension()
+        root = self._gauss_root()
+        if root is None:
+            raise GlobalDimensionError(
+                f"no real D with D^2 = {glob} and p+ = D e(c/8); "
+                "S = s~/D is undefined")
+        return root[0]
 
     def gauss_sums(self) -> tuple[CycNum, CycNum]:
-        """(p+, p-) with p± = sum d_i^2 theta_i^{±1}, at the conductor L."""
-        powers = self._twist_powers()
-        dims = self._dims_array()
-        squares = dims * dims
-        return (squares.times_root(powers).sum(),
-                squares.times_root(-powers).sum())
+        """(p+, p-) with p± = sum d_i^2 theta_i^{±1}, at the conductor L;
+        cached."""
+        if "gauss" not in self._cache:
+            powers = self._twist_powers()
+            dims = self._dims_array()
+            squares = dims * dims
+            self._cache["gauss"] = (squares.times_root(powers).sum(),
+                                    squares.times_root(-powers).sum())
+        return self._cache["gauss"]  # type: ignore[return-value]
+
+    def _gauss_root(self) -> tuple[CycNum, Fraction] | None:
+        """(D, c mod 8) with p+ = D e(c/8), D real and D^2 the global
+        dimension, or None when no such D exists; cached.
+
+        For a modular datum p+ p- = D^2 and p+/p- = e(c/4), which lies in
+        Q(zeta_L): so e(c/8) is one of the e(k/m), m = 2 lcm(2, L).  The
+        phase of p+ names k, and D = p+ e(-k/m) is accepted only if it is
+        real and squares to the global dimension, exactly; |D| >= 1 keeps the
+        float far from a wrong k.  An e(k/m) of order 2 mod 4 is written as
+        -e(k/m + 1/2), of odd order, so D and S stay in the field of s~.
+        """
+        if "root" not in self._cache:
+            glob = self.global_dimension()
+            plus, _ = self.gauss_sums()
+            m = 2 * math.lcm(2, self._conductor())
+            z = plus.embed()
+            k = round(math.atan2(z.imag, z.real) * m / (2 * math.pi)) % m
+            turn = Fraction(k, m)
+            flip = turn.denominator % 4 == 2      # e(t) = -e(t + 1/2)
+            back = -turn - Fraction(flip, 2)
+            D = plus * cyc_root_of_unity(*back.as_integer_ratio())
+            D = -D if flip else D
+            found = not glob.is_zero() and D == D.conj() and D * D == glob
+            self._cache["root"] = (D, 8 * turn) if found else None
+        return self._cache["root"]  # type: ignore[return-value]
 
     def infer_central_charge_mod8(self) -> Fraction | None:
-        """c mod 8 from the exact identity p+ = D e^{2 pi i c/8}, if it holds.
-
-        p+/D lies in Q(zeta_m), m = lcm(2, ord p+, ord D), whose roots of unity
-        are the e(k/m): the phase of p+ (D > 0) names k, the exact product
-        decides.  None also when D has no square-root rule (irrational D^2).
-        """
-        try:
-            D = self.D
-        except GlobalDimensionError:
-            return None
-        plus, _ = self.gauss_sums()
-        m = math.lcm(2, plus.order, D.order)
-        z = plus.embed()
-        k = round(math.atan2(z.imag, z.real) * m / (2 * math.pi)) % m
-        if plus == D * cyc_root_of_unity(k, m):
-            return Fraction(8 * k, m)
-        return None
+        """c mod 8 from the exact identity p+ = D e(c/8) (`_gauss_root`), or
+        None when the Gauss sums give no D."""
+        root = self._gauss_root()
+        return None if root is None else root[1]
 
     # -- matrices -----------------------------------------------------------
 
@@ -212,13 +232,13 @@ class ModularDatum:
         return self._cache["stilde"]  # type: ignore[return-value]
 
     def s_matrix(self) -> list[list[CycNum]]:
-        """S = s~ D / D^2, exact; D^2 is rational, so no inverse is solved.
+        """S = s~ D / D^2, exact; the one inverse is that of the scalar D^2.
 
         Computed at lcm(L, order of D), each entry then at its minimal
         order; cached.
         """
         if "S" not in self._cache:
-            scale, = _cyc_arrays([[self.D * (1 / self._d_squared())]],
+            scale, = _cyc_arrays([[self.D / self.global_dimension()]],
                                  order=self._conductor())
             s = self._stilde().promote(scale.order) * scale
             self._cache["S"] = s.canonical().tolist()
@@ -269,13 +289,16 @@ class ModularDatum:
     def _check_modular(self) -> ModularReport:
         n = self.ring.rank
         dual = self.ring.dual_vector()
-        glob = self._d_squared()
+        glob = self._nonzero_global_dimension()
         s = self._stilde()
+        d2, = _cyc_arrays([glob], order=s.order)
         failures: list[str] = []
 
-        def times_d2(matrix) -> _CycArray:
-            num = np.array(matrix, dtype=object) * glob.numerator
-            return _CycArray.rational(num, glob.denominator, s.order)
+        def times_d2(cols: np.ndarray) -> _CycArray:
+            """D^2 at each (i, cols[i]), 0 elsewhere."""
+            num = np.zeros((n, n, d2.num.shape[-1]), dtype=d2.num.dtype)
+            num[np.arange(n), cols] = d2.num[0]
+            return _CycArray(num, d2.den, s.order)
 
         def first(mask: np.ndarray) -> tuple[int, int] | None:
             hits = np.argwhere(mask)
@@ -285,9 +308,7 @@ class ModularDatum:
         if asym:
             failures.append("S[{0}][{1}] != S[{1}][{0}]".format(*asym))
 
-        charge = np.zeros((n, n), dtype=int)
-        charge[np.arange(n), dual] = 1
-        off = first(~(s @ s).equals(times_d2(charge)))
+        off = first(~(s @ s).equals(times_d2(dual)))
         if off:
             failures.append("(S^2)[{0}][{1}] != C[{0}][{1}]".format(*off))
 
@@ -296,7 +317,7 @@ class ModularDatum:
             failures.append("S[i'][j'] != S[i][j] somewhere")
 
         gram = s @ s.conj().T
-        nonunit = first(np.triu(~gram.equals(times_d2(np.eye(n, dtype=int)))))
+        nonunit = first(np.triu(~gram.equals(times_d2(np.arange(n)))))
         if nonunit:
             i, j = nonunit
             entry = (gram.entry(i, j) / glob).canonical()
@@ -308,7 +329,7 @@ class ModularDatum:
             failures.append("first row of S is not dims/D")
 
         plus, minus = self.gauss_sums()
-        gauss_product = (plus * minus == self.global_dimension())
+        gauss_product = (plus * minus == glob)
         if not gauss_product:
             failures.append("p+ p- != D^2")
         gauss_ratio: bool | None = None
@@ -329,31 +350,31 @@ class ModularDatum:
         """Exact integer structure constants recovered from S.
 
         N_{i,j}^k = sum_m S_{i,m} S_{j,m} conj(S_{k,m}) / S_{0,m}, evaluated
-        as (1/D^2) sum_m s~_{i,m} s~_{j,m} conj(s~_{k,m}) / d_m, so all values
-        stay in the field of s~ and D^2 is rational.  One row i at a time,
-        the field products s~_{i,m} s~_{j,m} (j >= i) are contracted over m
-        with conj(s~_{k,m}) / d_m as one matrix product, and the whole
+        as sum_m s~_{i,m} s~_{j,m} conj(s~_{k,m}) / (d_m D^2), so all values
+        stay in the field of s~.  One row i at a time, the field products
+        s~_{i,m} s~_{j,m} (j >= i) are contracted over m with
+        conj(s~_{k,m}) / (d_m D^2) as one matrix product, and the whole
         (j, k) slice is checked for rational, non-negative integer values.
-        Each d_m^-1 is computed once.  The cost is O(n^4 phi(N)^2) exact
+        Each (d_m D^2)^-1 is computed once.  The cost is O(n^4 phi(N)^2) exact
         multiply-adds in numpy, on BLAS in the float64 tier, and no temporary
         is larger than the n^2 (2 phi(N) - 1) slots of an unreduced product.
         The first failing value in (i, j >= i, k) order raises.
         """
         if require_verified and not self.verify_modular().passed:
-            raise VerlindeError("datum fails verify_modular; "
-                                "pass require_verified=False to force")
+            raise VerlindeError("datum fails verify_modular")
         n = self.ring.rank
-        glob = self._d_squared()
+        glob = self._nonzero_global_dimension()
         s = self._stilde()
-        d_inv, = _cyc_arrays([[cyc_inv(d) for d in self.dims]], order=s.order)
-        weights = (s.conj() * d_inv).T     # [m, k] = conj(s~_{k,m}) / d_m
+        d_inv, = _cyc_arrays([cyc_inv(d) for d in self.dims], order=s.order)
+        d2_inv, = _cyc_arrays([cyc_inv(glob)], order=s.order)
+        weights = (s.conj() * (d_inv * d2_inv)).T  # conj(s~_{k,m}) / d_m D^2
         out = np.zeros((n, n, n), dtype=np.int64)
         for i in range(n):
             block = (s[i:i + 1] * s[i:]) @ weights    # [j - i, k]
             irrational = block.num[..., 1:].any(axis=-1)
-            value = block.num[..., 0].astype(object) * glob.denominator
-            scale = block.den * glob.numerator        # value/scale = N_ij^k
-            bad = irrational | (value % scale != 0) | (value * scale < 0)
+            value = block.num[..., 0].astype(object)
+            scale = block.den                         # value/scale = N_ij^k
+            bad = irrational | (value % scale != 0) | (value < 0)
             if bad.any():
                 j, k = (int(x) for x in np.argwhere(bad)[0])
                 if irrational[j, k]:

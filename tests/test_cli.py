@@ -12,6 +12,7 @@ import pytest
 
 from fusioncat import cyclotomic
 from fusioncat.cli import main
+from fusioncat.cyclotomic import parse_cyc
 from fusioncat.modular_data import ModularDatum
 
 from test_golden import CLI_SHA256
@@ -187,13 +188,22 @@ class TestGlobalDimension:
     @pytest.mark.parametrize("command", ["verify", "smatrix", "verlinde"])
     def test_irrational_global_dimension_is_one_error_line(
             self, command, tmp_path, capsys):
+        # Fibonacci, D^2 = 2-e(2/5)-e(3/5): the Gauss sums give D, so a
+        # datum with an irrational global dimension verifies.
         path = tmp_path / "fib.fcat"
         path.write_text(_FIBONACCI)
-        code, _, err = run_cli([command, str(path)], capsys=capsys)
-        assert code == 2
-        assert err.splitlines() == [
-            "error: global dimension 2-e(2/5)-e(3/5) is irrational; "
-            "no square-root rule"]
+        code, out, err = run_cli([command, str(path)], capsys=capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        if command == "verify":
+            assert len(lines) == 12
+            assert all(line.endswith(" PASS") for line in lines)
+        elif command == "verlinde":
+            assert lines == [line for line in _FIBONACCI.splitlines()
+                             if line.startswith("N ")]
+        else:
+            s00 = parse_cyc(lines[0].removeprefix("0 0 "))
+            assert s00 * s00 * parse_cyc("2-e(2/5)-e(3/5)") == 1
 
     def test_irrational_global_dimension_still_gives_stilde(
             self, tmp_path, capsys):
@@ -214,6 +224,43 @@ class TestGlobalDimension:
         assert code == 2
         assert err.splitlines() == [
             "error: global dimension is 0; S = s~/D is undefined"]
+
+
+# Pointed Z5 with twists x^2/5, but label 1 shifted to 2/5: theta_1 !=
+# theta_4, and p+ = D e(c/8) has no real solution D with D^2 = 5.
+_Z5_WRONG_TWIST = "".join(
+    ["category z5\n"] + [f"label {x} g{x}\n" for x in range(5)] + ["unit 0\n"]
+    + [f"N {x} {y} {(x + y) % 5} 1\n" for x in range(5) for y in range(5)]
+    + [f"twist {x} {t}\n" for x, t in enumerate(["0/1", "2/5", "4/5", "4/5",
+                                                  "1/5"])]
+    + [f"dim {x} 1\n" for x in range(5)])
+
+
+class TestWithoutD:
+    @pytest.fixture
+    def wrong_twist(self, tmp_path):
+        path = tmp_path / "z5.fcat"
+        path.write_text(_Z5_WRONG_TWIST)
+        return str(path)
+
+    def test_smatrix_is_one_error_line(self, wrong_twist, capsys):
+        code, out, err = run_cli(["smatrix", wrong_twist], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: no real D with D^2 = 5 and p+ = D e(c/8); "
+            "S = s~/D is undefined"]
+
+    def test_unnormalized_smatrix_still_prints(self, wrong_twist, capsys):
+        code, out, err = run_cli(["smatrix", "--unnormalized", wrong_twist],
+                                 capsys=capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 25
+        assert out.startswith("0 0 1\n")
+
+    def test_verlinde_is_one_error_line(self, wrong_twist, capsys):
+        code, out, err = run_cli(["verlinde", wrong_twist], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: datum fails verify_modular"]
 
 
 class TestNoScalarStilde:
@@ -248,44 +295,63 @@ def _cli_in_subprocess(argv, prelude="", timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def _assert_no_d(run, path: str, glob: str):
+    """Z2 with dims 1 and n (D^2 = 1 + n^2) and twist 1/4 is no modular
+    datum: verify fails the Gauss product, and smatrix finds no D."""
+    code, out, _ = run(["verify", path])
+    assert code == 1
+    assert "Gauss sums p+p- = D^2       FAIL" in out.splitlines()
+    code, out, err = run(["smatrix", path])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: no real D with D^2 = {glob} and p+ = D e(c/8); "
+        "S = s~/D is undefined"]
+
+
 class TestOrderCap:
     # Each field above the cap is refused where it would be built, before
-    # its tables are allocated.
+    # its tables are allocated.  D is sought next to the Gauss sums, so a
+    # large prime D^2 asks for no field of its own.
 
     @pytest.mark.parametrize("dim,order", [
         ("e(1/2003)", 2003),      # a dim that is a root of unity of order 2003
-        ("40", 1601),             # D^2 = 1601, a prime
-    ])
+        ("40", None),             # D^2 = 1601, a prime: L = 4 is all it needs
+    ], ids=["e(1/2003)-2003", "40-1601"])
     def test_field_above_cap_is_never_built(self, dim, order, tmp_path,
                                             capsys, refuse_fields_above_cap):
         path = tmp_path / "z2.fcat"
         path.write_text(_z2_fcat(dim=dim))
+        if order is None:
+            _assert_no_d(lambda argv: run_cli(argv, capsys=capsys),
+                         str(path), "1601")
+            return
         code, _, err = run_cli(["verify", str(path)], capsys=capsys)
         assert code == 2
         assert err.splitlines() == [
             f"error: cyclotomic order {order} exceeds cap 720"]
 
     def test_prime_global_dimension_fits_in_memory(self, tmp_path):
-        # D^2 = 1 + 110^2 = 12101, a prime: Q(zeta_12101) needs gigabytes.
+        # D^2 = 1 + 110^2 = 12101, a prime: Q(zeta_12101) would need
+        # gigabytes, and no call asks for it.
         path = tmp_path / "z2.fcat"
         path.write_text(_z2_fcat(dim="110"))
-        proc = _cli_in_subprocess(
-            ["verify", str(path)],
-            prelude="import resource\nresource.setrlimit("
-                    "resource.RLIMIT_AS, (1 << 30, 1 << 30))")
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
-            "error: cyclotomic order 12101 exceeds cap 720"]
+
+        def run(argv):
+            proc = _cli_in_subprocess(
+                argv, prelude="import resource\nresource.setrlimit("
+                              "resource.RLIMIT_AS, (1 << 30, 1 << 30))")
+            return proc.returncode, proc.stdout, proc.stderr
+        _assert_no_d(run, str(path), "12101")
 
     def test_huge_global_dimension_is_refused_quickly(self, tmp_path):
-        # D^2 = 1 + 10^24: no trial division past the cap.
+        # D^2 = 1 + 10^24, and L = 4: refused from the Gauss sums alone.
         path = tmp_path / "z2.fcat"
         path.write_text(_z2_fcat(dim="1000000000000"))
-        proc = _cli_in_subprocess(["verify", str(path)], timeout=20)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert re.fullmatch(r"error: cyclotomic order \d+ exceeds cap 720",
-                            proc.stderr.strip())
+
+        def run(argv):
+            proc = _cli_in_subprocess(argv, timeout=20)
+            return proc.returncode, proc.stdout, proc.stderr
+        _assert_no_d(run, str(path), "1" + "0" * 23 + "1")
 
     def test_cap_exceeded_is_one_error_line(self, capsys):
         code, _, err = run_cli(["--order-cap", "10", "verify", "--catalog",
@@ -309,7 +375,7 @@ class TestOrderCap:
         md = build_U()
         monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 4)
         with pytest.raises(cyclotomic.OrderCapExceeded):
-            md.D                  # 6 sqrt(2) lies at order 8
+            md.D                  # p+ lies at order 36, D at order 72
 
 
     @pytest.mark.parametrize("cap", ["0", "-1"])

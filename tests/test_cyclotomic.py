@@ -1,7 +1,6 @@
 """Exact cyclotomic arithmetic: examples, canonical forms, and field axioms."""
 
 import contextlib
-import functools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -19,7 +18,6 @@ from fusioncat.cyclotomic import (
     _cyc_arrays,
     cyc_rational,
     cyc_root_of_unity,
-    cyc_sqrt_rational,
     format_cyc,
     parse_cyc,
 )
@@ -30,15 +28,6 @@ def e(num, den):
 
 
 class TestExamples:
-    def test_sqrt2_squares_to_two(self):
-        r = cyc_sqrt_rational(2)
-        assert r * r == 2
-        assert abs(r.embed().real - 2 ** 0.5) < 1e-12
-        assert abs(r.embed().imag) < 1e-12
-
-    def test_sqrt2_as_eighth_roots(self):
-        assert cyc_sqrt_rational(2) == e(1, 8) + e(-1, 8)
-
     def test_cube_roots_sum_to_zero(self):
         total = e(0, 3) + e(1, 3) + e(2, 3)
         assert total.is_zero()
@@ -51,19 +40,6 @@ class TestExamples:
         assert e(1, 2) == -1
         assert e(1, 2).is_rational()
         assert e(1, 2).as_rational() == Fraction(-1)
-
-    def test_global_dimension_square_root(self):
-        d = cyc_sqrt_rational(72)
-        assert d * d == 72
-        assert abs(d.embed().real - 72 ** 0.5) < 1e-12
-
-    def test_sqrt_of_fraction(self):
-        r = cyc_sqrt_rational(Fraction(1, 2))
-        assert r * r == Fraction(1, 2)
-
-    def test_sqrt_of_negative(self):
-        r = cyc_sqrt_rational(-3)
-        assert r * r == -3
 
     def test_conjugate_of_root(self):
         z = e(5, 18)
@@ -411,14 +387,6 @@ def test_array_cap_is_read_at_call_time(monkeypatch):
         _cyc_arrays(matrix)
 
 
-def test_rational_array_equals_promoted_rationals():
-    values = np.array([[3, 0], [-1, 2]])
-    arr = _CycArray.rational(values, 4, 36)
-    expect, = _cyc_arrays([[cyc_rational(Fraction(int(v), 4)).promote(36)
-                            for v in row] for row in values])
-    assert arr.equals(expect).all()
-
-
 def test_equality_promotes_like_addition(refuse_fields_above_cap):
     # lcm(701, 709) = 497009: equality does not raise the cap to reach it.
     with pytest.raises(OrderCapExceeded,
@@ -433,40 +401,7 @@ def test_lowered_cap_refuses_a_cached_field(monkeypatch):
         e(5, 12)
 
 
-def test_sqrt_factor_search_stops_at_the_cap(refuse_fields_above_cap):
-    # 727 is the first prime above the cap of 720; 727 = 3 mod 4, so
-    # sqrt(727) needs order 4 * 727.
-    assert cyc_sqrt_rational(2 * 727 ** 2) == 727 * cyc_sqrt_rational(2)
-    with pytest.raises(OrderCapExceeded,
-                       match="cyclotomic order 2908 exceeds cap 720"):
-        cyc_sqrt_rational(2 * 727)
-
-
-def test_sqrt_is_refused_before_building_a_smaller_field(monkeypatch):
-    # 719 = 3 mod 4: sqrt(719) needs Q(zeta_2876), which the cap refuses,
-    # so Q(zeta_719) must not be built on the way there.
-    built = []
-    init = cyclotomic._OrderContext.__init__
-
-    def spy(ctx, n):
-        built.append(n)
-        init(ctx, n)
-    monkeypatch.setattr(cyclotomic._OrderContext, "__init__", spy)
-    monkeypatch.setattr(cyclotomic, "_cached_context", functools.lru_cache(
-        maxsize=None)(cyclotomic._OrderContext))
-    with pytest.raises(OrderCapExceeded,
-                       match="cyclotomic order 2876 exceeds cap 720"):
-        cyc_sqrt_rational(719)
-    assert 719 not in built
-
-
 def test_more_coefficients_than_the_degree_is_an_error():
     assert CycNum(3, [1, 2]) == 1 + 2 * e(1, 3)
     with pytest.raises(ValueError):
         CycNum(3, [0, 0, 1])
-
-
-def test_sqrt_cap_is_read_at_call_time(monkeypatch):
-    monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 4)
-    with pytest.raises(OrderCapExceeded):
-        cyc_sqrt_rational(2)      # order 8

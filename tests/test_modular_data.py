@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusioncat import cyclotomic
-from fusioncat.cyclotomic import (OrderCapExceeded, cyc_rational,
-                                  cyc_root_of_unity, format_cyc, parse_cyc)
+from fusioncat.cyclotomic import (cyc_rational, cyc_root_of_unity,
+                                  format_cyc, parse_cyc)
 from fusioncat.fusion_ring import FusionRing
 from fusioncat.modular_data import (GlobalDimensionError, ModularDatum,
                                     VerlindeError)
@@ -45,6 +44,8 @@ class TestScalars:
     def test_global_dimension_u(self, u_datum):
         assert u_datum.global_dimension() == 72
         assert u_datum.D * u_datum.D == 72
+        assert u_datum.D == 6 * (cyc_root_of_unity(1, 8)
+                                 + cyc_root_of_unity(-1, 8))
 
     def test_global_dimension_vltau(self, vltau_datum):
         assert vltau_datum.global_dimension() == 108
@@ -113,6 +114,19 @@ _DIMS = ["1", "-1", "e(1/4)", "e(1/8)-e(3/8)", "e(1/3)-e(2/3)", "3/2",
          "e(1/3)"]
 
 
+def shuffled_cyclic_ring(n: int, rng: random.Random
+                         ) -> tuple[FusionRing, list[int], dict[int, int]]:
+    """The group ring of Z_n in shuffled label order: (ring, values, index),
+    with values[i] the element at label i and index its inverse."""
+    values = list(range(n))
+    rng.shuffle(values)
+    index = {x: i for i, x in enumerate(values)}
+    ring = FusionRing([f"g{x}" for x in values], index[0],
+                      {(index[x], index[y], index[(x + y) % n]): 1
+                       for x in values for y in values})
+    return ring, values, index
+
+
 def shifted_pointed_datum(n: int, seed: int) -> ModularDatum:
     """Pointed Z_n in shuffled label order with twists a x^2/n, the twists
     of some pairs {x, -x} shifted by p/q (q | 12), and dims from _DIMS.
@@ -121,12 +135,7 @@ def shifted_pointed_datum(n: int, seed: int) -> ModularDatum:
     be.  The conductor divides lcm(n, 24).
     """
     rng = random.Random(seed)
-    values = list(range(n))
-    rng.shuffle(values)
-    index = {x: i for i, x in enumerate(values)}
-    ring = FusionRing([f"g{x}" for x in values], index[0],
-                      {(index[x], index[y], index[(x + y) % n]): 1
-                       for x in values for y in values})
+    ring, values, index = shuffled_cyclic_ring(n, rng)
     a = rng.randrange(1, 2 * n)
     twists = {index[x]: Fraction(a * x * x, n) for x in values}
     for x in rng.sample(values, rng.randrange(n + 1)):
@@ -169,15 +178,8 @@ def test_stilde_arrays_match_conjugate_form(n, seed):
             assert stilde[i][j] == expect[i][j]
             assert at_minimal_order(stilde[i][j])
 
-    glob = md.global_dimension()
-    if not glob.is_rational() or glob == 0:
+    if md.infer_central_charge_mod8() is None:
         with pytest.raises(GlobalDimensionError):
-            md.s_matrix()
-        return
-    conductor = math.lcm(*(t.denominator for t in md.twists),
-                         *(d.order for d in md.dims))
-    if math.lcm(conductor, md.D.order) > cyclotomic.DEFAULT_ORDER_CAP:
-        with pytest.raises(OrderCapExceeded):
             md.s_matrix()
         return
     s_matrix = md.s_matrix()
@@ -197,6 +199,79 @@ def test_stilde_past_int64_matches_conjugate_form():
     plus = sum((d * d * md.theta(i) for i, d in dims.items()),
                cyc_rational(0))
     assert md.gauss_sums()[0] == plus
+
+
+def pointed_modular_datum(n: int, a: int, seed: int = 0) -> ModularDatum:
+    """Pointed Z_n in shuffled label order with dims 1 and twists a x^2/n:
+    modular for odd n and gcd(2a, n) = 1, with D^2 = n."""
+    ring, values, index = shuffled_cyclic_ring(n, random.Random(seed))
+    return ModularDatum(ring, {index[x]: Fraction(a * x * x, n)
+                               for x in values}, {i: 1 for i in range(n)})
+
+
+@st.composite
+def odd_modulus_and_unit(draw) -> tuple[int, int]:
+    n = draw(st.sampled_from(range(3, 26, 2)))
+    return n, draw(st.sampled_from([a for a in range(1, n)
+                                    if math.gcd(2 * a, n) == 1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(odd_modulus_and_unit(), st.integers(0, 10**6))
+def test_pointed_modular_data_have_d_and_s(n_and_a, seed):
+    n, a = n_and_a
+    md = pointed_modular_datum(n, a, seed)
+    D = md.D
+    assert D * D == n
+    assert D == D.conj()
+    assert D.embed().real > 0
+    s_matrix, stilde = md.s_matrix(), md.stilde()
+    for i in range(n):
+        for j in range(n):
+            assert s_matrix[i][j] * D == stilde[i][j]
+            assert at_minimal_order(s_matrix[i][j])
+    assert md.verify_modular().passed
+
+
+@pytest.mark.parametrize("name,field", [
+    ("U", 72), ("VLtau", 36), ("Z11", 44), ("Z13", 13), ("Z15", 60),
+    ("Z17", 17)])
+def test_s_field(name, field, request):
+    # Z13 with a = 2 and Z17 with a = 3 have c = 4: e(c/8) = -1 is -e(0),
+    # so D stays at order 13 and 17, not 26 and 34.
+    md = (request.getfixturevalue(f"{name.lower()}_datum") if name[0] != "Z"
+          else pointed_modular_datum(int(name[1:]),
+                                     {"Z13": 2, "Z17": 3}.get(name, 1)))
+    assert math.lcm(md._conductor(), md.D.order) == field
+
+
+def fibonacci_datum() -> ModularDatum:
+    ring = FusionRing(["1", "t"], 0, {(0, 0, 0): 1, (0, 1, 1): 1,
+                                      (1, 0, 1): 1, (1, 1, 0): 1,
+                                      (1, 1, 1): 1})
+    return ModularDatum(ring, {0: Fraction(0), 1: Fraction(2, 5)},
+                        {0: 1, 1: parse_cyc("-e(2/5)-e(3/5)")},
+                        central_charge=Fraction(14, 5))
+
+
+def test_fibonacci_d_against_t():
+    # D^2 = 2-e(2/5)-e(3/5) is irrational; with T_ii = e(h_i - c/24), S =
+    # s~/D satisfies (ST)^3 = S^2 exactly only for the right D and c.
+    md = fibonacci_datum()
+    assert md.infer_central_charge_mod8() == Fraction(14, 5)
+    D = md.D
+    assert D * D == md.global_dimension() == parse_cyc("2-e(2/5)-e(3/5)")
+    assert D == D.conj()
+
+    def matmul(a, b):
+        return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
+                for i in range(2)]
+    s, t = md.s_matrix(), md.t_matrix()
+    st = [[s[i][j] * t[j] for j in range(2)] for i in range(2)]
+    assert matmul(matmul(st, st), st) == matmul(s, s)
+    assert isinstance(md.st_relation_holds(), bool)
+    assert md.verify_modular().passed
+    assert np.array_equal(md.verlinde(), md.ring.tensor)
 
 
 class TestVerification:
