@@ -98,6 +98,9 @@ class FusionRing:
         tensor.setflags(write=False)
         self._tensor = tensor
         self.supplied_dual = dict(supplied_dual) if supplied_dual else None
+        for i, d in (self.supplied_dual or {}).items():
+            if not (0 <= i < n and 0 <= d < n):
+                raise ValueError(f"label index out of range in dual({i}) = {d}")
         self._validation: ValidationReport | None = None
 
     # -- basic access -------------------------------------------------------

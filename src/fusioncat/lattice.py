@@ -353,6 +353,16 @@ def full_coset_pieces(i: int) -> list[DecompositionPiece]:
     return coset_pieces(i, "c")
 
 
+def _pieces_holding(coords: Sequence[int],
+                    pieces: list[DecompositionPiece]) -> list[DecompositionPiece]:
+    """The pieces whose two cosets hold the alpha-lattice vector `coords`."""
+    b1, (b2, b3) = alpha_to_beta(coords)
+    return [piece for piece in pieces
+            if all((x - r).denominator == 1
+                   for x, r in zip((b1, b2, b3),
+                                   piece.rank1.rep + piece.rank2.rep))]
+
+
 def orbifold_decomposition(*, verify_samples: int = 2) -> list[DecompositionPiece]:
     """Three-piece split of the alpha-lattice as (rank-1 coset) x (rank-2 coset).
 
@@ -362,14 +372,7 @@ def orbifold_decomposition(*, verify_samples: int = 2) -> list[DecompositionPiec
     pieces = coset_pieces(0, "0")
     r = verify_samples
     for coords in itertools.product(range(-r, r + 1), repeat=3):
-        b1, (b2, b3) = alpha_to_beta(coords)
-        hits = 0
-        for piece in pieces:
-            in_rank1 = (b1 - piece.rank1.rep[0]).denominator == 1
-            in_rank2 = ((b2 - piece.rank2.rep[0]).denominator == 1
-                        and (b3 - piece.rank2.rep[1]).denominator == 1)
-            if in_rank1 and in_rank2:
-                hits += 1
+        hits = len(_pieces_holding(coords, pieces))
         if hits != 1:
             raise AssertionError(
                 f"alpha vector {coords} lies in {hits} pieces")
@@ -378,12 +381,9 @@ def orbifold_decomposition(*, verify_samples: int = 2) -> list[DecompositionPiec
 
 def decomposition_piece_of(coords: Sequence[int]) -> DecompositionPiece:
     """The unique piece containing the given alpha-lattice vector."""
-    b1, (b2, b3) = alpha_to_beta(coords)
-    for piece in orbifold_decomposition(verify_samples=0):
-        if ((b1 - piece.rank1.rep[0]).denominator == 1
-                and (b2 - piece.rank2.rep[0]).denominator == 1
-                and (b3 - piece.rank2.rep[1]).denominator == 1):
-            return piece
+    for piece in _pieces_holding(coords,
+                                 orbifold_decomposition(verify_samples=0)):
+        return piece
     raise ValueError(f"vector {coords} is not in the alpha lattice")
 
 

@@ -11,7 +11,7 @@ with D the real root of the global dimension D^2 that the Gauss sum
 p+ = D e(c/8) carries (`_gauss_root`); D^2 need not be rational.
 
 The matrix layers -- the checks of `verify_modular`, the Verlinde structure
-constants and the (ST)^3 relation -- take that array directly and never S,
+constants and (ST)^3 = S^2 -- take that array directly and never S,
 so that only D^2 enters the first two; their products are numpy contractions
 in Q(zeta_L) (`cyclotomic._CycArray`): the unreduced polynomial product,
 reduced once through the power rows.  Each contraction runs in the narrowest
@@ -255,16 +255,14 @@ class ModularDatum:
         return diag
 
     def st_relation_holds(self) -> bool:
-        """Exact check of (ST)^3 = e^{2 pi i c/8} S^2.
+        """Exact check of (ST)^3 = S^2, with T_ii = e^{2 pi i (h_i - c/24)}.
 
-        With S = s~/D it is checked as (s~ T)^3 = e^{2 pi i c/8} D s~^2:
-        three matrix products on the array engine, O(n^3 phi(N)^2).
+        The -c/24 in T cancels the phase p+/D = e^{2 pi i c/8} of the bare
+        relation, so it holds exactly when c is right mod 8.  With S = s~/D
+        it is checked as (s~ T)^3 = D s~^2: three matrix products on the
+        array engine, O(n^3 phi(N)^2).
         """
-        if self.central_charge is None:
-            raise ValueError("central charge not set")
-        c8 = self.central_charge / 8
-        phase = cyc_root_of_unity(c8.numerator, c8.denominator)
-        t, scale = _cyc_arrays([self.t_matrix()], [[phase * self.D]],
+        t, scale = _cyc_arrays([self.t_matrix()], [[self.D]],
                                order=self._conductor())
         st = self._stilde().promote(t.order)
         st_t = st * t

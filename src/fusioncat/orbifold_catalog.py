@@ -1,12 +1,12 @@
 """Builders for the two concrete catalogs: the 20-object cyclic-permutation
 orbifold datum ("U") and the 30-object lattice-orbifold datum ("VLtau").
 
-Both are assembled from index arithmetic over (Z2 or Z3) x Z3 label grids,
-with twists and quantum dimensions attached, and validated at build time.
-The module also owns the orbifold counting formula, the exact recomputation
-of the conformal-weight table from lattice minima, the exact quantum
-dimensions of the untwisted labels from the characters' y -> 0 limits, and
-the golden fixture holding the transcribed 20 x 20 s-tilde table.
+Both are one fusion rule over a Z_m x Z3 label grid, m = 2 for U and m = 3
+for VLtau, with twists and quantum dimensions attached, and validated at
+build time.  The module also owns the orbifold counting formula, the exact
+recomputation of the conformal-weight table from lattice minima, the exact
+quantum dimensions of the untwisted labels from the characters' y -> 0
+limits, and the golden fixture holding the transcribed 20 x 20 s-tilde table.
 
 Convention notes (documented once, here):
 - For products of two like-twisted objects, the output epsilon pair is
@@ -14,9 +14,11 @@ Convention notes (documented once, here):
   and the Verlinde round-trip; this one is the unique consistent choice.
 - For an untwisted eigenspace object times a twisted object, the output
   grading is k*e + e1 (the twist exponent k scales the untwisted grading).
-- In the 30-object ring, a c-type or eigenspace object of grade i shifts a
-  tau^k-twisted object's lattice index by +k*i; the sign-flipped variant
-  breaks associativity against the mixed-twist product rule.
+- The 30-object ring is the 20-object ring with Z2 replaced by Z3, once its
+  twisted label T_j(tk)[e] is read at grade i = k*j mod 3 (k*k = 1 mod 3),
+  as U's Mhat_tk_i[e] is at grade i.  In the lattice index j, an object of
+  grade i shifts a tau^k-twisted object's j by +k*i; the sign-flipped
+  variant breaks associativity against the mixed-twist product rule.
 """
 
 from __future__ import annotations
@@ -67,26 +69,90 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# The 20-object datum
+# One fusion rule for both data: 10m labels over a Z_m x Z3 grid
 # ---------------------------------------------------------------------------
 
-def _mt(i: int, e: int) -> int:
-    """Diagonal (eigenspace) label M~_i[e]."""
-    return 3 * (i % 2) + (e % 3)
+def _layout(m: int):
+    """The label index functions of the 10m-label ring, for a grade i in Z_m,
+    an eigenspace e in Z3 and a twist exponent k in {1, 2} mod 3: eigenspace
+    labels (i, e), off-diagonal labels i and twisted labels (k, i, e).  A
+    twisted label is stored at lattice index j = i for k = 1, j = -i for k = 2.
+    """
+    def eig(i: int, e: int) -> int:
+        return 3 * (i % m) + e % 3
+
+    def off(i: int) -> int:
+        return 3 * m + i % m
+
+    def tw(k: int, i: int, e: int) -> int:
+        k %= 3
+        j = i if k == 1 else -i
+        return m * (3 * k + 1) + 3 * (j % m) + e % 3
+
+    return eig, off, tw
 
 
-def _mm(i: int) -> int:
-    """Off-diagonal label M^i."""
-    return 6 + (i % 2)
+def _structure_constants(m: int) -> dict[tuple[int, int, int], int]:
+    """N of the 10m-label ring: each product rule once, in grades."""
+    eig, off, tw = _layout(m)
+    out: dict[tuple[int, int, int], int] = {}
+
+    def add(a: int, b: int, targets: list[int]) -> None:
+        for t in targets:
+            out[a, b, t] = out[b, a, t] = targets.count(t)
+
+    for i in range(m):
+        for j in range(m):
+            ij = i + j
+            add(off(i), off(j), [eig(ij, r) for r in range(3)] + [off(ij)] * 2)
+            for e in range(3):
+                add(off(i), eig(j, e), [off(ij)])
+                for e1 in range(3):
+                    add(eig(i, e), eig(j, e1), [eig(ij, e + e1)])
+                    add(tw(1, i, e), tw(2, j, e1),
+                        [eig(ij, e + 2 * e1), off(ij)])
+                for k in (1, 2):
+                    add(off(i), tw(k, j, e), [tw(k, ij, r) for r in range(3)])
+                    for e1 in range(3):
+                        add(eig(i, e), tw(k, j, e1), [tw(k, ij, k * e + e1)])
+                        add(tw(k, i, e), tw(k, j, e1),
+                            [tw(2 * k, ij, -(e + e1)),
+                             tw(2 * k, ij, 1 - (e + e1))])
+    return out
 
 
-def _mh(k: int, i: int, e: int) -> int:
-    """Twisted label Mhat_tk_i[e], twist exponent k in {1, 2} mod 3."""
-    k = ((k - 1) % 3) + 1
-    if k not in (1, 2):
-        raise ValueError("twist exponent must be nonzero mod 3")
-    return (8 if k == 1 else 14) + 3 * (i % 2) + (e % 3)
+def _duals(m: int) -> tuple[int, ...]:
+    """(i, e) -> (-i, -e), i -> -i and (k, i, e) -> (2k, -i, e)."""
+    eig, off, tw = _layout(m)
+    dual = [0] * (10 * m)
+    for i in range(m):
+        dual[off(i)] = off(-i)
+        for e in range(3):
+            dual[eig(i, e)] = eig(-i, -e)
+            for k in (1, 2):
+                dual[tw(k, i, e)] = tw(2 * k, -i, e)
+    return tuple(dual)
 
+
+def _build(m: int, labels: tuple[str, ...], weights: tuple[Fraction, ...],
+           central_charge: int) -> ModularDatum:
+    """The validated datum of the 10m-label ring: dims 1 on the 3m eigenspace
+    labels, 3 on the m off-diagonal ones and 2 on the 6m twisted ones."""
+    from .fusion_ring import FusionRing
+    from .modular_data import ModularDatum
+    ring = FusionRing(labels, unit=0,
+                      structure_constants=_structure_constants(m),
+                      supplied_dual=dict(enumerate(_duals(m))))
+    dims = (1,) * (3 * m) + (3,) * m + (2,) * (6 * m)
+    return ModularDatum(ring,
+                        twists=dict(enumerate(weights)),
+                        dims=dict(enumerate(dims)),
+                        central_charge=central_charge)
+
+
+# ---------------------------------------------------------------------------
+# The 20-object datum (m = 2)
+# ---------------------------------------------------------------------------
 
 U_LABELS: tuple[str, ...] = tuple(
     [f"M~_{i}[{e}]" for i in range(2) for e in range(3)]
@@ -110,77 +176,14 @@ U_DUALS: tuple[int, ...] = (0, 2, 1, 3, 5, 4, 6, 7,
                             8, 9, 10, 11, 12, 13)
 
 
-def _u_structure_constants() -> dict[tuple[int, int, int], int]:
-    out: dict[tuple[int, int, int], int] = {}
-    seen: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int, targets: list[tuple[int, int]]) -> None:
-        if (a, b) in seen:
-            return
-        seen.add((a, b))
-        seen.add((b, a))
-        for t, m in targets:
-            out[(a, b, t)] = out.get((a, b, t), 0) + m
-            if a != b:
-                out[(b, a, t)] = out.get((b, a, t), 0) + m
-
-    for i in range(2):
-        for j in range(2):
-            add(_mm(i), _mm(j),
-                [(_mt(i + j, r), 1) for r in range(3)] + [(_mm(i + j), 2)])
-            for e in range(3):
-                add(_mm(i), _mt(j, e), [(_mm(i + j), 1)])
-                for e1 in range(3):
-                    add(_mt(i, e), _mt(j, e1), [(_mt(i + j, e + e1), 1)])
-                for k in (1, 2):
-                    add(_mm(i), _mh(k, j, e),
-                        [(_mh(k, i + j, r), 1) for r in range(3)])
-                    for e1 in range(3):
-                        add(_mt(i, e), _mh(k, j, e1),
-                            [(_mh(k, i + j, k * e + e1), 1)])
-                        add(_mh(k, i, e), _mh(k, j, e1),
-                            [(_mh(2 * k, i + j, -(e + e1)), 1),
-                             (_mh(2 * k, i + j, 1 - (e + e1)), 1)])
-                for e1 in range(3):
-                    add(_mh(1, i, e), _mh(2, j, e1),
-                        [(_mt(i + j, e + 2 * e1), 1), (_mm(i + j), 1)])
-    return out
-
-
 def build_U() -> ModularDatum:
     """The validated 20-object datum (central charge 3, global dimension 72)."""
-    from .fusion_ring import FusionRing
-    from .modular_data import ModularDatum
-    ring = FusionRing(U_LABELS, unit=0,
-                      structure_constants=_u_structure_constants(),
-                      supplied_dual=dict(enumerate(U_DUALS)))
-    return ModularDatum(ring,
-                        twists=dict(enumerate(U_WEIGHTS)),
-                        dims=dict(enumerate(U_DIMS)),
-                        central_charge=3)
+    return _build(2, U_LABELS, U_WEIGHTS, 3)
 
 
 # ---------------------------------------------------------------------------
-# The 30-object datum
+# The 30-object datum (m = 3)
 # ---------------------------------------------------------------------------
-
-def _ve(j: int, e: int) -> int:
-    """Untwisted eigenspace label V(0,j)[e]."""
-    return 3 * (j % 3) + (e % 3)
-
-
-def _vc(j: int) -> int:
-    """c-type label V(c,j)."""
-    return 9 + (j % 3)
-
-
-def _vt(k: int, j: int, e: int) -> int:
-    """Twisted eigenspace label T_j(tk)[e], twist exponent k in {1, 2} mod 3."""
-    k = ((k - 1) % 3) + 1
-    if k not in (1, 2):
-        raise ValueError("twist exponent must be nonzero mod 3")
-    return 12 + (k - 1) * 9 + 3 * (j % 3) + (e % 3)
-
 
 VLTAU_LABELS: tuple[str, ...] = tuple(
     [f"V(0,{j})[{e}]" for j in range(3) for e in range(3)]
@@ -190,81 +193,27 @@ VLTAU_LABELS: tuple[str, ...] = tuple(
 )
 
 
-def _vltau_structure_constants() -> dict[tuple[int, int, int], int]:
-    out: dict[tuple[int, int, int], int] = {}
-    seen: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int, targets: list[int]) -> None:
-        if (a, b) in seen:
-            return
-        seen.add((a, b))
-        seen.add((b, a))
-        for t in targets:
-            out[(a, b, t)] = out.get((a, b, t), 0) + 1
-            if a != b:
-                out[(b, a, t)] = out.get((b, a, t), 0) + 1
-
-    for i in range(3):
-        for j in range(3):
-            for e in range(3):
-                for e1 in range(3):
-                    add(_ve(i, e), _ve(j, e1), [_ve(i + j, e + e1)])
-                add(_ve(i, e), _vc(j), [_vc(i + j)])
-            add(_vc(i), _vc(j),
-                [_ve(i + j, r) for r in range(3)] + [_vc(i + j)] * 2)
-            for k in (1, 2):
-                for e in range(3):
-                    add(_vc(i), _vt(k, j, e),
-                        [_vt(k, j + k * i, r) for r in range(3)])
-                    for e1 in range(3):
-                        add(_ve(i, e), _vt(k, j, e1),
-                            [_vt(k, j + k * i, k * e + e1)])
-                        add(_vt(k, i, e), _vt(k, j, e1),
-                            [_vt(2 * k, 2 * (i + j), -(e + e1)),
-                             _vt(2 * k, 2 * (i + j), 1 - (e + e1))])
-            for e in range(3):
-                for e1 in range(3):
-                    add(_vt(1, i, e), _vt(2, j, e1),
-                        [_ve(i + 2 * j, e + 2 * e1), _vc(i + 2 * j)])
-    return out
-
-
 def vltau_duals() -> tuple[int, ...]:
-    dual = [0] * 30
-    for i in range(3):
-        for e in range(3):
-            dual[_ve(i, e)] = _ve(2 * i, 2 * e)
-        dual[_vc(i)] = _vc(2 * i)
-        for k in (1, 2):
-            for e in range(3):
-                dual[_vt(k, i, e)] = _vt(2 * k, i, e)
-    return tuple(dual)
+    return _duals(3)
 
 
 def vltau_weights() -> tuple[Fraction, ...]:
+    """The twists of the 30 labels; a twisted label's depends on its lattice
+    index j only through j^2 = i^2."""
+    eig, off, tw = _layout(3)
     w: list[Fraction] = [Fraction(0)] * 30
-    for j in range(3):
+    for i in range(3):
+        w[off(i)] = min_norm(coset_L("c", i)) / 2
         for e in range(3):
-            w[_ve(j, e)] = Fraction(2 * j * j, 3) % 1
-        w[_vc(j)] = min_norm(coset_L("c", j)) / 2
-        for k in (1, 2):
-            for e in range(3):
-                w[_vt(k, j, e)] = Fraction(10 - 3 * (j * j + e), 9) % 1
+            w[eig(i, e)] = Fraction(2 * i * i, 3) % 1
+            for k in (1, 2):
+                w[tw(k, i, e)] = Fraction(10 - 3 * (i * i + e), 9) % 1
     return tuple(w)
 
 
 def build_VLtau() -> ModularDatum:
     """The validated 30-object lattice-orbifold datum (central charge 2)."""
-    from .fusion_ring import FusionRing
-    from .modular_data import ModularDatum
-    ring = FusionRing(VLTAU_LABELS, unit=0,
-                      structure_constants=_vltau_structure_constants(),
-                      supplied_dual=dict(enumerate(vltau_duals())))
-    dims = [1] * 9 + [3] * 3 + [2] * 18
-    return ModularDatum(ring,
-                        twists=dict(enumerate(vltau_weights())),
-                        dims=dict(enumerate(dims)),
-                        central_charge=2)
+    return _build(3, VLTAU_LABELS, vltau_weights(), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +261,11 @@ class WeightCheckReport:
 def _label_parts(index: int) -> tuple[int, int | None, int]:
     """(i, eps, k) of the U label `index`: lattice index i, eigenspace eps
     (None for M^i) and twist exponent k (0 for the untwisted labels)."""
-    if index < 6:
-        return (*divmod(index, 3), 0)
-    if index < 8:
-        return index - 6, None, 0
-    k, base = divmod(index - 8, 6)
-    return (*divmod(base, 3), k + 1)
+    eig, off, tw = _layout(2)
+    parts = {off(i): (i, None, 0) for i in range(2)}
+    parts.update({tw(k, i, e) if k else eig(i, e): (i, e, k)
+                  for i in range(2) for e in range(3) for k in range(3)})
+    return parts[index]
 
 
 def _label_pieces(i: int, eps: int | None) -> list[DecompositionPiece]:

@@ -107,6 +107,23 @@ class TestVerify:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("line,message", [
+        ("dual 7 0", "dual(7) = 0"),
+        ("dual 0 7", "dual(0) = 7"),
+        ("dual -1 1", "dual(-1) = 1"),
+        ("N 0 2 1 1", "N[0,2,1]"),
+    ])
+    def test_label_index_out_of_range_exits_2(self, line, message, tmp_path,
+                                              capsys):
+        path = tmp_path / "z2.fcat"
+        path.write_text("category z2\nlabel 0 one\nlabel 1 t\nunit 0\n"
+                        "N 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\nN 1 1 0 1\n"
+                        f"{line}\n")
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: label index out of range in {message}"]
+
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run_cli(["verify", "/nonexistent/x.fcat"],
                                  capsys=capsys)

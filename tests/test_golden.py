@@ -179,6 +179,6 @@ def test_perturbed_z3_verlinde_message():
 
 @pytest.mark.parametrize("build", [build_U, build_VLtau, z3_datum],
                          ids=["U", "VLtau", "Z3"])
-def test_st_relation_is_reported_false(build):
-    # T carries the -c/24 shift, so (ST)^3 = S^2, not e^{2 pi i c/8} S^2.
-    assert build().st_relation_holds() is False
+def test_st_relation_holds(build):
+    # T carries the -c/24 shift, so (ST)^3 = S^2 on every modular datum.
+    assert build().st_relation_holds() is True

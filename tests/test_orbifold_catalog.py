@@ -1,5 +1,6 @@
 """The 20- and 30-object catalogs: counts, fusion rules, weights, fixtures."""
 
+import hashlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -208,6 +209,10 @@ class TestWeightTable:
         lines = weight_table_check().lines()
         assert len(lines) == 20
         assert all("PASS" in line for line in lines)
+        # The exact text of all 20 lines, one per line.
+        text = "".join(line + "\n" for line in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c4aa6418ada1203896c5d63b33e8d2a460342cf98bfc2cf0580a5643ec87c504")
 
 
 class TestFixture:
