@@ -110,8 +110,8 @@ class _OrderContext:
         phi_poly = cyclotomic_polynomial(n)
         self.phi = len(phi_poly) - 1
         # Rows: canonical coefficients of x^k mod Phi_n for k up to the
-        # largest exponent needed by multiplication (2*phi-2) and
-        # conjugation/promotion (n-1).
+        # largest exponent needed by multiplication (2*phi-2) and by
+        # `_CycArray._substitute` and `times_root` (n-1).
         kmax = max(2 * self.phi - 1, n)
         rows: list[list[int]] = []
         cur = [0] * self.phi
@@ -272,7 +272,7 @@ class CycNum:
 
     def _galois(self, k: int) -> "CycNum":
         """The automorphism zeta -> zeta^k, for k prime to the order."""
-        return self._row().galois(k).entry(0)
+        return self._row()._substitute(k, self.order).entry(0)
 
     def embed(self) -> complex:
         """Double-precision complex embedding sum c_k e^{2 pi i k / N}."""
@@ -378,15 +378,24 @@ class _CycArray:
     def T(self) -> "_CycArray":
         return _CycArray(self.num.swapaxes(0, 1), self.den, self.order)
 
-    def galois(self, k: int) -> "_CycArray":
-        """Each entry under zeta -> zeta^k, for k prime to the conductor."""
-        ctx = _order_context(self.order)
-        num, rows = _exact(ctx.phi, self.num,
-                           ctx.pow_matrix[np.arange(ctx.phi) * k % self.order])
-        return _CycArray(_int(num @ rows), self.den, self.order)
+    def _substitute(self, k: int, order: int) -> "_CycArray":
+        """Each entry under zeta_N -> zeta_order^k, N the conductor: the
+        automorphism zeta -> zeta^k for order = N and k prime to N, the
+        embedding into Q(zeta_order) for k = order / N.  The power zeta_N^p
+        becomes row p k mod order of the power rows at `order`."""
+        phi = _order_context(self.order).phi
+        rows = _order_context(order).pow_matrix[np.arange(phi) * k % order]
+        num, rows = _exact(phi, self.num, rows)
+        return _CycArray(_int(num @ rows), self.den, order)
 
     def conj(self) -> "_CycArray":
-        return self.galois(-1)
+        return self._substitute(-1, self.order)
+
+    def promote(self, order: int) -> "_CycArray":
+        """The same entries at `order`, a multiple of the conductor."""
+        if order == self.order:
+            return self
+        return self._substitute(order // self.order, order)
 
     # Both products add up the unreduced product in 2 phi - 1 slots, one
     # power zeta^p of the left factor at a time, and reduce it once.  A
@@ -426,28 +435,11 @@ class _CycArray:
         return (a == b).all(axis=-1)
 
     def times_root(self, expo: np.ndarray) -> "_CycArray":
-        """Each entry times zeta^expo, for an int array of the entry shape.
-
-        The coefficients move to the powers p + expo mod N, which are
-        distinct for one entry, and reduce through the power rows.
-        """
-        ctx = _order_context(self.order)
-        wide = np.zeros(self.num.shape[:-1] + (self.order,),
-                        dtype=self.num.dtype)
-        powers = (np.arange(ctx.phi) + np.asarray(expo)[..., None]) % ctx.order
-        np.put_along_axis(wide, powers, self.num, axis=-1)
-        wide, rows = _exact(ctx.phi, wide, ctx.pow_matrix[:self.order])
-        return _CycArray(_int(wide @ rows), self.den, self.order)
-
-    def promote(self, order: int) -> "_CycArray":
-        """The same entries at `order`, a multiple of the conductor."""
-        if order == self.order:
-            return self
-        phi = _order_context(self.order).phi
-        basis = _order_context(order).pow_matrix[
-            np.arange(phi) * (order // self.order)]
-        num, basis = _exact(phi, self.num, basis)
-        return _CycArray(_int(num @ basis), self.den, order)
+        """Each entry times zeta^expo, for an int array of the entry shape:
+        the entrywise product with the power rows of expo mod N."""
+        roots = _order_context(self.order).pow_matrix[np.asarray(expo)
+                                                      % self.order]
+        return self * _CycArray(roots, 1, self.order)
 
     def canonical(self) -> np.ndarray:
         """Each entry as a CycNum at its minimal order, in an object array
@@ -456,7 +448,7 @@ class _CycArray:
         An entry lies in Q(zeta_d), d | N, exactly when sigma_k: zeta ->
         zeta^k fixes it for every unit k = 1 mod d, and its minimal order is
         the smallest such d.  Each sigma_k is one product with permuted
-        power rows (`galois`), taken one unit at a time; the entries of
+        power rows (`_substitute`), taken one unit at a time; the entries of
         order d < N then move down through one cached rational matrix
         (`_demotion`).
         """
@@ -467,7 +459,7 @@ class _CycArray:
         fixed = {d: np.ones(len(num), dtype=bool) for d in divisors}
         for k in range(2, n):
             if math.gcd(k, n) == 1:
-                fixed_by_k = (flat.galois(k).num == num).all(axis=-1)
+                fixed_by_k = (flat._substitute(k, n).num == num).all(axis=-1)
                 for d in divisors:
                     if (k - 1) % d == 0:
                         fixed[d] &= fixed_by_k
@@ -508,7 +500,7 @@ def _demotion(n: int, d: int) -> tuple[np.ndarray, int]:
     E = P[:, c]^-1, so y = x[c] @ E: R holds r E in the rows c.
     """
     phi_d = _order_context(d).phi
-    promote = _order_context(n).pow_matrix[np.arange(phi_d) * (n // d)]
+    promote = _CycArray(np.eye(phi_d, dtype=np.int64), 1, d).promote(n).num
     aug = [[Fraction(int(v)) for v in row]
            + [Fraction(i == j) for j in range(phi_d)]
            for i, row in enumerate(promote)]

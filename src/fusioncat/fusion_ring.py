@@ -92,6 +92,9 @@ class FusionRing:
         for (i, j, k), m in structure_constants.items():
             if m < 0:
                 raise ValueError("negative structure constant")
+            if m > 2**63 - 1:      # past the int64 tensor
+                raise ValueError(f"structure constant N[{i},{j},{k}] = {m} "
+                                 "exceeds 2^63 - 1")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"label index out of range in N[{i},{j},{k}]")
             tensor[i, j, k] = m
@@ -371,6 +374,11 @@ def parse_fcat(text: str) -> FcatDocument:
     ordered = [labels[i] for i in range(len(labels))]
     ring = FusionRing(ordered, unit, constants,
                       supplied_dual=duals if duals else None)
+    for directive, indices in (("twist", twists), ("dim", dims_raw)):
+        for i in indices:
+            if not 0 <= i < ring.rank:
+                raise FcatError(
+                    f"label index out of range in {directive}({i})")
     dims = {}
     for i, expr in dims_raw.items():
         try:

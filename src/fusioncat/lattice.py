@@ -18,7 +18,6 @@ untwisted modules of the 20-object catalog and their characters all read it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,24 +45,6 @@ __all__ = [
 
 # -- exact linear algebra helpers -------------------------------------------
 
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
 def _mat_inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(m)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -82,7 +63,8 @@ def _mat_inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Positive-definite lattice given by a symmetric Gram matrix."""
+    """Positive-definite lattice given by a symmetric Gram matrix; its
+    determinant and inverse Gram are computed once, at construction."""
 
     gram: tuple[tuple[Fraction, ...], ...]
 
@@ -97,9 +79,20 @@ class Lattice:
             raise ValueError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
             raise ValueError("Gram matrix must be symmetric")
-        for k in range(1, r + 1):
-            if _det([row[:k] for row in g[:k]]) <= 0:
+        # Symmetric elimination without row swaps: pivot k is the ratio of
+        # the leading minors of sizes k + 1 and k, so all pivots are > 0
+        # exactly when g is positive definite (Sylvester), and they multiply
+        # to det g.
+        m, det = [list(row) for row in g], Fraction(1)
+        for c in range(r):
+            if m[c][c] <= 0:
                 raise ValueError("Gram matrix must be positive definite")
+            det *= m[c][c]
+            for i in range(c + 1, r):
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        object.__setattr__(self, "_determinant", det)
+        object.__setattr__(self, "_inverse", _mat_inv(g))
 
     @property
     def rank(self) -> int:
@@ -110,7 +103,7 @@ class Lattice:
         return all(x.denominator == 1 for row in self.gram for x in row)
 
     def determinant(self) -> Fraction:
-        return _det([list(row) for row in self.gram])
+        return self._determinant
 
     def norm(self, coords: Sequence[Fraction]) -> Fraction:
         """<x,x> for x given in lattice-basis coordinates."""
@@ -158,8 +151,7 @@ def dual_coset_reps(lat: Lattice) -> list[Coset]:
     """
     if not lat.is_integral:
         raise ValueError("dual coset enumeration needs an integral Gram matrix")
-    det = lat.determinant()
-    inv = _mat_inv([list(row) for row in lat.gram])
+    det, inv = lat.determinant(), lat._inverse
     generators = [Coset.of(lat, [inv[i][j] for i in range(lat.rank)])
                   for j in range(lat.rank)]
     zero = Coset.of(lat, [0] * lat.rank)
@@ -193,10 +185,9 @@ def _coset_points(c: Coset, cap: Fraction
     s = d * d * g
     rep = [x.numerator * (d // x.denominator) for x in c.rep]
     gram = [[x.numerator * (g // x.denominator) for x in row] for row in lat.gram]
-    inv = _mat_inv([list(row) for row in lat.gram])
     ranges = []
     for i, r in enumerate(rep):
-        bound = math.isqrt(math.floor(d * d * cap * inv[i][i]))
+        bound = math.isqrt(math.floor(d * d * cap * lat._inverse[i][i]))
         ranges.append(range(r - d * ((bound + r) // d), bound + 1, d))
     # <x,x> = sum_i x_i (G_ii x_i + 2 sum_{j<i} G_ij x_j): coordinate i adds
     # a term whose linear part the coordinates before it fix.  Extending
@@ -231,16 +222,16 @@ def min_norm(c: Coset) -> Fraction:
 
 
 def min_vectors(c: Coset) -> list[tuple[Fraction, ...]]:
-    """All coset vectors achieving the minimal norm (nonzero for c = 0+L)."""
-    if c.is_zero:
-        # Minimal *nonzero* vectors: a basis vector has norm at most the
-        # largest diagonal entry.
-        cap = max(c.lattice.gram[i][i] for i in range(c.lattice.rank))
-        vecs = [(x, n) for x, n in _coset_vectors(c, cap) if any(x)]
-        best = min(n for _, n in vecs)
-    else:
-        best = min_norm(c)
-        vecs = _coset_vectors(c, best)
+    """All coset vectors achieving the minimal norm (nonzero for c = 0+L).
+
+    One search, capped by the norm of a vector it must find: for c = 0 a
+    basis vector, at most the largest diagonal entry; else the representative.
+    """
+    lat = c.lattice
+    cap = (max(lat.gram[i][i] for i in range(lat.rank)) if c.is_zero
+           else lat.norm(c.rep))
+    vecs = [(x, n) for x, n in _coset_vectors(c, cap) if any(x)]
+    best = min(n for _, n in vecs)
     return [x for x, n in vecs if n == best]
 
 
@@ -297,8 +288,7 @@ def tau_action(c: Coset) -> Coset:
     """
     if c.lattice != _L:
         raise ValueError("tau acts only on cosets of the rank-2 catalog lattice")
-    u, v = c.rep
-    return Coset.of(_L, (v - u, -u))
+    return Coset.of(_L, tau_vector(c.rep))
 
 
 def tau_vector(x: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
@@ -353,37 +343,40 @@ def full_coset_pieces(i: int) -> list[DecompositionPiece]:
     return coset_pieces(i, "c")
 
 
-def _pieces_holding(coords: Sequence[int],
-                    pieces: list[DecompositionPiece]) -> list[DecompositionPiece]:
-    """The pieces whose two cosets hold the alpha-lattice vector `coords`."""
-    b1, (b2, b3) = alpha_to_beta(coords)
-    return [piece for piece in pieces
-            if all((x - r).denominator == 1
-                   for x, r in zip((b1, b2, b3),
-                                   piece.rank1.rep + piece.rank2.rep))]
+def orbifold_decomposition() -> list[DecompositionPiece]:
+    """Three-piece split of the alpha-lattice A as (rank-1 coset) x (rank-2 coset).
 
-
-def orbifold_decomposition(*, verify_samples: int = 2) -> list[DecompositionPiece]:
-    """Three-piece split of the alpha-lattice as (rank-1 coset) x (rank-2 coset).
-
-    Membership is verified by sampling: every alpha-lattice vector within the
-    sample box lands in exactly one piece.
+    Certified exactly: b1, b2 and b3 have integer alpha-coordinates, so
+    B = Z b1 + L lies in A; det B = det(Z b1) det(L) = 72 = 9 det A, so B has
+    index 3 in A; and the three piece offsets lie in A with distinct b1
+    parts, so they are three distinct cosets of B in A, hence all of them.
     """
     pieces = coset_pieces(0, "0")
-    r = verify_samples
-    for coords in itertools.product(range(-r, r + 1), repeat=3):
-        hits = len(_pieces_holding(coords, pieces))
-        if hits != 1:
-            raise AssertionError(
-                f"alpha vector {coords} lies in {hits} pieces")
+    offsets = [piece.rank1.rep + piece.rank2.rep for piece in pieces]
+    to_alpha = _mat_inv(_ALPHA_IN_BETA)      # row k: b_k in alpha-coordinates
+    units = [tuple(int(i == k) for i in range(3)) for k in range(3)]
+    if any(sum(x * row[j] for x, row in zip(v, to_alpha)).denominator != 1
+           for v in units + offsets for j in range(3)):
+        raise AssertionError("Z b1 + L or a piece offset leaves the alpha lattice")
+    (g1,), = _ZB1.gram
+    beta_gram = [[g1, 0, 0]] + [[0, *row] for row in _L.gram]
+    alpha = Lattice.from_rows(
+        [[sum(x * g * y for x, row in zip(a, beta_gram) for g, y in zip(row, b))
+          for b in _ALPHA_IN_BETA] for a in _ALPHA_IN_BETA])
+    if 9 * alpha.determinant() != _ZB1.determinant() * _L.determinant():
+        raise AssertionError("Z b1 + L does not have index 3 in the alpha lattice")
+    if len({v[0] for v in offsets}) != 3:
+        raise AssertionError("two pieces are one coset of Z b1 + L")
     return pieces
 
 
 def decomposition_piece_of(coords: Sequence[int]) -> DecompositionPiece:
     """The unique piece containing the given alpha-lattice vector."""
-    for piece in _pieces_holding(coords,
-                                 orbifold_decomposition(verify_samples=0)):
-        return piece
+    b1, (b2, b3) = alpha_to_beta(coords)
+    for piece in coset_pieces(0, "0"):
+        if all((x - r).denominator == 1
+               for x, r in zip((b1, b2, b3), piece.rank1.rep + piece.rank2.rep)):
+            return piece
     raise ValueError(f"vector {coords} is not in the alpha lattice")
 
 

@@ -60,7 +60,8 @@ __all__ = [
 
 
 class VerlindeError(ArithmeticError):
-    """Verlinde formula produced a non-integer (inconsistent input datum)."""
+    """The Verlinde formula gives no integer N: a non-integer value, or a
+    quantum dimension of 0 to divide by (inconsistent input datum)."""
 
 
 class GlobalDimensionError(ArithmeticError):
@@ -362,6 +363,11 @@ class ModularDatum:
             raise VerlindeError("datum fails verify_modular")
         n = self.ring.rank
         glob = self._nonzero_global_dimension()
+        for label, d in zip(self.ring.labels, self.dims):
+            if d.is_zero():
+                raise VerlindeError(
+                    "Verlinde divides by the quantum dimension of label "
+                    f"{label!r}, which is 0")
         s = self._stilde()
         d_inv, = _cyc_arrays([cyc_inv(d) for d in self.dims], order=s.order)
         d2_inv, = _cyc_arrays([cyc_inv(glob)], order=s.order)

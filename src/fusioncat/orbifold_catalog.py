@@ -287,26 +287,22 @@ def _eigen_coset_weight(c: Coset, eps: int) -> Fraction:
     """Lowest weight of the tau-eigenspace [eps] of the rank-2 coset module
     of the order-3 class c.
 
-    For c != 0 the minimal vectors fall into free tau-orbits, so each
-    eigenspace contains a lowest-weight vector and the eigenspace minimum
-    equals the coset minimum.  For c = 0 the only weight-0 vector is the
-    vacuum (eigenvalue 1) and the weight-1 space is the two-dimensional
-    degree-1 Heisenberg plane, on which the order-3 isometry acts with the
-    two primitive cube-root eigenvalues; the lattice itself contributes
-    nothing below weight 2.
+    tau fixes no nonzero vector (`_certify_tau_fixes_no_vector`).  So for
+    c != 0 the minimal vectors fall into free tau-orbits, each eigenspace
+    contains a lowest-weight vector and the eigenspace minimum equals the
+    coset minimum.  For c = 0 the only weight-0 vector is the vacuum
+    (eigenvalue 1) and the weight-1 space is the two-dimensional degree-1
+    Heisenberg plane, on which the order-3 isometry acts with the two
+    primitive cube-root eigenvalues; the lattice itself contributes nothing
+    below weight 2.
     """
+    _certify_tau_fixes_no_vector()
     if not c.is_zero:
-        for x in min_vectors(c):
-            if tau_vector(x) == x:
-                raise AssertionError(
-                    f"minimal vector {x} of class {c.rep} is tau-fixed; "
-                    "eigenspace minimum would not equal the coset minimum")
         return min_norm(c) / 2
     # Vacuum class: certify there is no lattice vector of norm 2.
     lattice_min = min(lattice_L().norm(x) for x in min_vectors(c))
     if lattice_min <= 2:
         raise AssertionError("lattice has vectors of norm <= 2")
-    _certify_tau_fixes_no_vector()
     return Fraction(0) if eps % 3 == 0 else Fraction(1)
 
 

@@ -112,6 +112,8 @@ class TestVerify:
         ("dual 0 7", "dual(0) = 7"),
         ("dual -1 1", "dual(-1) = 1"),
         ("N 0 2 1 1", "N[0,2,1]"),
+        ("twist 7 1/2", "twist(7)"),
+        ("dim -1 1", "dim(-1)"),
     ])
     def test_label_index_out_of_range_exits_2(self, line, message, tmp_path,
                                               capsys):
@@ -123,6 +125,32 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             f"error: label index out of range in {message}"]
+
+    def test_oversized_multiplicity_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat().replace("N 1 1 0 1",
+                                           "N 1 1 0 99999999999999999999"))
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: structure constant N[1,1,0] = 99999999999999999999 "
+            "exceeds 2^63 - 1"]
+
+    def test_zero_quantum_dimension_fails_verlinde(self, tmp_path, capsys):
+        # S = diag(1, -1) passes every modular check; Verlinde divides by
+        # the dims.
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat(dim="0"))
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert all(line.endswith(" PASS") for line in lines[:-1])
+        assert lines[-1] == "Verlinde round-trip         FAIL"
+        code, out, err = run_cli(["verlinde", str(path)], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: Verlinde divides by the quantum dimension of label "
+            "'b', which is 0"]
 
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run_cli(["verify", "/nonexistent/x.fcat"],
@@ -301,6 +329,32 @@ def _z2_fcat(dim: str = "1", twist: str = "1/4") -> str:
     return ("category z2\nlabel 0 a\nlabel 1 b\nunit 0\n"
             "N 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\nN 1 1 0 1\n"
             f"twist 0 0/1\ntwist 1 {twist}\ndim 0 1\ndim 1 {dim}\n")
+
+
+# Crafted FCAT inputs that each ended in a traceback, or exited 0 on a
+# file it read only in part, in some command.
+_CRAFTED = {
+    "twist-out-of-range": _z2_fcat() + "twist 7 1/2\n",
+    "dim-out-of-range": _z2_fcat() + "dim -1 1\n",
+    "oversized-multiplicity": _z2_fcat() + "N 1 1 0 99999999999999999999\n",
+    "zero-dim": _z2_fcat(dim="0"),
+    "minus-one-dim": _z2_fcat(dim="-1"),
+    "huge-twist-numerator": _z2_fcat(twist=f"{10**23 + 1}/4"),
+    "huge-dim": _z2_fcat(dim=str(10**29)),
+}
+
+
+@pytest.mark.parametrize("command",
+                         ["verify", "smatrix", "tmatrix", "verlinde", "qdim"])
+@pytest.mark.parametrize("name", sorted(_CRAFTED))
+def test_crafted_input_ends_without_traceback(name, command, tmp_path,
+                                              capsys):
+    path = tmp_path / "crafted.fcat"
+    path.write_text(_CRAFTED[name])
+    code, _, err = run_cli([command, str(path)], capsys=capsys)
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in err
 
 
 def _cli_in_subprocess(argv, prelude="", timeout=120):

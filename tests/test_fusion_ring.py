@@ -104,6 +104,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             FusionRing(["1"], 0, {(0, 0, 0): -1})
 
+    def test_constant_past_int64_rejected(self):
+        FusionRing(["1"], 0, {(0, 0, 0): 2**63 - 1})
+        with pytest.raises(ValueError, match="exceeds 2\\^63 - 1"):
+            FusionRing(["1"], 0, {(0, 0, 0): 2**63})
+
     def test_catalog_rings_valid(self, u_datum, vltau_datum):
         assert u_datum.ring.validate().passed
         assert vltau_datum.ring.validate().passed

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusioncat import lattice
 from fusioncat.lattice import (
     Coset,
     Lattice,
@@ -44,8 +45,11 @@ class TestLattice:
             Lattice.from_rows([[1, 1], [0, 1]])
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            Lattice.from_rows([[1, 2], [2, 1]])
+        for rows in ([[1, 2], [2, 1]],     # indefinite
+                     [[1, 1], [1, 1]],     # semidefinite: second pivot 0
+                     [[0, 1], [1, 0]]):    # first pivot 0
+            with pytest.raises(ValueError, match="positive definite"):
+                Lattice.from_rows(rows)
 
     def test_norm_quadratic_form(self):
         lat = lattice_L()
@@ -255,6 +259,12 @@ class TestDecomposition:
         assert pieces[1].rank2 == coset_L("0", 1)
         assert pieces[2].rank1.rep == (F(2, 3),)
         assert pieces[2].rank2 == coset_L("0", 2)
+
+    def test_piece_moved_out_of_the_alpha_lattice_is_refused(self,
+                                                              monkeypatch):
+        monkeypatch.setitem(lattice.THREE_PART_REPS, 1, (F(1, 3), F(2, 3)))
+        with pytest.raises(AssertionError):
+            orbifold_decomposition()
 
     def test_alpha1_lands_in_second_piece(self):
         piece = decomposition_piece_of((1, 0, 0))

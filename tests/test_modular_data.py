@@ -342,6 +342,15 @@ class TestVerlinde:
         with pytest.raises(VerlindeError):
             md.verlinde()
 
+    def test_zero_dim_is_named(self):
+        ring = FusionRing(["1", "g"], 0, {(i, j, (i + j) % 2): 1
+                                          for i in range(2) for j in range(2)})
+        md = ModularDatum(ring, {0: Fraction(0), 1: Fraction(1, 4)},
+                          {0: 1, 1: 0})
+        assert md.verify_modular().passed
+        with pytest.raises(VerlindeError, match="label 'g', which is 0"):
+            md.verlinde()
+
     def test_force_on_broken_datum_raises_or_disagrees(self):
         md = z3_datum().perturbed(1, Fraction(1, 9))
         try:
