@@ -5,11 +5,18 @@ count.  Exit codes: 0 success, 1 verification failure, 2 parse/usage error.
 Exact output is the default; `--format float` rounds at 10 significant
 digits.  Each command imports only the modules it runs: `char` and `count`
 load no numpy, and the matrix commands on an FCAT file no catalog module.
+
+`run()` is the process entry of both `python -m fusioncat.cli` and the
+`fusioncat` console script: it runs `main()` and then freezes the heap, so
+interpreter finalization skips its collections over the objects numpy and
+fusioncat leave alive.  `main(argv)` has no such side effect and can be
+called in process any number of times.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -366,5 +373,19 @@ def main(argv: list[str] | None = None) -> int:
             cyclotomic.DEFAULT_ORDER_CAP = saved_cap
 
 
+def run() -> int:
+    """Process entry: `main()` on sys.argv, then `gc.freeze()`.
+
+    The freeze moves every live object to the permanent generation, so the
+    collections of interpreter finalization traverse nothing; flushing,
+    atexit handlers and the exit code are unchanged.  Only a process that
+    is about to exit should call this.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

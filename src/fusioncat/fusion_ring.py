@@ -331,6 +331,7 @@ def parse_fcat(text: str) -> FcatDocument:
     constants: dict[tuple[int, int, int], int] = {}
     twists: dict[int, Fraction] = {}
     dims_raw: dict[int, str] = {}
+    given: dict[str, int] = {}     # what a directive sets -> its line
 
     def err(lineno: int, message: str) -> FcatError:
         return FcatError(f"line {lineno}: {message}")
@@ -343,29 +344,43 @@ def parse_fcat(text: str) -> FcatDocument:
         directive, args = parts[0], parts[1:]
         try:
             if directive == "category":
+                key = directive
                 name = " ".join(args)
             elif directive == "label":
-                labels[int(args[0])] = args[1]
+                i = int(args[0])
+                key = f"label({i})"
+                labels[i] = args[1]
             elif directive == "unit":
+                key = directive
                 unit = int(args[0])
             elif directive == "dual":
-                duals[int(args[0])] = int(args[1])
+                i = int(args[0])
+                key = f"dual({i})"
+                duals[i] = int(args[1])
             elif directive == "N":
                 i, j, k, m = map(int, args)
+                key = f"N[{i},{j},{k}]"
                 constants[(i, j, k)] = m
             elif directive == "twist":
                 num, den = map(int, args[1].split("/"))
                 if den == 0:
                     raise ValueError(f"zero denominator in {args[1]}")
-                twists[int(args[0])] = Fraction(num, den)
+                i = int(args[0])
+                key = f"twist({i})"
+                twists[i] = Fraction(num, den)
             elif directive == "dim":
-                dims_raw[int(args[0])] = " ".join(args[1:])
+                i = int(args[0])
+                key = f"dim({i})"
+                dims_raw[i] = " ".join(args[1:])
             else:
                 raise err(lineno, f"unknown directive {directive!r}")
         except FcatError:
             raise
         except (ValueError, IndexError) as exc:
             raise err(lineno, f"malformed {directive!r} directive: {exc}") from exc
+        if key in given:
+            raise err(lineno, f"{key} already given on line {given[key]}")
+        given[key] = lineno
 
     if unit is None:
         raise FcatError("missing 'unit' directive")

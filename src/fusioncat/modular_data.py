@@ -353,7 +353,9 @@ class ModularDatum:
         stay in the field of s~.  One row i at a time, the field products
         s~_{i,m} s~_{j,m} (j >= i) are contracted over m with
         conj(s~_{k,m}) / (d_m D^2) as one matrix product, and the whole
-        (j, k) slice is checked for rational, non-negative integer values.
+        (j, k) slice is checked for rational, non-negative integer values,
+        in the stored int64, or in Python ints where the values or their
+        denominator do not fit int64.
         Each (d_m D^2)^-1 is computed once.  The cost is O(n^4 phi(N)^2) exact
         multiply-adds in numpy, on BLAS in the float64 tier, and no temporary
         is larger than the n^2 (2 phi(N) - 1) slots of an unreduced product.
@@ -376,8 +378,10 @@ class ModularDatum:
         for i in range(n):
             block = (s[i:i + 1] * s[i:]) @ weights    # [j - i, k]
             irrational = block.num[..., 1:].any(axis=-1)
-            value = block.num[..., 0].astype(object)
+            value = block.num[..., 0]                 # as stored
             scale = block.den                         # value/scale = N_ij^k
+            if scale > 2**63 - 1:                     # past int64
+                value = value.astype(object)
             bad = irrational | (value % scale != 0) | (value < 0)
             if bad.any():
                 j, k = (int(x) for x in np.argwhere(bad)[0])
@@ -386,7 +390,7 @@ class ModularDatum:
                         f"non-rational Verlinde value at ({i},{i + j},{k})")
                 raise VerlindeError(
                     f"non-integer Verlinde value "
-                    f"{Fraction(value[j, k], scale)} at ({i},{i + j},{k})")
+                    f"{Fraction(int(value[j, k]), scale)} at ({i},{i + j},{k})")
             out[i, i:] = out[i:, i] = value // scale
         return out
 

@@ -126,6 +126,22 @@ class TestVerify:
         assert err.splitlines() == [
             f"error: label index out of range in {message}"]
 
+    @pytest.mark.parametrize("line,message", [
+        ("label 1 c", "line 13: label(1) already given on line 3"),
+        ("N 1 1 0 2", "line 13: N[1,1,0] already given on line 8"),
+        ("twist 1 1/2", "line 13: twist(1) already given on line 10"),
+        ("dim 1 1", "line 13: dim(1) already given on line 12"),
+        ("dual 1 1\ndual 1 1", "line 14: dual(1) already given on line 13"),
+        ("unit 0", "line 13: unit already given on line 4"),
+    ], ids=["label", "N", "twist", "dim", "dual", "unit"])
+    def test_repeated_directive_exits_2(self, line, message, tmp_path,
+                                        capsys):
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat() + f"{line}\n")
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_oversized_multiplicity_exits_2(self, tmp_path, capsys):
         path = tmp_path / "z2.fcat"
         path.write_text(_z2_fcat().replace("N 1 1 0 1",
@@ -341,6 +357,9 @@ _CRAFTED = {
     "minus-one-dim": _z2_fcat(dim="-1"),
     "huge-twist-numerator": _z2_fcat(twist=f"{10**23 + 1}/4"),
     "huge-dim": _z2_fcat(dim=str(10**29)),
+    "repeated-label": _z2_fcat() + "label 1 c\n",
+    "repeated-N": _z2_fcat() + "N 1 1 0 2\n",
+    "repeated-twist": _z2_fcat() + "twist 1 1/2\n",
 }
 
 
@@ -630,15 +649,19 @@ class TestCatalogChar:
 
 class TestClosedStdout:
     # Cutoff 3 fits the stdout buffer, so the pipe breaks on the final
-    # flush; cutoff 300 breaks it while the lines are printed.
-    @pytest.mark.parametrize("cutoff", [3, 300])
-    def test_closed_pipe_is_one_error_line(self, cutoff):
+    # flush; cutoff 300 breaks it while the lines are printed, and so does
+    # the S matrix, in a process that has numpy loaded.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["char", "M^0", "--cutoff", "3"], id="3"),
+        pytest.param(["char", "M^0", "--cutoff", "300"], id="300"),
+        pytest.param(["smatrix", "--catalog", "U"], id="smatrix"),
+    ])
+    def test_closed_pipe_is_one_error_line(self, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "fusioncat.cli", "char", "M^0",
-                 "--cutoff", str(cutoff)],
+                [sys.executable, "-m", "fusioncat.cli", *argv],
                 stdout=write_end, stderr=subprocess.PIPE, text=True,
                 timeout=600)
         finally:

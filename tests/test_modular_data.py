@@ -351,6 +351,30 @@ class TestVerlinde:
         with pytest.raises(VerlindeError, match="label 'g', which is 0"):
             md.verlinde()
 
+    def test_values_past_int64(self):
+        # One factor on every dim cancels in s~ s~ conj(s~) / (d D^2); 2^61
+        # puts the values and their denominator past int64.
+        small = pointed_modular_datum(7, 1)
+        md = ModularDatum(small.ring, dict(enumerate(small.twists)),
+                          {i: d * cyc_rational(2**61)
+                           for i, d in enumerate(small.dims)})
+        assert md._stilde().num.dtype == object
+        assert np.array_equal(md.verlinde(require_verified=False),
+                              md.ring.tensor)
+
+    def test_non_integer_value_past_int64_is_exact(self):
+        # Z2 with dims 1 and 10^12, D^2 = 1 + 10^24:
+        # N_11^1 = (10^36 - 10^-12) / (1 + 10^24) = (10^24 - 1) / 10^12.
+        ring = FusionRing(["1", "g"], 0, {(i, j, (i + j) % 2): 1
+                                          for i in range(2) for j in range(2)})
+        md = ModularDatum(ring, {0: Fraction(0), 1: Fraction(1, 4)},
+                          {0: 1, 1: 10**12})
+        with pytest.raises(VerlindeError) as caught:
+            md.verlinde(require_verified=False)
+        assert str(caught.value) == (
+            f"non-integer Verlinde value {Fraction(10**24 - 1, 10**12)} "
+            "at (1,1,1)")
+
     def test_force_on_broken_datum_raises_or_disagrees(self):
         md = z3_datum().perturbed(1, Fraction(1, 9))
         try:

@@ -3,9 +3,11 @@
 `import fusioncat` loads no submodule; `char` and `count` are integer and
 Fraction work and must never load numpy or the cyclotomic module; a call on
 an FCAT file loads none of the catalog modules.  Module loading is checked
-in a fresh interpreter through `sys.modules`.
+in a fresh interpreter through `sys.modules`.  The process entry freezes
+the heap before exit, and `main(argv)` leaves the collector as it was.
 """
 
+import gc
 import importlib
 import os
 import subprocess
@@ -151,3 +153,43 @@ class TestCommandImports:
         loaded = _loaded_in_order(["verify", "--catalog", "U"])
         assert (loaded.index("fusioncat.orbifold_catalog")
                 < loaded.index("numpy"))
+
+
+# Runs the CLI as `python -m fusioncat.cli` does, and prints, as the last
+# stdout line, the number of frozen objects when atexit handlers run.
+_RUN_CLI_AS_MAIN = """\
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen:", gc.get_freeze_count()))
+runpy.run_module("fusioncat.cli", run_name="__main__")
+"""
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv,code", [
+        (["count", "2"], 0),
+        (["tmatrix", "--catalog", "U"], 0),
+        (["count", "0"], 2),
+        (["count"], 2),                       # argparse exits in main()
+    ], ids=["count", "tmatrix", "count-error", "usage"])
+    def test_heap_frozen_at_exit(self, argv, code):
+        proc = _python("-c", _RUN_CLI_AS_MAIN, *argv)
+        assert proc.returncode == code
+        label, count = proc.stdout.splitlines()[-1].split()
+        assert label == "frozen:"
+        assert int(count) > 0
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        from fusioncat.cli import main
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(["tmatrix", "--catalog", "U"]) == 0
+        assert main(["count", "0"]) == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_console_script_is_the_process_entry(self):
+        from fusioncat import cli
+        tomllib = pytest.importorskip("tomllib")     # Python 3.11+
+        pyproject = Path(SRC).parent / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["fusioncat"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
