@@ -5,6 +5,8 @@ count.  Exit codes: 0 success, 1 verification failure, 2 parse/usage error.
 Exact output is the default; `--format float` rounds at 10 significant
 digits.  Each command imports only the modules it runs: `char` and `count`
 load no numpy, and the matrix commands on an FCAT file no catalog module.
+Input bounds are fixed, not options: a field Q(zeta_N) with N > 720, a rank
+> 512 or FCAT fields past a directive's arity is one `error:` line, exit 2.
 
 `run()` is the process entry of both `python -m fusioncat.cli` and the
 `fusioncat` console script: it runs `main()` and then freezes the heap, so
@@ -258,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusioncat",
         description="Exact fusion-ring and modular-data toolkit")
-    parser.add_argument("--order-cap", type=int, default=None,
-                        help="cap on the order N of every cyclotomic field "
-                             "Q(zeta_N) that is built")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run all consistency checks")
@@ -322,7 +321,7 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-# Commands with no cyclotomic arithmetic; --order-cap does not apply.
+# Commands that load neither numpy nor the cyclotomic module.
 _NO_CYCLOTOMIC = (cmd_char, cmd_count)
 
 
@@ -331,20 +330,12 @@ def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.order_cap is not None and args.order_cap < 1:
-        print(f"error: --order-cap must be at least 1, not {args.order_cap}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    cyclotomic = None
     if args.func not in _NO_CYCLOTOMIC:
         # Imported first, so that they compile before numpy is resident:
         # this keeps the peak RSS where the eager imports had it.
         if args.func in (cmd_catalog, cmd_fuse, cmd_qdim) or args.catalog:
             from . import orbifold_catalog  # noqa: F401
-        from . import cyclotomic
-        saved_cap = cyclotomic.DEFAULT_ORDER_CAP
-        if args.order_cap is not None:
-            cyclotomic.DEFAULT_ORDER_CAP = args.order_cap
+        from . import cyclotomic  # noqa: F401
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -368,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if cyclotomic is not None:
-            cyclotomic.DEFAULT_ORDER_CAP = saved_cap
 
 
 def run() -> int:

@@ -77,12 +77,15 @@ class ValidationReport(CheckReport):
 
 class FusionRing:
     """Immutable fusion ring over an ordered label list."""
+    MAX_RANK = 512          # the dense int64 tensor is then 1 GiB
 
     def __init__(self, labels: Sequence[str], unit: int,
                  structure_constants: Mapping[tuple[int, int, int], int],
                  supplied_dual: Mapping[int, int] | None = None):
         self.labels = tuple(labels)
         n = len(self.labels)
+        if n > self.MAX_RANK:
+            raise ValueError(f"rank {n} exceeds the rank bound {self.MAX_RANK}")
         if len(set(self.labels)) != n:
             raise ValueError("duplicate labels")
         if not (0 <= unit < n):
@@ -152,21 +155,20 @@ class FusionRing:
             i, j, k = map(int, np.argwhere(t != t.transpose(1, 0, 2))[0])
             failures.append(f"commutativity: N[{i},{j}]^{k} != N[{j},{i}]^{k}")
 
-        duality_ok = True
+        dual, bad = [], []
         for i in range(n):
             row = np.nonzero(t[i, :, self.unit])[0]
             if len(row) != 1 or t[i, row[0], self.unit] != 1:
-                duality_ok = False
-                failures.append(f"duality: label {i} has no unique dual")
+                bad = [f"duality: label {i} has no unique dual"]
                 break
-        if duality_ok and self.supplied_dual is not None:
-            for i in range(n):
-                derived = int(np.nonzero(t[i, :, self.unit])[0][0])
-                if self.supplied_dual.get(i, derived) != derived:
-                    duality_ok = False
-                    failures.append(
-                        f"duality: supplied dual({i}) disagrees with unit row")
-                    break
+            dual.append(int(row[0]))
+        else:
+            bad = [f"duality: supplied dual({i}) disagrees with unit row"
+                   for i, d in sorted((self.supplied_dual or {}).items())
+                   if d != dual[i]]
+        self._dual = tuple(dual)
+        duality_ok = not bad
+        failures.extend(bad[:1])
 
         defect = self._associativity_defect()
         assoc = defect is None
@@ -208,11 +210,11 @@ class FusionRing:
     # -- operations ---------------------------------------------------------
 
     def dual_of(self, i: int) -> int:
-        self.require_valid()
-        return int(np.nonzero(self._tensor[i, :, self.unit])[0][0])
+        return self.dual_vector()[i]
 
     def dual_vector(self) -> tuple[int, ...]:
-        return tuple(self.dual_of(i) for i in range(self.rank))
+        self.require_valid()
+        return self._dual
 
     def element(self, coeffs: Mapping[int, int]) -> "RingElement":
         return RingElement(self, dict(coeffs))
@@ -306,6 +308,7 @@ class RingElement:
 #   twist <i> <p>/<q>        (optional)
 #   dim <i> <expr>           (optional cyclotomic expression)
 # '#' starts a comment; blank lines are ignored; unknown directives error.
+_ARITY = {"label": 2, "unit": 1, "dual": 2, "twist": 2}    # `N` unpacks 4
 
 
 @dataclass
@@ -343,6 +346,9 @@ def parse_fcat(text: str) -> FcatDocument:
         parts = line.split()
         directive, args = parts[0], parts[1:]
         try:
+            arity = _ARITY.get(directive, len(args))
+            if len(args) > arity:
+                raise ValueError(f"{len(args)} fields, expected {arity}")
             if directive == "category":
                 key = directive
                 name = " ".join(args)
@@ -411,8 +417,7 @@ def emit_fcat(doc: FcatDocument) -> str:
         out.append(f"label {i} {label}")
     out.append(f"unit {ring.unit}")
     if ring.validate().passed:
-        for i in range(ring.rank):
-            out.append(f"dual {i} {ring.dual_of(i)}")
+        out += [f"dual {i} {d}" for i, d in enumerate(ring.dual_vector())]
     for i in sorted(doc.twists):
         t = doc.twists[i]
         out.append(f"twist {i} {t.numerator}/{t.denominator}")

@@ -45,20 +45,31 @@ __all__ = [
 
 # -- exact linear algebra helpers -------------------------------------------
 
-def _mat_inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
+def _gauss_jordan(m: Sequence[Sequence[Fraction]]
+                  ) -> tuple[list[Fraction], list[list[Fraction]] | None]:
+    """(pivots, inverse) of m from one Gauss-Jordan pass without row swaps:
+    pivot k is the ratio of the leading minors of sizes k + 1 and k, so the
+    pivots multiply to det m.  A zero pivot ends the pass, with no inverse."""
     n = len(m)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(m)]
+    pivots = []
     for c in range(n):
-        pivot = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[pivot] = aug[pivot], aug[c]
         pv = aug[c][c]
+        pivots.append(pv)
+        if not pv:
+            return pivots, None
         aug[c] = [x / pv for x in aug[c]]
         for r in range(n):
             if r != c and aug[r][c]:
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    return pivots, [row[n:] for row in aug]
+
+
+def _mat_inv(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of m, or None if a leading minor of m is singular."""
+    return _gauss_jordan(m)[1]
 
 
 @dataclass(frozen=True)
@@ -79,20 +90,15 @@ class Lattice:
             raise ValueError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
             raise ValueError("Gram matrix must be symmetric")
-        # Symmetric elimination without row swaps: pivot k is the ratio of
-        # the leading minors of sizes k + 1 and k, so all pivots are > 0
-        # exactly when g is positive definite (Sylvester), and they multiply
-        # to det g.
-        m, det = [list(row) for row in g], Fraction(1)
-        for c in range(r):
-            if m[c][c] <= 0:
+        # All pivots are > 0 exactly when g is positive definite (Sylvester).
+        pivots, inverse = _gauss_jordan(g)
+        det = Fraction(1)
+        for p in pivots:
+            if p <= 0:
                 raise ValueError("Gram matrix must be positive definite")
-            det *= m[c][c]
-            for i in range(c + 1, r):
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+            det *= p
         object.__setattr__(self, "_determinant", det)
-        object.__setattr__(self, "_inverse", _mat_inv(g))
+        object.__setattr__(self, "_inverse", inverse)
 
     @property
     def rank(self) -> int:

@@ -16,14 +16,20 @@ from fusioncat.cyclotomic import parse_cyc
 from fusioncat.modular_data import ModularDatum
 
 from test_golden import CLI_SHA256
+from test_package import SRC
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter that imports fusioncat from this checkout."""
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=SRC), **kwargs)
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
     if stdin_text is not None:
-        proc = subprocess.run(
-            [sys.executable, "-m", "fusioncat.cli", *argv],
-            input=stdin_text, capture_output=True, text=True, timeout=600)
+        proc = _python("-m", "fusioncat.cli", *argv, input=stdin_text,
+                       capture_output=True, text=True, timeout=600)
         return proc.returncode, proc.stdout, proc.stderr
     assert capsys is not None
     code = main(argv)
@@ -141,6 +147,31 @@ class TestVerify:
         code, out, err = run_cli(["verify", str(path)], capsys=capsys)
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("lineno,line,message", [
+        (4, "unit 0 1", "'unit' directive: 2 fields, expected 1"),
+        (2, "label 0 a b", "'label' directive: 3 fields, expected 2"),
+        (13, "dual 0 0 5", "'dual' directive: 3 fields, expected 2"),
+        (10, "twist 1 1/4 3/4", "'twist' directive: 3 fields, expected 2"),
+    ], ids=["unit", "label", "dual", "twist"])
+    def test_fields_past_arity_exit_2(self, lineno, line, message, tmp_path,
+                                      capsys):
+        lines = _z2_fcat().splitlines()
+        lines[lineno - 1:lineno] = [line]       # line 13 is appended
+        path = tmp_path / "z2.fcat"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: line {lineno}: malformed {message}"]
+
+    def test_rank_above_bound_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.fcat"
+        path.write_text(_CRAFTED["rank-2000"])
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: rank 2000 exceeds the rank bound 512"]
 
     def test_oversized_multiplicity_exits_2(self, tmp_path, capsys):
         path = tmp_path / "z2.fcat"
@@ -360,6 +391,14 @@ _CRAFTED = {
     "repeated-label": _z2_fcat() + "label 1 c\n",
     "repeated-N": _z2_fcat() + "N 1 1 0 2\n",
     "repeated-twist": _z2_fcat() + "twist 1 1/2\n",
+    "unit-extra-field": _z2_fcat().replace("unit 0", "unit 0 1"),
+    "label-extra-field": _z2_fcat().replace("label 0 a", "label 0 a b"),
+    "dual-extra-field": _z2_fcat() + "dual 0 0 5\n",
+    "twist-extra-field": _z2_fcat().replace("twist 1 1/4",
+                                            "twist 1 1/4 3/4"),
+    # 2,000 labels: the dense tensor alone would take 59.6 GiB.
+    "rank-2000": "unit 0\n" + "".join(f"label {i} x{i}\n"
+                                      for i in range(2000)),
 }
 
 
@@ -381,8 +420,8 @@ def _cli_in_subprocess(argv, prelude="", timeout=120):
     prelude sets apply to that process only."""
     code = (prelude + "\nimport runpy\n"
             "runpy.run_module('fusioncat.cli', run_name='__main__')")
-    return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, timeout=timeout)
+    return _python("-c", code, *argv, capture_output=True, text=True,
+                   timeout=timeout)
 
 
 def _assert_no_d(run, path: str, glob: str):
@@ -443,22 +482,13 @@ class TestOrderCap:
             return proc.returncode, proc.stdout, proc.stderr
         _assert_no_d(run, str(path), "1" + "0" * 23 + "1")
 
-    def test_cap_exceeded_is_one_error_line(self, capsys):
-        code, _, err = run_cli(["--order-cap", "10", "verify", "--catalog",
-                                "U"], capsys=capsys)
+    def test_cap_exceeded_is_one_error_line(self, monkeypatch, capsys):
+        # A catalog datum past the cap takes the same one-line refusal.
+        monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 10)
+        code, _, err = run_cli(["verify", "--catalog", "U"], capsys=capsys)
         assert code == 2
         assert err.splitlines() == [
             "error: cyclotomic order 36 exceeds cap 10"]
-
-    def test_cap_restored_after_main(self, capsys):
-        before = cyclotomic.DEFAULT_ORDER_CAP
-        run_cli(["--order-cap", "10", "verify", "--catalog", "U"],
-                capsys=capsys)
-        assert cyclotomic.DEFAULT_ORDER_CAP == before
-        code, out, _ = run_cli(["--order-cap", "100000", "count", "2"],
-                               capsys=capsys)
-        assert (code, out) == (0, "20\n")
-        assert cyclotomic.DEFAULT_ORDER_CAP == before
 
     def test_cap_read_when_d_is_computed(self, monkeypatch):
         from fusioncat import build_U
@@ -466,15 +496,6 @@ class TestOrderCap:
         monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 4)
         with pytest.raises(cyclotomic.OrderCapExceeded):
             md.D                  # p+ lies at order 36, D at order 72
-
-
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_cap_below_one_is_rejected_first(self, cap, capsys):
-        code, out, err = run_cli(["--order-cap", cap, "verify", "--catalog",
-                                  "U"], capsys=capsys)
-        assert (code, out) == (2, "")
-        assert err.splitlines() == [
-            f"error: --order-cap must be at least 1, not {cap}"]
 
 
 class TestZeroDenominator:
@@ -660,10 +681,8 @@ class TestClosedStdout:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "fusioncat.cli", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, text=True,
-                timeout=600)
+            proc = _python("-m", "fusioncat.cli", *argv, stdout=write_end,
+                           stderr=subprocess.PIPE, text=True, timeout=600)
         finally:
             os.close(write_end)
         assert proc.returncode == 2
@@ -673,12 +692,17 @@ class TestClosedStdout:
 
 class TestUsage:
     def test_no_subcommand_exits_2(self):
-        proc = subprocess.run([sys.executable, "-m", "fusioncat.cli"],
-                              capture_output=True, text=True)
+        proc = _python("-m", "fusioncat.cli", capture_output=True, text=True)
         assert proc.returncode == 2
 
     def test_unknown_flag_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fusioncat.cli", "count", "--frob", "2"],
-            capture_output=True, text=True)
+        proc = _python("-m", "fusioncat.cli", "count", "--frob", "2",
+                       capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_order_cap_is_no_option(self):
+        # The order cap is the fixed 720, so the flag is an unknown argument.
+        proc = _python("-m", "fusioncat.cli", "--order-cap", "720", "verify",
+                       "--catalog", "U", capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: fusioncat")

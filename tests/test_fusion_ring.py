@@ -109,6 +109,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds 2\\^63 - 1"):
             FusionRing(["1"], 0, {(0, 0, 0): 2**63})
 
+    def test_rank_above_bound_refused_before_the_tensor(self, monkeypatch):
+        requested = []
+        zeros = np.zeros
+
+        def spy(shape, *args, **kwargs):
+            requested.append(shape)
+            return zeros(shape, *args, **kwargs)
+        monkeypatch.setattr(np, "zeros", spy)
+        FusionRing(["1"], 0, {(0, 0, 0): 1})
+        assert requested == [(1, 1, 1)]
+        labels = [str(i) for i in range(FusionRing.MAX_RANK + 1)]
+        with pytest.raises(ValueError,
+                           match="rank 513 exceeds the rank bound 512"):
+            FusionRing(labels, 0, {})
+        assert requested == [(1, 1, 1)]
+
     def test_catalog_rings_valid(self, u_datum, vltau_datum):
         assert u_datum.ring.validate().passed
         assert vltau_datum.ring.validate().passed
@@ -148,6 +164,32 @@ def test_associativity_failure_names_first_quadruple(data):
     found = [f for f in report.failures if f.startswith("associativity")]
     assert report.associative_ok is (expect is None)
     assert found == ([] if expect is None else [expect])
+
+
+@settings(max_examples=100, deadline=None)
+@given(structure_tensors(),
+       st.dictionaries(st.integers(0, 3), st.integers(0, 3)))
+def test_duality_matches_a_scan_of_each_unit_row(data, supplied):
+    n, flat = data
+    N = [[flat[n * n * i + n * j:n * n * i + n * j + n] for j in range(n)]
+         for i in range(n)]
+    supplied = {i: d for i, d in supplied.items() if i < n and d < n}
+    rows = [[j for j in range(n) if N[i][j][0]] for i in range(n)]
+    expect = [f"duality: label {i} has no unique dual"
+              for i, row in enumerate(rows)
+              if len(row) != 1 or N[i][row[0]][0] != 1]
+    if not expect:
+        expect = [f"duality: supplied dual({i}) disagrees with unit row"
+                  for i, d in sorted(supplied.items()) if d != rows[i][0]]
+    ring = FusionRing([str(i) for i in range(n)], 0,
+                      {(i, j, k): N[i][j][k] for i in range(n)
+                       for j in range(n) for k in range(n)}, supplied)
+    report = ring.validate()
+    found = [f for f in report.failures if f.startswith("duality")]
+    assert report.duality_ok == (not expect)
+    assert found == expect[:1]
+    if report.passed:
+        assert ring.dual_vector() == tuple(row[0] for row in rows)
 
 
 class TestOperations:

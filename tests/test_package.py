@@ -34,11 +34,9 @@ sys.exit(main(sys.argv[1:]))
 CLI_CASES = [
     (["char", "M^0", "--cutoff", "30"], 0, []),
     (["count", "2"], 0, []),
-    (["--order-cap", "5", "char", "M^0", "--cutoff", "30"], 0, []),
     (["char", "W3"], 2, []),
     (["count", "0"], 2, []),
     (["char", "M^0", "--cutoff", "-5"], 2, []),
-    (["--order-cap", "0", "char", "M^0"], 2, []),
     # the control: a matrix command does load them
     (["tmatrix", "--catalog", "U"], 0, list(HEAVY)),
 ]
