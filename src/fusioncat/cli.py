@@ -6,7 +6,8 @@ Exact output is the default; `--format float` rounds at 10 significant
 digits.  Each command imports only the modules it runs: `char` and `count`
 load no numpy, and the matrix commands on an FCAT file no catalog module.
 Input bounds are fixed, not options: a field Q(zeta_N) with N > 720, a rank
-> 512 or FCAT fields past a directive's arity is one `error:` line, exit 2.
+> 512 or an FCAT line with more or fewer fields than its directive's arity
+is one `error:` line, exit 2.
 
 `run()` is the process entry of both `python -m fusioncat.cli` and the
 `fusioncat` console script: it runs `main()` and then freezes the heap, so
@@ -249,11 +250,10 @@ def cmd_count(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
-def _add_source_args(p: argparse.ArgumentParser, with_input: bool = True):
+def _add_source_args(p: argparse.ArgumentParser):
     p.add_argument("--catalog", help="built-in catalog: U or VLtau")
-    if with_input:
-        p.add_argument("input", nargs="?",
-                       help="FCAT v1 file path, or '-' for stdin")
+    p.add_argument("input", nargs="?",
+                   help="FCAT v1 file path, or '-' for stdin")
 
 
 def build_parser() -> argparse.ArgumentParser:

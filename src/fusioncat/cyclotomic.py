@@ -566,8 +566,8 @@ def cyc_root_of_unity(num: int, den: int) -> CycNum:
     return CycNum(f.denominator, _num=tuple(int(x) for x in row))
 
 
-def cyc_rational(r: Fraction | int, order: int = 1) -> CycNum:
-    return CycNum(order, [Fraction(r)])
+def cyc_rational(r: Fraction | int) -> CycNum:
+    return CycNum(1, [Fraction(r)])
 
 
 def cyc_inv(a: CycNum) -> CycNum:

@@ -120,9 +120,6 @@ class FusionRing:
         """Dense (rank, rank, rank) int array of structure constants."""
         return self._tensor
 
-    def N(self, i: int, j: int, k: int) -> int:
-        return int(self._tensor[i, j, k])
-
     def label_index(self, name: str) -> int:
         try:
             return self.labels.index(name)
@@ -185,21 +182,27 @@ class FusionRing:
         sum_m N_ij^m N_mk^l differs from sum_m N_jk^m N_im^l, with both
         sides, or None.
 
-        One label i at a time, so temporaries are O(n^3).  Each side sums n
-        products of two entries of N, and `_exact` picks the tier from that
-        bound: float64 on BLAS, int64 or Python ints.
+        One label i and one block of j at a time, so that no product holds
+        more than 2^18 entries past rank 64 (below it a block is the whole
+        label).  Each side sums n products of two entries of N, and
+        `_exact` picks the tier from that bound: float64 on BLAS, int64 or
+        Python ints.
         """
         n = self.rank
         t = self._tensor
         t, = _exact(n * int(t.max(initial=0)), t)     # n max(N) * max(N)
-        rows, cols = t.reshape(n, n * n), t.reshape(n * n, n)
+        rows = t.reshape(n, n * n)
+        block = max(1, 2**18 // (n * n))
         for i in range(n):
-            left = (t[i] @ rows).reshape(n, n, n)
-            right = (cols @ t[i]).reshape(n, n, n)
-            bad = np.argwhere(left != right)
-            if len(bad):
-                j, k, l = bad[0].tolist()
-                return i, j, k, l, int(left[j, k, l]), int(right[j, k, l])
+            for j0 in range(0, n, block):
+                left = (t[i, j0:j0 + block] @ rows).reshape(-1, n, n)
+                right = (t[j0:j0 + block].reshape(-1, n) @ t[i]
+                         ).reshape(-1, n, n)
+                bad = np.argwhere(left != right)
+                if len(bad):
+                    j, k, l = bad[0].tolist()
+                    return (i, j0 + j, k, l,
+                            int(left[j, k, l]), int(right[j, k, l]))
         return None
 
     def require_valid(self) -> None:
@@ -208,9 +211,6 @@ class FusionRing:
             raise ValueError("invalid fusion ring: " + "; ".join(report.failures))
 
     # -- operations ---------------------------------------------------------
-
-    def dual_of(self, i: int) -> int:
-        return self.dual_vector()[i]
 
     def dual_vector(self) -> tuple[int, ...]:
         self.require_valid()
@@ -270,14 +270,6 @@ class RingElement:
         cleaned = {i: c for i, c in self.coefficients.items() if c}
         object.__setattr__(self, "coefficients", cleaned)
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if self.ring is not other.ring:
-            raise ValueError("elements of different rings")
-        out = dict(self.coefficients)
-        for i, c in other.coefficients.items():
-            out[i] = out.get(i, 0) + c
-        return RingElement(self.ring, out)
-
     def __eq__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -308,7 +300,7 @@ class RingElement:
 #   twist <i> <p>/<q>        (optional)
 #   dim <i> <expr>           (optional cyclotomic expression)
 # '#' starts a comment; blank lines are ignored; unknown directives error.
-_ARITY = {"label": 2, "unit": 1, "dual": 2, "twist": 2}    # `N` unpacks 4
+_ARITY = {"label": 2, "unit": 1, "dual": 2, "N": 4, "twist": 2}
 
 
 @dataclass
@@ -347,7 +339,7 @@ def parse_fcat(text: str) -> FcatDocument:
         directive, args = parts[0], parts[1:]
         try:
             arity = _ARITY.get(directive, len(args))
-            if len(args) > arity:
+            if len(args) != arity:
                 raise ValueError(f"{len(args)} fields, expected {arity}")
             if directive == "category":
                 key = directive
@@ -368,6 +360,8 @@ def parse_fcat(text: str) -> FcatDocument:
                 key = f"N[{i},{j},{k}]"
                 constants[(i, j, k)] = m
             elif directive == "twist":
+                if args[1].count("/") != 1:
+                    raise ValueError(f"expected p/q, got {args[1]!r}")
                 num, den = map(int, args[1].split("/"))
                 if den == 0:
                     raise ValueError(f"zero denominator in {args[1]}")

@@ -67,11 +67,6 @@ def _gauss_jordan(m: Sequence[Sequence[Fraction]]
     return pivots, [row[n:] for row in aug]
 
 
-def _mat_inv(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of m, or None if a leading minor of m is singular."""
-    return _gauss_jordan(m)[1]
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Positive-definite lattice given by a symmetric Gram matrix; its
@@ -359,7 +354,7 @@ def orbifold_decomposition() -> list[DecompositionPiece]:
     """
     pieces = coset_pieces(0, "0")
     offsets = [piece.rank1.rep + piece.rank2.rep for piece in pieces]
-    to_alpha = _mat_inv(_ALPHA_IN_BETA)      # row k: b_k in alpha-coordinates
+    to_alpha = _gauss_jordan(_ALPHA_IN_BETA)[1]  # row k: b_k in alpha coords
     units = [tuple(int(i == k) for i in range(3)) for k in range(3)]
     if any(sum(x * row[j] for x, row in zip(v, to_alpha)).denominator != 1
            for v in units + offsets for j in range(3)):

@@ -32,6 +32,7 @@ datum whose Gauss sums give no D, which is then not modular, has neither.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,6 +85,20 @@ class ModularReport(CheckReport):
     failures: tuple[str, ...] = ()
 
 
+def _memo(method):
+    """A no-argument method whose result, None included, is kept in the
+    instance's `_cache` under the method's name: computed once per datum.
+    The cache dies with the datum."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        if name not in self._cache:
+            self._cache[name] = method(self)
+        return self._cache[name]
+    return cached
+
+
 class ModularDatum:
     """Fusion ring plus twists and exact quantum dimensions."""
 
@@ -111,12 +126,11 @@ class ModularDatum:
         t = self.twists[i]
         return cyc_root_of_unity(t.numerator, t.denominator)
 
+    @_memo
     def global_dimension(self) -> CycNum:
         """Sum of squared quantum dimensions (exact), cached."""
-        if "glob" not in self._cache:
-            dims, = _cyc_arrays(self.dims)
-            self._cache["glob"] = (dims * dims).sum()
-        return self._cache["glob"]  # type: ignore[return-value]
+        dims, = _cyc_arrays(self.dims)
+        return (dims * dims).sum()
 
     def _nonzero_global_dimension(self) -> CycNum:
         """D^2, which S = s~/D and every check on s~ need nonzero."""
@@ -138,17 +152,17 @@ class ModularDatum:
                 "S = s~/D is undefined")
         return root[0]
 
+    @_memo
     def gauss_sums(self) -> tuple[CycNum, CycNum]:
         """(p+, p-) with p± = sum d_i^2 theta_i^{±1}, at the conductor L;
         cached."""
-        if "gauss" not in self._cache:
-            powers = self._twist_powers()
-            dims = self._dims_array()
-            squares = dims * dims
-            self._cache["gauss"] = (squares.times_root(powers).sum(),
-                                    squares.times_root(-powers).sum())
-        return self._cache["gauss"]  # type: ignore[return-value]
+        powers = self._twist_powers()
+        dims = self._dims_array()
+        squares = dims * dims
+        return (squares.times_root(powers).sum(),
+                squares.times_root(-powers).sum())
 
+    @_memo
     def _gauss_root(self) -> tuple[CycNum, Fraction] | None:
         """(D, c mod 8) with p+ = D e(c/8), D real and D^2 the global
         dimension, or None when no such D exists; cached.
@@ -160,20 +174,18 @@ class ModularDatum:
         float far from a wrong k.  An e(k/m) of order 2 mod 4 is written as
         -e(k/m + 1/2), of odd order, so D and S stay in the field of s~.
         """
-        if "root" not in self._cache:
-            glob = self.global_dimension()
-            plus, _ = self.gauss_sums()
-            m = 2 * math.lcm(2, self._conductor())
-            z = plus.embed()
-            k = round(math.atan2(z.imag, z.real) * m / (2 * math.pi)) % m
-            turn = Fraction(k, m)
-            flip = turn.denominator % 4 == 2      # e(t) = -e(t + 1/2)
-            back = -turn - Fraction(flip, 2)
-            D = plus * cyc_root_of_unity(*back.as_integer_ratio())
-            D = -D if flip else D
-            found = not glob.is_zero() and D == D.conj() and D * D == glob
-            self._cache["root"] = (D, 8 * turn) if found else None
-        return self._cache["root"]  # type: ignore[return-value]
+        glob = self.global_dimension()
+        plus, _ = self.gauss_sums()
+        m = 2 * math.lcm(2, self._conductor())
+        z = plus.embed()
+        k = round(math.atan2(z.imag, z.real) * m / (2 * math.pi)) % m
+        turn = Fraction(k, m)
+        flip = turn.denominator % 4 == 2      # e(t) = -e(t + 1/2)
+        back = -turn - Fraction(flip, 2)
+        D = plus * cyc_root_of_unity(*back.as_integer_ratio())
+        D = -D if flip else D
+        found = not glob.is_zero() and D == D.conj() and D * D == glob
+        return (D, 8 * turn) if found else None
 
     def infer_central_charge_mod8(self) -> Fraction | None:
         """c mod 8 from the exact identity p+ = D e(c/8) (`_gauss_root`), or
@@ -198,11 +210,13 @@ class ModularDatum:
         return np.array([t.numerator * (order // t.denominator)
                          for t in self.twists])
 
+    @_memo
     def _dims_array(self) -> _CycArray:
-        """The dims at the conductor L."""
+        """The dims at the conductor L; cached."""
         dims, = _cyc_arrays(self.dims, order=self._conductor())
         return dims
 
+    @_memo
     def _stilde(self) -> _CycArray:
         """s~ at the conductor L from the balancing formula, cached; the
         input of every matrix layer.
@@ -211,39 +225,35 @@ class ModularDatum:
         of the dual-permuted fusion tensor with the (n, phi) coefficients of
         theta_k d_k, and theta_i^-1 theta_j^-1 is a power shift.
         """
-        if "s~" not in self._cache:
-            n = self.ring.rank
-            powers = self._twist_powers()
-            theta_dims = self._dims_array().times_root(powers)
-            dual_tensor = self.ring.tensor[list(self.ring.dual_vector())]
-            tensor, coeffs = _exact(n, dual_tensor, theta_dims.num)
-            total = _CycArray(_int(np.tensordot(tensor, coeffs, axes=1)),
-                              theta_dims.den, theta_dims.order)
-            self._cache["s~"] = total.times_root(-np.add.outer(powers, powers))
-        return self._cache["s~"]  # type: ignore[return-value]
+        n = self.ring.rank
+        powers = self._twist_powers()
+        theta_dims = self._dims_array().times_root(powers)
+        dual_tensor = self.ring.tensor[list(self.ring.dual_vector())]
+        tensor, coeffs = _exact(n, dual_tensor, theta_dims.num)
+        total = _CycArray(_int(np.tensordot(tensor, coeffs, axes=1)),
+                          theta_dims.den, theta_dims.order)
+        return total.times_root(-np.add.outer(powers, powers))
 
+    @_memo
     def stilde(self) -> list[list[CycNum]]:
         """Balancing matrix
         s~_{i,j} = sum_k N_{i',j}^k theta_k/(theta_i theta_j) d_k.
 
         The array of `_stilde`, each entry at its minimal order; cached.
         """
-        if "stilde" not in self._cache:
-            self._cache["stilde"] = self._stilde().canonical().tolist()
-        return self._cache["stilde"]  # type: ignore[return-value]
+        return self._stilde().canonical().tolist()
 
+    @_memo
     def s_matrix(self) -> list[list[CycNum]]:
         """S = s~ D / D^2, exact; the one inverse is that of the scalar D^2.
 
         Computed at lcm(L, order of D), each entry then at its minimal
         order; cached.
         """
-        if "S" not in self._cache:
-            scale, = _cyc_arrays([[self.D / self.global_dimension()]],
-                                 order=self._conductor())
-            s = self._stilde().promote(scale.order) * scale
-            self._cache["S"] = s.canonical().tolist()
-        return self._cache["S"]  # type: ignore[return-value]
+        scale, = _cyc_arrays([[self.D / self.global_dimension()]],
+                             order=self._conductor())
+        s = self._stilde().promote(scale.order) * scale
+        return s.canonical().tolist()
 
     def t_matrix(self) -> list[CycNum]:
         """Diagonal of T: e^{2 pi i (Delta_i - c/24)}."""
@@ -271,6 +281,7 @@ class ModularDatum:
 
     # -- verification -------------------------------------------------------
 
+    @_memo
     def verify_modular(self) -> ModularReport:
         """Exact modular checks, computed once per datum and cached.
 
@@ -281,9 +292,7 @@ class ModularDatum:
         each in the float64 tier, and one reduction of O(n^2 phi(N)^2).  Each
         failure detail names the first failing entry in row-major order.
         """
-        if "report" not in self._cache:
-            self._cache["report"] = self._check_modular()
-        return self._cache["report"]  # type: ignore[return-value]
+        return self._check_modular()
 
     def _check_modular(self) -> ModularReport:
         n = self.ring.rank

@@ -398,12 +398,10 @@ def stilde_fixture() -> list[list[CycNum]]:
     return [[grid[(i, j)] for j in range(20)] for i in range(20)]
 
 
-def stilde_fixture_diff(md: ModularDatum | None = None
+def stilde_fixture_diff(md: ModularDatum
                         ) -> list[tuple[int, int, CycNum, CycNum]]:
     """(i, j, derived, transcribed) for every entry where the derived
-    s-tilde of the 20-object datum disagrees with the fixture."""
-    if md is None:
-        md = build_U()
+    s-tilde of the 20-object datum `md` disagrees with the fixture."""
     derived = md.stilde()
     table = stilde_fixture()
     out = []

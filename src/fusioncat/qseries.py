@@ -36,10 +36,7 @@ __all__ = [
     "theta_coset",
     "character",
     "qdim_limit",
-    "DEFAULT_CUTOFF",
 ]
-
-DEFAULT_CUTOFF = Fraction(30)
 
 
 @dataclass(frozen=True)
@@ -256,8 +253,7 @@ def _partitions_upto(n: int) -> list[int]:
     return p
 
 
-def eta_inverse_power(r: int, cutoff: Fraction | int = DEFAULT_CUTOFF
-                      ) -> QSeries:
+def eta_inverse_power(r: int, cutoff: Fraction | int) -> QSeries:
     """q^{-r/24} * prod_{n>=1} (1 - q^n)^{-r}, truncated.
 
     The product part for r = 1 has partition-number coefficients; higher r
@@ -277,7 +273,7 @@ def eta_inverse_power(r: int, cutoff: Fraction | int = DEFAULT_CUTOFF
                        cutoff)
 
 
-def theta_coset(c: Coset, cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
+def theta_coset(c: Coset, cutoff: Fraction | int) -> QSeries:
     """sum over coset vectors x with <x,x>/2 < cutoff of q^{<x,x>/2}."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
@@ -289,7 +285,7 @@ def theta_coset(c: Coset, cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
 
 def character(pieces: Sequence[tuple[Coset, Coset]],
               c: Fraction | int,
-              cutoff: Fraction | int = DEFAULT_CUTOFF) -> QSeries:
+              cutoff: Fraction | int) -> QSeries:
     """Character of a module decomposed into (rank-1, rank-2) coset pieces:
     q^{-c/24} * sum over pieces of theta_rank1 * theta_rank2 / eta^3.
 

@@ -106,6 +106,22 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_no_source_exits_2(self, capsys):
+        code, out, err = run_cli(["verify"], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: an input file or --catalog is required"]
+
+    def test_unit_twist_fails_first_row(self, tmp_path, capsys):
+        # theta_0 = -1 scales the unit row of s~ by -1: it is -dims.
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat().replace("twist 0 0/1", "twist 0 1/2"))
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert "first row = dims/D          FAIL" in lines
+        assert lines[-1] == "  detail: first row of S is not dims/D"
+
     def test_unparseable_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcat"
         bad.write_text("wibble 1 2 3\n")
@@ -153,7 +169,17 @@ class TestVerify:
         (2, "label 0 a b", "'label' directive: 3 fields, expected 2"),
         (13, "dual 0 0 5", "'dual' directive: 3 fields, expected 2"),
         (10, "twist 1 1/4 3/4", "'twist' directive: 3 fields, expected 2"),
-    ], ids=["unit", "label", "dual", "twist"])
+        (4, "unit", "'unit' directive: 0 fields, expected 1"),
+        (2, "label 0", "'label' directive: 1 fields, expected 2"),
+        (13, "dual 0", "'dual' directive: 1 fields, expected 2"),
+        (5, "N 0 0", "'N' directive: 2 fields, expected 4"),
+        (5, "N 0 0 0 1 7", "'N' directive: 5 fields, expected 4"),
+        (10, "twist 1", "'twist' directive: 1 fields, expected 2"),
+        (10, "twist 1 1", "'twist' directive: expected p/q, got '1'"),
+        (10, "twist 1 1/4/3", "'twist' directive: expected p/q, got '1/4/3'"),
+    ], ids=["unit", "label", "dual", "twist", "unit-short", "label-short",
+            "dual-short", "N-short", "N-long", "twist-short", "twist-no-slash",
+            "twist-two-slashes"])
     def test_fields_past_arity_exit_2(self, lineno, line, message, tmp_path,
                                       capsys):
         lines = _z2_fcat().splitlines()
@@ -378,8 +404,8 @@ def _z2_fcat(dim: str = "1", twist: str = "1/4") -> str:
             f"twist 0 0/1\ntwist 1 {twist}\ndim 0 1\ndim 1 {dim}\n")
 
 
-# Crafted FCAT inputs that each ended in a traceback, or exited 0 on a
-# file it read only in part, in some command.
+# Crafted FCAT inputs that each ended in a traceback, exited 0 on a file
+# it read only in part, or printed Python's internal text, in some command.
 _CRAFTED = {
     "twist-out-of-range": _z2_fcat() + "twist 7 1/2\n",
     "dim-out-of-range": _z2_fcat() + "dim -1 1\n",
@@ -396,6 +422,13 @@ _CRAFTED = {
     "dual-extra-field": _z2_fcat() + "dual 0 0 5\n",
     "twist-extra-field": _z2_fcat().replace("twist 1 1/4",
                                             "twist 1 1/4 3/4"),
+    "unit-short": _z2_fcat().replace("unit 0", "unit"),
+    "label-short": _z2_fcat().replace("label 0 a", "label 0"),
+    "dual-short": _z2_fcat() + "dual 0\n",
+    "N-short": _z2_fcat() + "N 0 0\n",
+    "N-long": _z2_fcat() + "N 0 0 0 1 7\n",
+    "twist-no-slash": _z2_fcat(twist="1"),
+    "twist-two-slashes": _z2_fcat(twist="1/2/3"),
     # 2,000 labels: the dense tensor alone would take 59.6 GiB.
     "rank-2000": "unit 0\n" + "".join(f"label {i} x{i}\n"
                                       for i in range(2000)),
@@ -570,6 +603,31 @@ class TestIsing:
                                     "1 -e(7/48)+e(5/16)", "2 e(1/24)"]
 
 
+class TestQdim:
+    @pytest.mark.parametrize("catalog,label", [("U", "W6"),
+                                               ("VLtau", "V(c,0)")])
+    def test_one_label(self, catalog, label, capsys):
+        code, out, err = run_cli(
+            ["qdim", "--catalog", catalog, "--label", label], capsys=capsys)
+        assert (code, out, err) == (0, "3\n", "")
+
+    def test_unknown_label_exits_2(self, capsys):
+        code, out, err = run_cli(["qdim", "--catalog", "U", "--label", "nope"],
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: unknown label 'nope'"]
+
+
+@pytest.mark.parametrize("command", ["smatrix", "tmatrix", "verlinde"])
+def test_matrices_need_annotations(command, tmp_path, capsys):
+    path = tmp_path / "z2.fcat"
+    path.write_text("\n".join(_z2_fcat().splitlines()[:8]) + "\n")
+    code, out, err = run_cli([command, str(path)], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: input lacks twist/dim annotations needed here"]
+
+
 class TestCatalogWithInput:
     @pytest.mark.parametrize("argv", [
         ["qdim", "--catalog", "U", "M^0"],
@@ -624,6 +682,14 @@ class TestMatrices:
         assert code == 0
         # e(-1/8) in canonical basis form (zeta_8^7 = -zeta_8^3)
         assert out.splitlines()[0] == "0 -e(3/8)"
+
+    def test_tmatrix_float(self, capsys):
+        code, out, _ = run_cli(["tmatrix", "--catalog", "U", "--format",
+                                "float"], capsys=capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 20
+        assert lines[0] == "0 0.7071067812 -0.7071067812"
 
     def test_verlinde_lines(self, capsys):
         code, out, _ = run_cli(["verlinde", "--catalog", "U"], capsys=capsys)

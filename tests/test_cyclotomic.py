@@ -93,6 +93,15 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_cyc("2**3")
 
+    @pytest.mark.parametrize("text,message", [
+        ("1 2", "trailing input '2'"),
+        ("1 $", "bad character in expression at ' $'"),
+    ])
+    def test_parse_names_what_it_cannot_read(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_cyc(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["1/0", "e(1/0)", "3*e(2/00)"])
     def test_parse_rejects_zero_denominator(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
@@ -146,6 +155,17 @@ def test_additive_and_multiplicative_inverse(a):
     assert a + (-a) == 0
     if not a.is_zero():
         assert a * (cyc_rational(1) / a) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc_numbers())
+def test_arithmetic_with_ints(a):
+    assert a / 3 * 3 == a
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+    if not a.is_zero():
+        assert 1 / a * a == 1
+    assert 1 - a == -(a - 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Fusion-ring axioms, quantum dimensions, and the FCAT text format."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,35 @@ class TestValidation:
                            match="rank 513 exceeds the rank bound 512"):
             FusionRing(labels, 0, {})
         assert requested == [(1, 1, 1)]
+
+    def test_associativity_temporaries_below_3x_tensor(self):
+        ring = z_n_ring(80)
+        tracemalloc.start()
+        try:
+            assert ring.validate().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * ring.tensor.nbytes
+
+    def test_associativity_defect_past_first_block(self):
+        # At rank 80 a block holds 2^18 // 80^2 = 40 labels j.
+        n = 80
+        constants = {(i, j, (i + j) % n): 1 for i in range(n) for j in range(n)}
+        constants[70, 75, 2] = constants[75, 70, 2] = 2
+        ring = FusionRing([str(i) for i in range(n)], 0, constants)
+        t = ring.tensor
+        for i in range(n):      # one label at a time, in row-major order
+            left = np.tensordot(t[i], t, axes=1)
+            right = np.tensordot(t, t[i], axes=1)
+            bad = np.argwhere(left != right)
+            if len(bad):
+                j, k, l = bad[0]
+                break
+        assert j >= 40
+        assert ring.validate().failures == (
+            f"associativity: quadruple ({i},{j},{k},{l}) "
+            f"{left[j, k, l]} != {right[j, k, l]}",)
 
     def test_catalog_rings_valid(self, u_datum, vltau_datum):
         assert u_datum.ring.validate().passed

@@ -64,6 +64,16 @@ class TestScalars:
         assert u_datum.infer_central_charge_mod8() == 3
         assert vltau_datum.infer_central_charge_mod8() == 2
 
+    def test_missing_d_is_computed_once(self, monkeypatch):
+        # Z2 with dims 1, 2 and twist 1/4: p+ = 1 + 4i, and D^2 = 5.
+        ring = FusionRing(["a", "b"], 0, {(i, j, (i + j) % 2): 1
+                                          for i in range(2) for j in range(2)})
+        md = ModularDatum(ring, {0: 0, 1: Fraction(1, 4)}, {0: 1, 1: 2})
+        assert md.infer_central_charge_mod8() is None
+        monkeypatch.setattr(md, "gauss_sums",
+                            lambda: pytest.fail("Gauss sums recomputed"))
+        assert md.infer_central_charge_mod8() is None
+
 
 class TestStilde:
     def test_corner_entries(self, u_datum):
@@ -291,6 +301,11 @@ class TestVerification:
         report = md.verify_modular()
         assert not report.passed
         assert not report.s_squared_is_charge_conjugation
+
+    def test_every_label_needs_a_dim(self):
+        ring = z3_datum().ring
+        with pytest.raises(ValueError, match="a dim is required for every"):
+            ModularDatum(ring, {i: Fraction(0) for i in range(3)}, {0: 1, 1: 1})
 
     def test_report_lines_mention_failures(self):
         md = z3_datum().perturbed(1, Fraction(1, 9))
