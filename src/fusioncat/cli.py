@@ -6,8 +6,8 @@ Exact output is the default; `--format float` rounds at 10 significant
 digits.  Each command imports only the modules it runs: `char` and `count`
 load no numpy, and the matrix commands on an FCAT file no catalog module.
 Input bounds are fixed, not options: a field Q(zeta_N) with N > 720, a rank
-> 512 or an FCAT line with more or fewer fields than its directive's arity
-is one `error:` line, exit 2.
+> 512 or an FCAT line whose field count misses its directive's arity (`dim`:
+at least 1) is one `error:` line, exit 2.
 
 `run()` is the process entry of both `python -m fusioncat.cli` and the
 `fusioncat` console script: it runs `main()` and then freezes the heap, so

@@ -46,6 +46,15 @@ class CheckReport:
 
     note = "detail"
 
+    @classmethod
+    def of(cls, **outcomes: bool | str | None):
+        """Each check's outcome by field name: True passes, None skips, and
+        a string fails with that text; `failures` follows the field order."""
+        failures = tuple(outcomes[f.name] for f in fields(cls)
+                         if isinstance(outcomes.get(f.name), str))
+        return cls(**{name: False if isinstance(ok, str) else ok
+                      for name, ok in outcomes.items()}, failures=failures)
+
     def checks(self) -> list[tuple[str, bool | None]]:
         return [(f.metadata["label"], getattr(self, f.name))
                 for f in fields(self) if "label" in f.metadata]
@@ -60,6 +69,14 @@ class CheckReport:
         marks = {True: "PASS", False: "FAIL", None: "SKIP"}
         return ([label.ljust(width) + marks[ok] for label, ok in checks]
                 + [f"  {self.note}: {f}" for f in self.failures])
+
+
+def first_violation(mask: np.ndarray, text) -> bool | str:
+    """True if no entry of `mask` is set, else `text(*index)` of the first
+    set entry in row-major order: a check's outcome for `CheckReport.of`."""
+    if not mask.any():
+        return True
+    return text(*np.argwhere(mask)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -137,50 +154,38 @@ class FusionRing:
             return self._validation
         n = self.rank
         t = self._tensor
-        failures: list[str] = []
+        sides = np.stack([t[self.unit], t[:, self.unit]])
+        unit = first_violation(
+            sides != np.eye(n, dtype=np.int64),
+            lambda s, j, k: "unit: N[{}]^{} = {}".format(
+                ("unit,{}", "{},unit")[s].format(j), k, sides[s, j, k]))
 
-        eye = np.eye(n, dtype=np.int64)
-        bad = [f"unit: N[{side.format(j)}]^{k} = {mat[j, k]}"
-               for side, mat in (("unit,{}", t[self.unit]),
-                                 ("{},unit", t[:, self.unit]))
-               for j, k in np.argwhere(mat != eye)[:1].tolist()]
-        unit_ok = not bad
-        failures.extend(bad[:1])
+        commutative = first_violation(
+            t != t.transpose(1, 0, 2),
+            "commutativity: N[{0},{1}]^{2} != N[{1},{0}]^{2}".format)
 
-        comm = np.array_equal(t, t.transpose(1, 0, 2))
-        if not comm:
-            i, j, k = map(int, np.argwhere(t != t.transpose(1, 0, 2))[0])
-            failures.append(f"commutativity: N[{i},{j}]^{k} != N[{j},{i}]^{k}")
-
-        dual, bad = [], []
+        dual = []
         for i in range(n):
             row = np.nonzero(t[i, :, self.unit])[0]
             if len(row) != 1 or t[i, row[0], self.unit] != 1:
-                bad = [f"duality: label {i} has no unique dual"]
+                duality = f"duality: label {i} has no unique dual"
                 break
             dual.append(int(row[0]))
         else:
-            bad = [f"duality: supplied dual({i}) disagrees with unit row"
-                   for i, d in sorted((self.supplied_dual or {}).items())
-                   if d != dual[i]]
+            duality = next(
+                (f"duality: supplied dual({i}) disagrees with unit row"
+                 for i, d in sorted((self.supplied_dual or {}).items())
+                 if d != dual[i]), True)
         self._dual = tuple(dual)
-        duality_ok = not bad
-        failures.extend(bad[:1])
 
-        defect = self._associativity_defect()
-        assoc = defect is None
-        if not assoc:
-            failures.append("associativity: quadruple ({},{},{},{}) "
-                            "{} != {}".format(*defect))
-
-        self._validation = ValidationReport(unit_ok, comm, duality_ok, assoc,
-                                            tuple(failures))
+        self._validation = ValidationReport.of(
+            unit_ok=unit, commutative_ok=commutative, duality_ok=duality,
+            associative_ok=self._associativity())
         return self._validation
 
-    def _associativity_defect(self) -> tuple[int, ...] | None:
-        """The first (i, j, k, l) in row-major order where
-        sum_m N_ij^m N_mk^l differs from sum_m N_jk^m N_im^l, with both
-        sides, or None.
+    def _associativity(self) -> bool | str:
+        """True, or the first (i, j, k, l) in row-major order where
+        sum_m N_ij^m N_mk^l differs from sum_m N_jk^m N_im^l, with both sides.
 
         One label i and one block of j at a time, so that no product holds
         more than 2^18 entries past rank 64 (below it a block is the whole
@@ -198,12 +203,12 @@ class FusionRing:
                 left = (t[i, j0:j0 + block] @ rows).reshape(-1, n, n)
                 right = (t[j0:j0 + block].reshape(-1, n) @ t[i]
                          ).reshape(-1, n, n)
-                bad = np.argwhere(left != right)
-                if len(bad):
-                    j, k, l = bad[0].tolist()
-                    return (i, j0 + j, k, l,
-                            int(left[j, k, l]), int(right[j, k, l]))
-        return None
+                found = first_violation(left != right, lambda j, k, l: (
+                    f"associativity: quadruple ({i},{j0 + j},{k},{l}) "
+                    f"{int(left[j, k, l])} != {int(right[j, k, l])}"))
+                if found is not True:
+                    return found
+        return True
 
     def require_valid(self) -> None:
         report = self.validate()
@@ -369,6 +374,8 @@ def parse_fcat(text: str) -> FcatDocument:
                 key = f"twist({i})"
                 twists[i] = Fraction(num, den)
             elif directive == "dim":
+                if not args:
+                    raise ValueError("0 fields, expected at least 1")
                 i = int(args[0])
                 key = f"dim({i})"
                 dims_raw[i] = " ".join(args[1:])

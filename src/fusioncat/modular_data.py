@@ -50,7 +50,7 @@ from .cyclotomic import (
     cyc_rational,
     cyc_root_of_unity,
 )
-from .fusion_ring import CheckReport, FusionRing, check
+from .fusion_ring import CheckReport, FusionRing, check, first_violation
 
 __all__ = [
     "GlobalDimensionError",
@@ -292,15 +292,11 @@ class ModularDatum:
         each in the float64 tier, and one reduction of O(n^2 phi(N)^2).  Each
         failure detail names the first failing entry in row-major order.
         """
-        return self._check_modular()
-
-    def _check_modular(self) -> ModularReport:
         n = self.ring.rank
         dual = self.ring.dual_vector()
         glob = self._nonzero_global_dimension()
         s = self._stilde()
         d2, = _cyc_arrays([glob], order=s.order)
-        failures: list[str] = []
 
         def times_d2(cols: np.ndarray) -> _CycArray:
             """D^2 at each (i, cols[i]), 0 elsewhere."""
@@ -308,49 +304,30 @@ class ModularDatum:
             num[np.arange(n), cols] = d2.num[0]
             return _CycArray(num, d2.den, s.order)
 
-        def first(mask: np.ndarray) -> tuple[int, int] | None:
-            hits = np.argwhere(mask)
-            return tuple(int(x) for x in hits[0]) if len(hits) else None
-
-        asym = first(np.triu(~s.equals(s.T), 1))
-        if asym:
-            failures.append("S[{0}][{1}] != S[{1}][{0}]".format(*asym))
-
-        off = first(~(s @ s).equals(times_d2(dual)))
-        if off:
-            failures.append("(S^2)[{0}][{1}] != C[{0}][{1}]".format(*off))
-
-        dual_inv = bool(np.array_equal(s.num[np.ix_(dual, dual)], s.num))
-        if not dual_inv:
-            failures.append("S[i'][j'] != S[i][j] somewhere")
-
-        gram = s @ s.conj().T
-        nonunit = first(np.triu(~gram.equals(times_d2(np.arange(n)))))
-        if nonunit:
-            i, j = nonunit
-            entry = (gram.entry(i, j) / glob).canonical()
-            failures.append(f"(S S*)[{i}][{j}] = {entry}")
-
-        dims = self._dims_array()
-        first_row = bool(s[self.ring.unit].equals(dims).all())
-        if not first_row:
-            failures.append("first row of S is not dims/D")
-
         plus, minus = self.gauss_sums()
-        gauss_product = (plus * minus == glob)
-        if not gauss_product:
-            failures.append("p+ p- != D^2")
-        gauss_ratio: bool | None = None
+        ratio = None
         if self.central_charge is not None and not minus.is_zero():
             c4 = self.central_charge / 4
-            target = cyc_root_of_unity(c4.numerator, c4.denominator)
-            gauss_ratio = (plus == target * minus)
-            if gauss_ratio is False:
-                failures.append("p+/p- != e^{2 pi i c/4}")
-
-        return ModularReport(asym is None, off is None, dual_inv,
-                             nonunit is None, first_row, gauss_product,
-                             gauss_ratio, tuple(failures))
+            ratio = (plus == cyc_root_of_unity(*c4.as_integer_ratio()) * minus
+                     or "p+/p- != e^{2 pi i c/4}")
+        return ModularReport.of(
+            symmetric=first_violation(np.triu(~s.equals(s.T), 1),
+                                      "S[{0}][{1}] != S[{1}][{0}]".format),
+            s_squared_is_charge_conjugation=first_violation(
+                ~(s @ s).equals(times_d2(dual)),
+                "(S^2)[{0}][{1}] != C[{0}][{1}]".format),
+            dual_invariance=(np.array_equal(s.num[np.ix_(dual, dual)], s.num)
+                             or "S[i'][j'] != S[i][j] somewhere"),
+            unitary=first_violation(
+                np.triu(~(gram := s @ s.conj().T).equals(
+                    times_d2(np.arange(n)))),
+                lambda i, j: f"(S S*)[{i}][{j}] = "
+                             f"{(gram.entry(i, j) / glob).canonical()}"),
+            first_row_is_dims=(
+                bool(s[self.ring.unit].equals(self._dims_array()).all())
+                or "first row of S is not dims/D"),
+            gauss_product_ok=plus * minus == glob or "p+ p- != D^2",
+            gauss_ratio_ok=ratio)
 
     # -- Verlinde -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ import pytest
 from fusioncat import cyclotomic
 from fusioncat.cli import main
 from fusioncat.cyclotomic import parse_cyc
-from fusioncat.modular_data import ModularDatum
+from fusioncat.modular_data import ModularDatum, ModularReport
 
 from test_golden import CLI_SHA256
 from test_package import SRC
@@ -177,9 +177,10 @@ class TestVerify:
         (10, "twist 1", "'twist' directive: 1 fields, expected 2"),
         (10, "twist 1 1", "'twist' directive: expected p/q, got '1'"),
         (10, "twist 1 1/4/3", "'twist' directive: expected p/q, got '1/4/3'"),
+        (13, "dim", "'dim' directive: 0 fields, expected at least 1"),
     ], ids=["unit", "label", "dual", "twist", "unit-short", "label-short",
             "dual-short", "N-short", "N-long", "twist-short", "twist-no-slash",
-            "twist-two-slashes"])
+            "twist-two-slashes", "dim-empty"])
     def test_fields_past_arity_exit_2(self, lineno, line, message, tmp_path,
                                       capsys):
         lines = _z2_fcat().splitlines()
@@ -190,6 +191,22 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             f"error: line {lineno}: malformed {message}"]
+
+    @pytest.mark.parametrize("name,message", [
+        ("duplicate-label-name", "duplicate labels"),
+        ("unit-out-of-range", "unit index out of range"),
+        ("dim-nested-too-deep",
+         "bad dim expression for label 0: expression nested too deeply"),
+        ("dim-without-expression",
+         "bad dim expression for label 0: empty expression"),
+    ])
+    def test_ring_and_dim_errors_exit_2(self, name, message, tmp_path,
+                                        capsys):
+        path = tmp_path / "crafted.fcat"
+        path.write_text(_CRAFTED[name])
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_rank_above_bound_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.fcat"
@@ -250,12 +267,12 @@ class TestVerify:
 
     def test_modular_report_computed_once(self, monkeypatch, capsys):
         calls = []
-        check = ModularDatum._check_modular
+        build = ModularReport.of
 
-        def counted(md):
-            calls.append(md)
-            return check(md)
-        monkeypatch.setattr(ModularDatum, "_check_modular", counted)
+        def counted(**outcomes):
+            calls.append(outcomes)
+            return build(**outcomes)
+        monkeypatch.setattr(ModularReport, "of", counted)
         code, out, _ = run_cli(["verify", "--catalog", "U"], capsys=capsys)
         assert code == 0
         assert "Verlinde round-trip         PASS" in out
@@ -429,6 +446,12 @@ _CRAFTED = {
     "N-long": _z2_fcat() + "N 0 0 0 1 7\n",
     "twist-no-slash": _z2_fcat(twist="1"),
     "twist-two-slashes": _z2_fcat(twist="1/2/3"),
+    "dim-empty": _z2_fcat() + "dim\n",
+    "dim-without-expression": "label 0 a\nunit 0\nN 0 0 0 1\ndim 0\n",
+    "duplicate-label-name": _z2_fcat().replace("label 1 b", "label 1 a"),
+    "unit-out-of-range": "label 0 a\nunit 5\nN 0 0 0 1\n",
+    "dim-nested-too-deep": ("label 0 a\nunit 0\nN 0 0 0 1\ndim 0 "
+                            + "(" * 5000 + "1" + ")" * 5000 + "\n"),
     # 2,000 labels: the dense tensor alone would take 59.6 GiB.
     "rank-2000": "unit 0\n" + "".join(f"label {i} x{i}\n"
                                       for i in range(2000)),

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from fusioncat import cyclotomic
 from fusioncat.cyclotomic import (
+    CycError,
     CycNum,
     OrderCapExceeded,
     _CycArray,
     _cyc_arrays,
+    cyc_inv,
     cyc_rational,
     cyc_root_of_unity,
     format_cyc,
@@ -67,6 +69,22 @@ class TestExamples:
         import cmath
         z = e(5, 72)
         assert abs(z.embed() - cmath.exp(2j * cmath.pi * 5 / 72)) < 1e-12
+
+    def test_repr_names_order_and_value(self):
+        assert repr(e(1, 8)) == "CycNum(8, 'e(1/8)')"
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: e(1, 0), ValueError, "denominator must be positive"),
+        (lambda: cyc_inv(cyc_rational(0)), ZeroDivisionError,
+         "division by zero in Q\\(zeta\\)"),
+        (lambda: e(1, 3).promote(8), ValueError,
+         "target order must be a multiple of current order"),
+        (lambda: e(1, 3).as_rational(), CycError, "value is not rational"),
+    ], ids=["root-zero-denominator", "inverse-of-zero", "promote-non-multiple",
+            "irrational-as-rational"])
+    def test_invalid_call_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestParseFormat:

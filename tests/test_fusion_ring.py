@@ -14,6 +14,7 @@ from fusioncat.fusion_ring import (
     FcatError,
     FusionRing,
     emit_fcat,
+    first_violation,
     parse_fcat,
 )
 
@@ -155,6 +156,13 @@ class TestValidation:
             f"associativity: quadruple ({i},{j},{k},{l}) "
             f"{left[j, k, l]} != {right[j, k, l]}",)
 
+    def test_first_violation_names_first_entry_in_row_major_order(self):
+        mask = np.zeros((2, 3), dtype=bool)
+        assert first_violation(mask, "{},{}".format) is True
+        mask[1, 0] = mask[0, 2] = True
+        assert first_violation(mask, "{},{}".format) == "0,2"
+        assert first_violation(mask.T, "{},{}".format) == "0,1"
+
     def test_catalog_rings_valid(self, u_datum, vltau_datum):
         assert u_datum.ring.validate().passed
         assert vltau_datum.ring.validate().passed
@@ -238,6 +246,22 @@ class TestOperations:
         ring = fibonacci_ring()
         t = ring.basis_element(1)
         assert str(ring.fuse(t, t)) == "1 + t"
+
+    def test_fuse_rejects_label_index_out_of_range(self):
+        ring = fibonacci_ring()
+        one, stray = ring.basis_element(0), ring.element({2: 1})
+        for a, b in ((stray, one), (one, stray)):
+            with pytest.raises(KeyError, match="label index 2 out of range"):
+                ring.fuse(a, b)
+
+    def test_repr_equality_and_zero_element(self):
+        ring = FusionRing(["a"], 0, {(0, 0, 0): 1})
+        assert repr(ring) == "FusionRing(rank=1, unit='a')"
+        assert (ring == 3) is False
+        assert str(ring.element({})) == "0"
+        assert ring.element({0: 1}) == ring.basis_element(0)
+        assert ring.element({0: 1}) != ring.element({})
+        assert (ring.element({}) == 3) is False
 
     def test_fuse_bilinear(self):
         ring = fibonacci_ring()

@@ -44,6 +44,14 @@ class TestLattice:
         with pytest.raises(ValueError):
             Lattice.from_rows([[1, 1], [0, 1]])
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="Gram matrix must be square"):
+            Lattice.from_rows([[1, 0]])
+
+    def test_coset_rejects_representative_of_wrong_length(self):
+        with pytest.raises(ValueError, match="representative has wrong"):
+            Coset.of(lattice_L(), [F(1, 2)])
+
     def test_rejects_indefinite(self):
         for rows in ([[1, 2], [2, 1]],     # indefinite
                      [[1, 1], [1, 1]],     # semidefinite: second pivot 0

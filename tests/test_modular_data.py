@@ -1,5 +1,6 @@
 """Exact S/T matrices, Gauss sums, and the Verlinde round-trip."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from fusioncat.cyclotomic import (cyc_rational, cyc_root_of_unity,
                                   format_cyc, parse_cyc)
-from fusioncat.fusion_ring import FusionRing
+from fusioncat.fusion_ring import FusionRing, ValidationReport
 from fusioncat.modular_data import (GlobalDimensionError, ModularDatum,
-                                    VerlindeError)
+                                    ModularReport, VerlindeError)
 from reference import stilde_conjugate_form
 
 
@@ -311,6 +312,26 @@ class TestVerification:
         md = z3_datum().perturbed(1, Fraction(1, 9))
         lines = md.verify_modular().lines()
         assert any("FAIL" in line for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ModularReport, ValidationReport]), st.data())
+def test_report_of_lists_failures_in_field_order(cls, data):
+    """Each outcome True, None or a failure text, given in any keyword
+    order: the report follows the field order."""
+    names = [f.name for f in dataclasses.fields(cls) if "label" in f.metadata]
+    outcomes = {name: data.draw(st.sampled_from([True, None, f"{name} text"]))
+                for name in data.draw(st.permutations(names))}
+    report = cls.of(**outcomes)
+    failed = [name for name in names if isinstance(outcomes[name], str)]
+    assert report.failures == tuple(f"{name} text" for name in failed)
+    assert report.passed == (not failed)
+    marks = {True: "PASS", None: "SKIP"}
+    lines = report.lines()
+    assert [line.rsplit(" ", 1)[1] for line in lines[:len(names)]] == [
+        marks.get(outcomes[name], "FAIL") for name in names]
+    assert lines[len(names):] == [f"  {cls.note}: {name} text"
+                                  for name in failed]
 
 
 class TestTMatrix:

@@ -54,6 +54,10 @@ class TestEta:
         with pytest.raises(ValueError):
             eta_inverse_power(-1, 5)
 
+    def test_str_lists_terms_by_exponent(self):
+        assert str(eta_inverse_power(1, 3)) == (
+            "1*q^(-1/24) + 1*q^(23/24) + 2*q^(47/24) + 3*q^(71/24)")
+
 
 class TestTheta:
     def test_rank1_zero_coset(self):
