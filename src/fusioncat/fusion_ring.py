@@ -76,7 +76,7 @@ def first_violation(mask: np.ndarray, text) -> bool | str:
     set entry in row-major order: a check's outcome for `CheckReport.of`."""
     if not mask.any():
         return True
-    return text(*np.argwhere(mask)[0].tolist())
+    return text(*map(int, np.unravel_index(mask.argmax(), mask.shape)))
 
 
 @dataclass(frozen=True)
@@ -231,11 +231,7 @@ class FusionRing:
         self.require_valid()
         out: dict[int, int] = {}
         for i, ca in a.coefficients.items():
-            if not (0 <= i < self.rank):
-                raise KeyError(f"label index {i} out of range")
             for j, cb in b.coefficients.items():
-                if not (0 <= j < self.rank):
-                    raise KeyError(f"label index {j} out of range")
                 row = self._tensor[i, j]
                 for k in np.nonzero(row)[0]:
                     out[int(k)] = out.get(int(k), 0) + ca * cb * int(row[k])
@@ -273,6 +269,9 @@ class RingElement:
 
     def __post_init__(self):
         cleaned = {i: c for i, c in self.coefficients.items() if c}
+        for i in cleaned:
+            if not 0 <= i < self.ring.rank:
+                raise KeyError(f"label index {i} out of range")
         object.__setattr__(self, "coefficients", cleaned)
 
     def __eq__(self, other):

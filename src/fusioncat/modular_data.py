@@ -19,6 +19,8 @@ exact tier that a bound on its partial sums allows (`cyclotomic._exact`):
 float64 on BLAS below 2^53, where every partial sum is an integer float64
 holds exactly; int64 below 2^62; Python ints past that.  Every result is
 exact: there is no modular shortcut, and no float without the bound.
+A scalar such as D, D^2 or its inverse is a `CycNum`, an array with no
+entry axes, so it broadcasts into these products as it is.
 
 `stilde()` and `s_matrix()` give the same matrices as lists of `CycNum`:
 S is one array at lcm(L, order of D), and each entry of either comes out at
@@ -250,9 +252,7 @@ class ModularDatum:
         Computed at lcm(L, order of D), each entry then at its minimal
         order; cached.
         """
-        scale, = _cyc_arrays([[self.D / self.global_dimension()]],
-                             order=self._conductor())
-        s = self._stilde().promote(scale.order) * scale
+        s = self._stilde() * (self.D / self.global_dimension())
         return s.canonical().tolist()
 
     def t_matrix(self) -> list[CycNum]:
@@ -273,11 +273,10 @@ class ModularDatum:
         it is checked as (s~ T)^3 = D s~^2: three matrix products on the
         array engine, O(n^3 phi(N)^2).
         """
-        t, scale = _cyc_arrays([self.t_matrix()], [[self.D]],
-                               order=self._conductor())
+        t, = _cyc_arrays(self.t_matrix(), order=self._conductor())
         st = self._stilde().promote(t.order)
         st_t = st * t
-        return bool(((st_t @ st_t) @ st_t).equals((st @ st) * scale).all())
+        return bool(((st_t @ st_t) @ st_t).equals((st @ st) * self.D).all())
 
     # -- verification -------------------------------------------------------
 
@@ -296,12 +295,12 @@ class ModularDatum:
         dual = self.ring.dual_vector()
         glob = self._nonzero_global_dimension()
         s = self._stilde()
-        d2, = _cyc_arrays([glob], order=s.order)
+        d2 = glob.promote(s.order)
 
         def times_d2(cols: np.ndarray) -> _CycArray:
             """D^2 at each (i, cols[i]), 0 elsewhere."""
-            num = np.zeros((n, n, d2.num.shape[-1]), dtype=d2.num.dtype)
-            num[np.arange(n), cols] = d2.num[0]
+            num = np.zeros(s.num.shape, dtype=d2.num.dtype)
+            num[np.arange(n), cols] = d2.num
             return _CycArray(num, d2.den, s.order)
 
         plus, minus = self.gauss_sums()
@@ -322,7 +321,7 @@ class ModularDatum:
                 np.triu(~(gram := s @ s.conj().T).equals(
                     times_d2(np.arange(n)))),
                 lambda i, j: f"(S S*)[{i}][{j}] = "
-                             f"{(gram.entry(i, j) / glob).canonical()}"),
+                             f"{(gram[i, j] / glob).canonical()}"),
             first_row_is_dims=(
                 bool(s[self.ring.unit].equals(self._dims_array()).all())
                 or "first row of S is not dims/D"),
@@ -358,8 +357,7 @@ class ModularDatum:
                     f"{label!r}, which is 0")
         s = self._stilde()
         d_inv, = _cyc_arrays([cyc_inv(d) for d in self.dims], order=s.order)
-        d2_inv, = _cyc_arrays([cyc_inv(glob)], order=s.order)
-        weights = (s.conj() * (d_inv * d2_inv)).T  # conj(s~_{k,m}) / d_m D^2
+        weights = (s.conj() * (d_inv / glob)).T  # conj(s~_{k,m}) / d_m D^2
         out = np.zeros((n, n, n), dtype=np.int64)
         for i in range(n):
             block = (s[i:i + 1] * s[i:]) @ weights    # [j - i, k]

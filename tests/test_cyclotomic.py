@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -325,6 +326,60 @@ def test_small_products_stay_int64():
     arr, = _cyc_arrays([[e(1, 72), e(5, 8)], [cyc_rational(3), e(1, 9)]])
     assert (arr @ arr).num.dtype == np.int64
     assert (arr * arr.conj()).num.dtype == np.int64
+
+
+# -- one arithmetic: a CycNum is an array with no entry axes ----------------
+
+_SMALL_ORDERS = [1, 3, 4, 8, 9, 12]
+
+
+@st.composite
+def cyc_arrays_at(draw, shape):
+    """An array of the entry shape at an order from _SMALL_ORDERS (() gives
+    a CycNum)."""
+    n = draw(st.sampled_from(_SMALL_ORDERS))
+    phi = cyclotomic._order_context(n).phi
+    size = math.prod(shape) * phi
+    num = np.array(draw(st.lists(_coeff, min_size=size, max_size=size)))
+    den = draw(st.integers(1, 3))
+    if not shape:
+        return CycNum(n, [Fraction(int(c), den) for c in num])
+    return _CycArray(num.reshape(shape + (phi,)), den, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc_arrays_at((2, 3)), cyc_arrays_at((2, 3)), cyc_arrays_at(()),
+       st.lists(st.booleans(), min_size=6, max_size=6))
+def test_arrays_and_numbers_share_one_arithmetic(a, b, x, take_b):
+    top = math.lcm(a.order, b.order)
+    # c holds b's entry where take_b is set and a's elsewhere.
+    mask = _CycArray(np.array(take_b, dtype=np.int64).reshape(2, 3, 1), 1, 1)
+    c = a + (b - a) * mask
+    scaled, total, same = a * x, a + b, a.equals(c)
+    assert (total.order, c.order) == (top, top)
+    assert scaled.order == math.lcm(a.order, x.order)
+    canon = a.canonical()
+    for i, j in np.ndindex(2, 3):
+        y = a[i, j]
+        assert isinstance(y, CycNum) and isinstance(canon[i, j], CycNum)
+        assert hash(y) == hash(canon[i, j])
+        assert scaled.entry(i, j) == y * x
+        assert abs(scaled[i, j].embed() - y.embed() * x.embed()) < 1e-9
+        assert total.entry(i, j) == y + b[i, j]
+        assert abs(total[i, j].embed() - y.embed() - b[i, j].embed()) < 1e-9
+        assert same[i, j] == (y == c[i, j])
+        assert same[i, j] or take_b[3 * i + j]
+
+
+@pytest.mark.parametrize("r", [3, -2, Fraction(-5, 7)])
+def test_rationals_act_alike_on_numbers_and_arrays(r):
+    x = 2 * e(1, 9) - Fraction(1, 3) * e(1, 4)
+    row, ones = _cyc_arrays([x], [cyc_rational(r)])
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(x, r) == op(row, r)[0]
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(r, x) == op(r, row)[0]
+    assert r / x == (ones / x)[0]
 
 
 # The three tiers of `_exact`, with the bound the array products certify: a
