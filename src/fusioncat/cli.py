@@ -40,6 +40,15 @@ EXIT_USAGE = 2
 class CliError(Exception):
     """Usage-level error: printed as a single diagnostic line, exit 2."""
 
+    exit_code = EXIT_USAGE
+
+
+class CheckError(CliError):
+    """Input that parses but fails a check the command needs: one
+    diagnostic line, exit 1."""
+
+    exit_code = EXIT_VERIFY_FAIL
+
 
 # Called through these names, so that a caller can wrap them in place.
 
@@ -96,6 +105,11 @@ def _load_datum(args) -> tuple[ModularDatum | None, FcatDocument | None]:
 
 def _require_datum(args) -> ModularDatum:
     md, doc = _load_datum(args)
+    if md is None and doc.has_modular_annotations:
+        try:                                # the ring fails validation
+            doc.ring.require_valid()
+        except ValueError as exc:
+            raise CheckError(*exc.args) from None
     if md is None:
         raise CliError("input lacks twist/dim annotations needed here")
     return md
@@ -326,7 +340,8 @@ _NO_CYCLOTOMIC = (cmd_char, cmd_count)
 
 
 def main(argv: list[str] | None = None) -> int:
-    # No command uses BLAS threads; starting them at `import numpy` costs CPU.
+    # One BLAS thread: a catalog-size call gains nothing from a second one,
+    # which costs it peak RSS and latency.  The library keeps the threads.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -358,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 def run() -> int:

@@ -130,9 +130,9 @@ class ModularDatum:
 
     @_memo
     def global_dimension(self) -> CycNum:
-        """Sum of squared quantum dimensions (exact), cached."""
-        dims, = _cyc_arrays(self.dims)
-        return (dims * dims).sum()
+        """Sum of squared quantum dimensions (exact) at the conductor L,
+        cached."""
+        return self._dim_squares().sum()
 
     def _nonzero_global_dimension(self) -> CycNum:
         """D^2, which S = s~/D and every check on s~ need nonzero."""
@@ -150,7 +150,7 @@ class ModularDatum:
         root = self._gauss_root()
         if root is None:
             raise GlobalDimensionError(
-                f"no real D with D^2 = {glob} and p+ = D e(c/8); "
+                f"no real D with D^2 = {glob.canonical()} and p+ = D e(c/8); "
                 "S = s~/D is undefined")
         return root[0]
 
@@ -159,8 +159,7 @@ class ModularDatum:
         """(p+, p-) with p± = sum d_i^2 theta_i^{±1}, at the conductor L;
         cached."""
         powers = self._twist_powers()
-        dims = self._dims_array()
-        squares = dims * dims
+        squares = self._dim_squares()
         return (squares.times_root(powers).sum(),
                 squares.times_root(-powers).sum())
 
@@ -217,6 +216,13 @@ class ModularDatum:
         """The dims at the conductor L; cached."""
         dims, = _cyc_arrays(self.dims, order=self._conductor())
         return dims
+
+    @_memo
+    def _dim_squares(self) -> _CycArray:
+        """d_i^2 at the conductor L, the terms of D^2 and of the Gauss sums;
+        cached."""
+        dims = self._dims_array()
+        return dims * dims
 
     @_memo
     def _stilde(self) -> _CycArray:
@@ -295,13 +301,13 @@ class ModularDatum:
         dual = self.ring.dual_vector()
         glob = self._nonzero_global_dimension()
         s = self._stilde()
-        d2 = glob.promote(s.order)
 
         def times_d2(cols: np.ndarray) -> _CycArray:
-            """D^2 at each (i, cols[i]), 0 elsewhere."""
-            num = np.zeros(s.num.shape, dtype=d2.num.dtype)
-            num[np.arange(n), cols] = d2.num
-            return _CycArray(num, d2.den, s.order)
+            """D^2 at each (i, cols[i]), 0 elsewhere; D^2 and s~ are both
+            at the conductor L."""
+            num = np.zeros(s.num.shape, dtype=glob.num.dtype)
+            num[np.arange(n), cols] = glob.num
+            return _CycArray(num, glob.den, s.order)
 
         plus, minus = self.gauss_sums()
         ratio = None

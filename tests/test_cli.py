@@ -651,6 +651,24 @@ def test_matrices_need_annotations(command, tmp_path, capsys):
         "error: input lacks twist/dim annotations needed here"]
 
 
+@pytest.mark.parametrize("command", ["smatrix", "tmatrix", "verlinde"])
+def test_matrices_on_an_invalid_annotated_ring(command, tmp_path, capsys):
+    # Every label has a twist and a dim, but without N[0,1]^1 the ring
+    # fails validation: the ring's own error line, exit 1 as for verlinde
+    # on a datum that fails verify_modular.
+    path = tmp_path / "z2.fcat"
+    path.write_text(_z2_fcat().replace("N 0 1 1 1\n", ""))
+    code, out, err = run_cli([command, str(path)], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: invalid fusion ring: unit: N[unit,1]^1 = 0; "
+        "commutativity: N[0,1]^1 != N[1,0]^1; "
+        "associativity: quadruple (0,1,1,0) 0 != 1"]
+    # the text `qdim` prints for the same ring, where it stays exit 2
+    code, _, qdim_err = run_cli(["qdim", str(path)], capsys=capsys)
+    assert (code, qdim_err) == (2, err)
+
+
 class TestCatalogWithInput:
     @pytest.mark.parametrize("argv", [
         ["qdim", "--catalog", "U", "M^0"],

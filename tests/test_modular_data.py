@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusioncat.cyclotomic import (cyc_rational, cyc_root_of_unity,
+from fusioncat.cyclotomic import (_CycArray, cyc_rational, cyc_root_of_unity,
                                   format_cyc, parse_cyc)
 from fusioncat.fusion_ring import FusionRing, ValidationReport
 from fusioncat.modular_data import (GlobalDimensionError, ModularDatum,
@@ -283,6 +283,26 @@ def test_fibonacci_d_against_t():
     assert md.st_relation_holds() is True
     assert md.verify_modular().passed
     assert np.array_equal(md.verlinde(), md.ring.tensor)
+
+
+@pytest.mark.parametrize("make", [fibonacci_datum, z3_datum])
+def test_dims_squared_once(make, monkeypatch):
+    # D^2 and both Gauss sums read one array of squares at the conductor L.
+    md = make()
+    n = md.ring.rank
+    squarings = []
+    mul = _CycArray.__mul__
+
+    def spy(a, b):
+        if a is b and a.num.shape[:-1] == (n,):
+            squarings.append(a)
+        return mul(a, b)
+    monkeypatch.setattr(_CycArray, "__mul__", spy)
+    assert md.infer_central_charge_mod8() == md.central_charge
+    assert md.verify_modular().passed
+    md.s_matrix()
+    md.verlinde()
+    assert len(squarings) == 1
 
 
 class TestVerification:

@@ -5,6 +5,8 @@ Fraction work and must never load numpy or the cyclotomic module; a call on
 an FCAT file loads none of the catalog modules.  Module loading is checked
 in a fresh interpreter through `sys.modules`.  The process entry freezes
 the heap before exit, and `main(argv)` leaves the collector as it was.
+The package sets the OpenBLAS thread timeout before numpy loads, so idle
+BLAS workers do not spin, and it never overrides a user's value.
 """
 
 import gc
@@ -42,8 +44,11 @@ CLI_CASES = [
 ]
 
 
-def _python(*args):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _python(*args, **env):
+    """A fresh interpreter on this checkout, with the OpenBLAS settings of
+    `env` only: a developer's own cannot mask what a test checks."""
+    env = {**{k: v for k, v in os.environ.items()
+              if not k.startswith("OPENBLAS_")}, **env, "PYTHONPATH": SRC}
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=600)
 
@@ -191,3 +196,47 @@ class TestProcessEntry:
             target = tomllib.load(f)["project"]["scripts"]["fusioncat"]
         module, _, name = target.partition(":")
         assert getattr(importlib.import_module(module), name) is cli.run
+
+
+def _blas_name() -> str:
+    import numpy as np
+    try:
+        config = np.show_config(mode="dicts")
+        return config["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):                 # numpy before 1.26
+        return ""
+
+
+# Prints the OpenBLAS variables the process environment holds.
+_OPENBLAS_ENV = ("import os\n"
+                 "print({k: v for k, v in sorted(os.environ.items())"
+                 " if k.startswith('OPENBLAS_')})")
+
+
+class TestBlasDefault:
+    @pytest.mark.skipif(os.cpu_count() < 2 or "openblas" not in _blas_name(),
+                        reason="needs OpenBLAS and a second CPU")
+    def test_idle_workers_do_not_spin(self):
+        # CPU time outside the main thread while it sleeps: a spinning
+        # worker takes about 0.06 s of it.
+        proc = _python("-c", "import time, fusioncat.cyclotomic\n"
+                       "time.sleep(0.3)\n"
+                       "print(time.process_time() - time.thread_time())")
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.01
+
+    def test_package_sets_only_the_timeout(self):
+        proc = _python("-c", "import fusioncat\n" + _OPENBLAS_ENV)
+        assert proc.stdout == "{'OPENBLAS_THREAD_TIMEOUT': '4'}\n"
+
+    def test_user_value_is_kept(self):
+        proc = _python("-c", "import fusioncat.cyclotomic\n" + _OPENBLAS_ENV,
+                       OPENBLAS_THREAD_TIMEOUT="30")
+        assert proc.stdout == "{'OPENBLAS_THREAD_TIMEOUT': '30'}\n"
+
+    def test_nothing_set_after_numpy(self):
+        # OpenBLAS read its settings when numpy loaded; a later value would
+        # only mislead.
+        proc = _python("-c", "import numpy, fusioncat.cyclotomic\n"
+                       + _OPENBLAS_ENV)
+        assert proc.stdout == "{}\n"
