@@ -7,24 +7,18 @@ The public names load on first use (PEP 562), so `import fusioncat` imports
 no submodule and no numpy; only the array modules (cyclotomic, fusion_ring,
 modular_data) import numpy.
 
-When numpy is not loaded yet, importing the package sets
-OPENBLAS_THREAD_TIMEOUT=4 unless the environment already gives a value.
-OpenBLAS reads it when numpy loads: an idle BLAS worker then sleeps almost
-at once instead of busy-waiting about 2^28 cycles, which on a small machine
-takes CPU from the main thread while numpy and fusioncat load.  The workers
-stay, so large exact products still run in parallel; the CLI alone runs
-BLAS on one thread (`cli.main`).
+numpy loads with OPENBLAS_THREAD_TIMEOUT=4 unless the environment already
+gives a value (`_blas`): an idle BLAS worker then sleeps almost at once
+instead of busy-waiting about 2^28 cycles, which on a small machine takes
+CPU from the main thread while numpy and fusioncat load.  The variable is
+set only while numpy loads, so the process environment is left as it was.
+The workers stay, so large exact products still run in parallel; the CLI
+alone runs BLAS on one thread (`cli.main`).
 """
 
 import importlib
-import os
-import sys
 
 __version__ = "0.1.0"
-
-if "numpy" not in sys.modules:
-    # 4 is the smallest timeout OpenBLAS accepts.
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 # Each submodule and the public names it defines.
 _EXPORTS = {

@@ -33,6 +33,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from . import _blas  # noqa: F401  (before numpy: idle BLAS workers sleep)
 import numpy as np
 
 __all__ = [
@@ -515,16 +516,18 @@ def cyc_rational(r: Fraction | int) -> CycNum:
 
 def cyc_inv(a: CycNum) -> CycNum:
     """Multiplicative inverse: the product of the other Galois conjugates of
-    a, over the norm of a (the product of all of them, a rational)."""
+    a, over the norm of a (the product of all of them, a rational), formed
+    at the minimal order of a and returned at the order of a."""
     if a.is_zero():
         raise ZeroDivisionError("division by zero in Q(zeta)")
     if a.is_rational():
         return cyc_rational(1 / a.as_rational()).promote(a.order)
+    b = a.canonical()           # at the minimal order: the fewest conjugates
     others = cyc_rational(1)
-    for k in range(2, a.order):
-        if math.gcd(k, a.order) == 1:
-            others = others * a._galois(k)
-    return others * (1 / (a * others).as_rational())
+    for k in range(2, b.order):
+        if math.gcd(k, b.order) == 1:
+            others = others * b._galois(k)
+    return (others * (1 / (b * others).as_rational())).promote(a.order)
 
 
 # ---------------------------------------------------------------------------

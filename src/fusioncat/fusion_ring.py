@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
+from . import _blas  # noqa: F401  (before numpy: idle BLAS workers sleep)
 import numpy as np
 
 from .cyclotomic import CycNum, _exact, format_cyc, parse_cyc

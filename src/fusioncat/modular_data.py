@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from . import _blas  # noqa: F401  (before numpy: idle BLAS workers sleep)
 import numpy as np
 
 from .cyclotomic import (

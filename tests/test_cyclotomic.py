@@ -53,6 +53,23 @@ class TestExamples:
         z = cyc_rational(2) + e(1, 9)
         assert z * (cyc_rational(1) / z) == 1
 
+    def test_inverse_works_at_the_minimal_order(self, monkeypatch):
+        # 2-e(2/5)-e(3/5) held at order 85: the inverse multiplies its 3
+        # other conjugates at order 5, not 63 at order 85, and comes back
+        # at order 85.
+        x = parse_cyc("2-e(2/5)-e(3/5)").promote(85)
+        orders = []
+        mul = _CycArray.__mul__
+
+        def spy(a, b):
+            orders.append(math.lcm(a.order, getattr(b, "order", 1)))
+            return mul(a, b)
+        monkeypatch.setattr(_CycArray, "__mul__", spy)
+        inv = cyc_inv(x)
+        assert max(orders) == 5 and len(orders) <= 5
+        monkeypatch.undo()
+        assert inv.order == 85 and x * inv == 1
+
     def test_division_of_roots_subtracts_exponents(self):
         assert e(5, 18) / e(2, 18) == e(3, 18)
 

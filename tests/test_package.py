@@ -5,8 +5,9 @@ Fraction work and must never load numpy or the cyclotomic module; a call on
 an FCAT file loads none of the catalog modules.  Module loading is checked
 in a fresh interpreter through `sys.modules`.  The process entry freezes
 the heap before exit, and `main(argv)` leaves the collector as it was.
-The package sets the OpenBLAS thread timeout before numpy loads, so idle
-BLAS workers do not spin, and it never overrides a user's value.
+numpy loads with a short OpenBLAS thread timeout, so idle BLAS workers do
+not spin; the variable is set only while numpy loads, and a user's value is
+never overridden.
 """
 
 import gc
@@ -225,9 +226,15 @@ class TestBlasDefault:
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 0.01
 
-    def test_package_sets_only_the_timeout(self):
-        proc = _python("-c", "import fusioncat\n" + _OPENBLAS_ENV)
-        assert proc.stdout == "{'OPENBLAS_THREAD_TIMEOUT': '4'}\n"
+    @pytest.mark.parametrize("module", ["fusioncat", "fusioncat.cyclotomic"])
+    def test_environment_left_as_it_was(self, module):
+        # The timeout is set only while numpy loads: neither this process
+        # nor a child it starts afterwards sees an OpenBLAS variable.
+        child = f"subprocess.run([sys.executable, '-c', {_OPENBLAS_ENV!r}])"
+        proc = _python("-c", f"import subprocess, sys, {module}\n"
+                       f"{_OPENBLAS_ENV}\nsys.stdout.flush()\n{child}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "{}\n{}\n"
 
     def test_user_value_is_kept(self):
         proc = _python("-c", "import fusioncat.cyclotomic\n" + _OPENBLAS_ENV,
