@@ -4,7 +4,8 @@ Subcommands: verify, fuse, qdim, smatrix, tmatrix, verlinde, catalog, char,
 count.  Exit codes: 0 success, 1 verification failure, 2 parse/usage error.
 Exact output is the default; `--format float` rounds at 10 significant
 digits.  Each command imports only the modules it runs: `char` and `count`
-load no numpy, and the matrix commands on an FCAT file no catalog module.
+load no numpy, the matrix commands on an FCAT file no catalog module, and
+`fuse` and `qdim`, which read only the ring, no `modular_data`.
 Input bounds are fixed, not options: a field Q(zeta_N) with N > 720, a rank
 > 512 or an FCAT line whose field count misses its directive's arity (`dim`:
 at least 1) is one `error:` line, exit 2.
@@ -24,11 +25,11 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from .cyclotomic import CycNum
-    from .fusion_ring import FcatDocument
+    from .fusion_ring import FusionRing
     from .modular_data import ModularDatum
     from .qseries import QSeries
 
@@ -76,43 +77,46 @@ def _build_catalog(name: str) -> ModularDatum:
     raise CliError(f"unknown catalog {name!r} (choose U or VLtau)")
 
 
-def _load_datum(args) -> tuple[ModularDatum | None, FcatDocument | None]:
-    """Datum from --catalog or an FCAT file ('-' reads stdin)."""
-    from .fusion_ring import parse_fcat
-    from .modular_data import ModularDatum
+def _load(args) -> tuple[FusionRing, Callable[[], ModularDatum] | None]:
+    """The ring of --catalog or of an FCAT file ('-' reads stdin), and a
+    builder of its datum: None for a file without every twist and dim."""
     path = getattr(args, "input", None)
     if getattr(args, "catalog", None):
         if path is not None:
             raise CliError("give --catalog or an input file, not both "
                            f"(input {path!r})")
-        return _build_catalog(args.catalog), None
+        md = _build_catalog(args.catalog)
+        return md.ring, lambda: md
     if path is None:
         raise CliError("an input file or --catalog is required")
+    from .fusion_ring import parse_fcat
     if path == "-":
         text = sys.stdin.read()
     else:
         text = Path(path).read_text(encoding="utf-8")
     doc = parse_fcat(text)
-    if doc.has_modular_annotations and doc.ring.validate().passed:
+    if not doc.has_modular_annotations:
+        return doc.ring, None
+
+    def datum() -> ModularDatum:
+        from .modular_data import ModularDatum
         md = ModularDatum(doc.ring, doc.twists, doc.dims)
-        # FCAT carries no central charge; infer c mod 8 from the Gauss sums
-        # so the ratio check and T matrix are available when possible.  No
-        # value cached before verify_modular depends on c.
+        # FCAT carries no central charge: c mod 8 from the Gauss sums, for
+        # the ratio check and T.  No value cached before it depends on c.
         md.central_charge = md.infer_central_charge_mod8()
-        return md, doc
-    return None, doc
+        return md
+    return doc.ring, datum
 
 
 def _require_datum(args) -> ModularDatum:
-    md, doc = _load_datum(args)
-    if md is None and doc.has_modular_annotations:
-        try:                                # the ring fails validation
-            doc.ring.require_valid()
-        except ValueError as exc:
-            raise CheckError(*exc.args) from None
-    if md is None:
+    ring, datum = _load(args)
+    if datum is None:
         raise CliError("input lacks twist/dim annotations needed here")
-    return md
+    try:
+        ring.require_valid()
+    except ValueError as exc:
+        raise CheckError(*exc.args) from None
+    return datum()
 
 
 def _float_str(x: float) -> str:
@@ -132,32 +136,29 @@ def _complex_str(x: CycNum) -> str:
 def cmd_verify(args) -> int:
     from .modular_data import VerlindeError
     import numpy as np
-    md, doc = _load_datum(args)
-    ring = md.ring if md is not None else doc.ring
+    ring, datum = _load(args)
     report = ring.validate()
+    ok = report.passed
+    md = datum() if datum is not None and ok else None
     for line in report.lines():
         print(line)
-    ok = report.passed
-    if md is not None and ok:
+    if md is not None:
         mrep = md.verify_modular()
         for line in mrep.lines():
             print(line)
         ok = mrep.passed
         if ok:
             try:
-                verl_ok = bool(np.array_equal(md.verlinde(), ring.tensor))
+                ok = bool(np.array_equal(md.verlinde(), ring.tensor))
             except VerlindeError:
-                verl_ok = False
-            print(f"Verlinde round-trip        "
-                  f" {'PASS' if verl_ok else 'FAIL'}")
-            ok = ok and verl_ok
+                ok = False
+            print(f"Verlinde round-trip         {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def cmd_fuse(args) -> int:
     from .orbifold_catalog import resolve_label
-    md, doc = _load_datum(args)
-    ring = md.ring if md is not None else doc.ring
+    ring, _ = _load(args)
     a = resolve_label(ring, args.a)
     b = resolve_label(ring, args.b)
     print(ring.fuse(ring.basis_element(a), ring.basis_element(b)))
@@ -166,8 +167,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_qdim(args) -> int:
     from .orbifold_catalog import resolve_label
-    md, doc = _load_datum(args)
-    ring = md.ring if md is not None else doc.ring
+    ring, _ = _load(args)
     if args.label:
         idx = resolve_label(ring, args.label)
         print(_float_str(ring.qdim_pf(idx)))
@@ -206,14 +206,8 @@ def cmd_tmatrix(args) -> int:
 
 
 def cmd_verlinde(args) -> int:
-    from .modular_data import VerlindeError
     import numpy as np
-    md = _require_datum(args)
-    try:
-        tensor = md.verlinde()
-    except VerlindeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+    tensor = _require_datum(args).verlinde()
     for i, j, k in np.argwhere(tensor).tolist():     # row-major
         print(f"N {i} {j} {k} {tensor[i, j, k]}")
     return EXIT_OK
@@ -364,16 +358,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
     except (CliError, KeyError, ValueError, ArithmeticError) as exc:
-        # FcatError is a ValueError.  CycError and GlobalDimensionError are
-        # resolved here, so `char` and `count` never import their modules.
+        # FcatError is a ValueError.  The arithmetic errors are resolved
+        # here, so `char` and `count` never import their modules.
+        code = getattr(exc, "exit_code", EXIT_USAGE)
         if isinstance(exc, ArithmeticError):
             from .cyclotomic import CycError
-            from .modular_data import GlobalDimensionError
-            if not isinstance(exc, (CycError, GlobalDimensionError)):
+            from .modular_data import GlobalDimensionError, VerlindeError
+            if isinstance(exc, VerlindeError):
+                code = EXIT_VERIFY_FAIL     # the datum fails Verlinde
+            elif not isinstance(exc, (CycError, GlobalDimensionError)):
                 raise
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
-        return getattr(exc, "exit_code", EXIT_USAGE)
+        return code
 
 
 def run() -> int:

@@ -59,6 +59,20 @@ class OrderCapExceeded(CycError):
     """A cyclotomic field above the configured order cap was asked for."""
 
 
+def _memo(method):
+    """A no-argument method whose result, None included, is kept in the
+    instance's `_cache` under the method's name: computed once per object,
+    a fusion ring or a modular datum.  The cache dies with the object."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        if name not in self._cache:
+            self._cache[name] = method(self)
+        return self._cache[name]
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense, lowest degree first)
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 from . import _blas  # noqa: F401  (before numpy: idle BLAS workers sleep)
 import numpy as np
 
-from .cyclotomic import CycNum, _exact, format_cyc, parse_cyc
+from .cyclotomic import CycNum, _exact, _memo, format_cyc, parse_cyc
 
 __all__ = [
     "FusionRing",
@@ -125,7 +125,7 @@ class FusionRing:
         for i, d in (self.supplied_dual or {}).items():
             if not (0 <= i < n and 0 <= d < n):
                 raise ValueError(f"label index out of range in dual({i}) = {d}")
-        self._validation: ValidationReport | None = None
+        self._cache: dict[str, object] = {}
 
     # -- basic access -------------------------------------------------------
 
@@ -150,9 +150,8 @@ class FusionRing:
 
     # -- axioms -------------------------------------------------------------
 
+    @_memo
     def validate(self) -> ValidationReport:
-        if self._validation is not None:
-            return self._validation
         n = self.rank
         t = self._tensor
         sides = np.stack([t[self.unit], t[:, self.unit]])
@@ -179,10 +178,9 @@ class FusionRing:
                  if d != dual[i]), True)
         self._dual = tuple(dual)
 
-        self._validation = ValidationReport.of(
+        return ValidationReport.of(
             unit_ok=unit, commutative_ok=commutative, duality_ok=duality,
             associative_ok=self._associativity())
-        return self._validation
 
     def _associativity(self) -> bool | str:
         """True, or the first (i, j, k, l) in row-major order where

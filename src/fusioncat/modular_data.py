@@ -34,7 +34,6 @@ datum whose Gauss sums give no D, which is then not modular, has neither.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +48,7 @@ from .cyclotomic import (
     _cyc_arrays,
     _exact,
     _int,
+    _memo,
     cyc_inv,
     cyc_rational,
     cyc_root_of_unity,
@@ -86,20 +86,6 @@ class ModularReport(CheckReport):
     # p+/p- = e^{2 pi i c/4}; None if c is unknown
     gauss_ratio_ok: bool | None = check("Gauss ratio e^(2 pi i c/4)")
     failures: tuple[str, ...] = ()
-
-
-def _memo(method):
-    """A no-argument method whose result, None included, is kept in the
-    instance's `_cache` under the method's name: computed once per datum.
-    The cache dies with the datum."""
-    name = method.__name__
-
-    @functools.wraps(method)
-    def cached(self):
-        if name not in self._cache:
-            self._cache[name] = method(self)
-        return self._cache[name]
-    return cached
 
 
 class ModularDatum:

@@ -197,6 +197,11 @@ def vltau_duals() -> tuple[int, ...]:
     return _duals(3)
 
 
+def _twisted_weight(j: int, e: int) -> Fraction:
+    """The twisted conformal weight at lattice index j and eigenspace e."""
+    return Fraction(10 - 3 * (j * j + e), 9)
+
+
 def vltau_weights() -> tuple[Fraction, ...]:
     """The twists of the 30 labels; a twisted label's depends on its lattice
     index j only through j^2 = i^2."""
@@ -207,7 +212,7 @@ def vltau_weights() -> tuple[Fraction, ...]:
         for e in range(3):
             w[eig(i, e)] = Fraction(2 * i * i, 3) % 1
             for k in (1, 2):
-                w[tw(k, i, e)] = Fraction(10 - 3 * (i * i + e), 9) % 1
+                w[tw(k, i, e)] = _twisted_weight(i, e) % 1
     return tuple(w)
 
 
@@ -330,8 +335,7 @@ def weight_table_check() -> WeightCheckReport:
             entries.append(WeightCheckEntry(name, table, recomputed, ok, detail))
         else:
             # Piece m of a tau^k-twisted label has lattice index 2km mod 3.
-            congruent = [(w + Fraction(10 - 3 * ((2 * k * m % 3) ** 2 + eps),
-                                       9)) % 1
+            congruent = [(w + _twisted_weight(2 * k * m % 3, eps)) % 1
                          for m, w in enumerate(rank1)]
             ok = all(c == table % 1 for c in congruent)
             detail = ("pieces mod 1 "

@@ -15,7 +15,7 @@ from fusioncat.cli import main
 from fusioncat.cyclotomic import parse_cyc
 from fusioncat.modular_data import ModularDatum, ModularReport
 
-from test_golden import CLI_SHA256
+from test_golden import CLI_SHA256, pointed_fcat
 from test_package import SRC
 
 
@@ -639,6 +639,42 @@ class TestQdim:
                                  capsys=capsys)
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: unknown label 'nope'"]
+
+
+class TestRingOnly:
+    """fuse and qdim read the ring alone: they build no datum, so its field
+    can neither refuse them nor cost them the Gauss sums."""
+
+    @pytest.fixture
+    def above_cap(self, tmp_path):
+        # A valid Z2 ring whose twists need Q(zeta_1147), above the cap.
+        path = tmp_path / "z2.fcat"
+        path.write_text(_z2_fcat(twist="1/37").replace("twist 0 0/1",
+                                                       "twist 0 1/31"))
+        return str(path)
+
+    @pytest.mark.parametrize("argv,out", [
+        (["qdim"], "a 1\nb 1\n"),
+        (["qdim", "--label", "b"], "1\n"),
+        (["fuse", "a", "b"], "b\n"),
+    ], ids=["qdim", "qdim-label", "fuse"])
+    def test_field_above_cap_is_no_error(self, argv, out, above_cap, capsys):
+        assert run_cli([*argv, above_cap], capsys=capsys) == (0, out, "")
+
+    def test_verify_still_refuses_the_field(self, above_cap, capsys):
+        assert run_cli(["verify", above_cap], capsys=capsys) == (
+            2, "", "error: cyclotomic order 1147 exceeds cap 720\n")
+
+    def test_qdim_computes_no_gauss_sums(self, tmp_path, monkeypatch,
+                                         capsys):
+        def refuse(md):
+            raise AssertionError("gauss_sums() called")
+        monkeypatch.setattr(ModularDatum, "gauss_sums", refuse)
+        path = tmp_path / "z17.fcat"
+        path.write_text(pointed_fcat(17, 1, 0))
+        code, out, err = run_cli(["qdim", str(path)], capsys=capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 17
 
 
 @pytest.mark.parametrize("command", ["smatrix", "tmatrix", "verlinde"])

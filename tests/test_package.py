@@ -2,7 +2,8 @@
 
 `import fusioncat` loads no submodule; `char` and `count` are integer and
 Fraction work and must never load numpy or the cyclotomic module; a call on
-an FCAT file loads none of the catalog modules.  Module loading is checked
+an FCAT file loads none of the catalog modules, and `fuse` and `qdim`, which
+read only the ring, load no `modular_data`.  Module loading is checked
 in a fresh interpreter through `sys.modules`.  The process entry freezes
 the heap before exit, and `main(argv)` leaves the collector as it was.
 numpy loads with a short OpenBLAS thread timeout, so idle BLAS workers do
@@ -146,6 +147,15 @@ class TestCommandImports:
         loaded = _loaded_in_order([command, str(path)])
         assert "fusioncat.modular_data" in loaded
         assert [m for m in CATALOG if m in loaded] == []
+
+    @pytest.mark.parametrize("argv", [["qdim"], ["fuse", "1", "s"]],
+                             ids=["qdim", "fuse"])
+    def test_ring_command_loads_no_modular_data(self, argv, tmp_path):
+        path = tmp_path / "semion.fcat"
+        path.write_text(SEMION)
+        loaded = _loaded_in_order([*argv, str(path)])
+        assert "fusioncat.fusion_ring" in loaded
+        assert "fusioncat.modular_data" not in loaded
 
     def test_char_loads_no_catalog_builder(self):
         loaded = _loaded_in_order(["char", "M^0", "--cutoff", "30"])
