@@ -4,16 +4,11 @@ lattices with coset theta functions, q-series characters, and builders for
 the 20- and 30-object orbifold catalogs.
 
 The public names load on first use (PEP 562), so `import fusioncat` imports
-no submodule and no numpy; only the array modules (cyclotomic, fusion_ring,
-modular_data) import numpy.
-
-numpy loads with OPENBLAS_THREAD_TIMEOUT=4 unless the environment already
-gives a value (`_blas`): an idle BLAS worker then sleeps almost at once
-instead of busy-waiting about 2^28 cycles, which on a small machine takes
-CPU from the main thread while numpy and fusioncat load.  The variable is
-set only while numpy loads, so the process environment is left as it was.
-The workers stay, so large exact products still run in parallel; the CLI
-alone runs BLAS on one thread (`cli.main`).
+no submodule and no numpy.  numpy is imported first by `cyclotomic`, with
+OPENBLAS_THREAD_TIMEOUT=4 while it loads unless the environment gives a
+value, so that idle BLAS workers sleep instead of spinning.  The workers
+stay, so large exact products still run in parallel; the CLI alone runs
+BLAS on one thread (`cli.main`).
 """
 
 import importlib

@@ -5,10 +5,11 @@ count.  Exit codes: 0 success, 1 verification failure, 2 parse/usage error.
 Exact output is the default; `--format float` rounds at 10 significant
 digits.  Each command imports only the modules it runs: `char` and `count`
 load no numpy, the matrix commands on an FCAT file no catalog module, and
-`fuse` and `qdim`, which read only the ring, no `modular_data`.
-Input bounds are fixed, not options: a field Q(zeta_N) with N > 720, a rank
-> 512 or an FCAT line whose field count misses its directive's arity (`dim`:
-at least 1) is one `error:` line, exit 2.
+`fuse` and `qdim`, which read only the ring, neither (except for a W-index
+alias of U) nor `modular_data`.  Input bounds are fixed, not options: a
+field Q(zeta_N) with N > 720, a rank > 512, a `char --cutoff` above 10000 or
+an FCAT line whose field count misses its directive's arity (`dim`: at least
+1) is one `error:` line, exit 2, and so is every arithmetic error.
 
 `run()` is the process entry of both `python -m fusioncat.cli` and the
 `fusioncat` console script: it runs `main()` and then freezes the heap, so
@@ -135,7 +136,6 @@ def _complex_str(x: CycNum) -> str:
 
 def cmd_verify(args) -> int:
     from .modular_data import VerlindeError
-    import numpy as np
     ring, datum = _load(args)
     report = ring.validate()
     ok = report.passed
@@ -149,27 +149,34 @@ def cmd_verify(args) -> int:
         ok = mrep.passed
         if ok:
             try:
-                ok = bool(np.array_equal(md.verlinde(), ring.tensor))
+                ok = bool((md.verlinde() == ring.tensor).all())
             except VerlindeError:
                 ok = False
             print(f"Verlinde round-trip         {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def cmd_fuse(args) -> int:
+def _label(ring: FusionRing, name: str) -> int:
+    """The index of a label, or of a W-index alias of U's labels (W0..W19):
+    only a name of that form that is no label loads the catalog module."""
+    if name in ring.labels or name[:1] != "W" or not name[1:2].isdecimal():
+        return ring.label_index(name)
     from .orbifold_catalog import resolve_label
+    return resolve_label(ring, name)
+
+
+def cmd_fuse(args) -> int:
     ring, _ = _load(args)
-    a = resolve_label(ring, args.a)
-    b = resolve_label(ring, args.b)
+    a = _label(ring, args.a)
+    b = _label(ring, args.b)
     print(ring.fuse(ring.basis_element(a), ring.basis_element(b)))
     return EXIT_OK
 
 
 def cmd_qdim(args) -> int:
-    from .orbifold_catalog import resolve_label
     ring, _ = _load(args)
     if args.label:
-        idx = resolve_label(ring, args.label)
+        idx = _label(ring, args.label)
         print(_float_str(ring.qdim_pf(idx)))
     else:
         for i, name in enumerate(ring.labels):
@@ -177,38 +184,40 @@ def cmd_qdim(args) -> int:
     return EXIT_OK
 
 
-def cmd_smatrix(args) -> int:
+def _entry_str(args) -> Callable[[CycNum], str]:
+    """A matrix entry as text: exact, or its parts with `--format float`."""
     from .cyclotomic import format_cyc
+    return _complex_str if args.format == "float" else format_cyc
+
+
+def cmd_smatrix(args) -> int:
     md = _require_datum(args)
     s = md.stilde() if args.unnormalized else md.s_matrix()
-    n = md.ring.rank
-    for i in range(n):
-        for j in range(n):
-            entry = s[i][j]
-            if args.format == "float":
-                print(f"{i} {j} {_complex_str(entry)}")
-            else:
-                print(f"{i} {j} {format_cyc(entry)}")
+    text = _entry_str(args)
+    for i, row in enumerate(s):
+        for j, entry in enumerate(row):
+            print(f"{i} {j} {text(entry)}")
     return EXIT_OK
 
 
 def cmd_tmatrix(args) -> int:
-    from .cyclotomic import format_cyc
     md = _require_datum(args)
     if md.central_charge is None:
         raise CliError("central charge required for the T matrix")
+    text = _entry_str(args)
     for i, entry in enumerate(md.t_matrix()):
-        if args.format == "float":
-            print(f"{i} {_complex_str(entry)}")
-        else:
-            print(f"{i} {format_cyc(entry)}")
+        print(f"{i} {text(entry)}")
     return EXIT_OK
 
 
 def cmd_verlinde(args) -> int:
-    import numpy as np
-    tensor = _require_datum(args).verlinde()
-    for i, j, k in np.argwhere(tensor).tolist():     # row-major
+    from .modular_data import VerlindeError
+    md = _require_datum(args)
+    try:
+        tensor = md.verlinde()
+    except VerlindeError as exc:            # the datum fails Verlinde
+        raise CheckError(*exc.args) from None
+    for i, j, k in zip(*tensor.nonzero()):           # row-major
         print(f"N {i} {j} {k} {tensor[i, j, k]}")
     return EXIT_OK
 
@@ -226,12 +235,9 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-_CHAR_PIECES = {
-    "M^0": 0,
-    "M^1": 1,
-    "W6": 0,
-    "W7": 1,
-}
+_CHAR_PIECES = {"M^0": 0, "M^1": 1, "W6": 0, "W7": 1}
+
+MAX_CUTOFF = 10_000     # the q-series work grows faster than the cutoff
 
 
 def cmd_char(args) -> int:
@@ -243,6 +249,9 @@ def cmd_char(args) -> int:
             "(eigenspace traces are out of scope)")
     if args.cutoff < 0:
         raise CliError(f"--cutoff must be non-negative, not {args.cutoff}")
+    if args.cutoff > MAX_CUTOFF:
+        raise CliError(
+            f"--cutoff {args.cutoff} exceeds the bound {MAX_CUTOFF}")
     pieces = full_coset_pieces(_CHAR_PIECES[args.label])
     series = character(pieces, 3, Fraction(args.cutoff))
     for line in series.dump_lines():
@@ -329,22 +338,16 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-# Commands that load neither numpy nor the cyclotomic module.
-_NO_CYCLOTOMIC = (cmd_char, cmd_count)
-
-
 def main(argv: list[str] | None = None) -> int:
     # One BLAS thread: a catalog-size call gains nothing from a second one,
     # which costs it peak RSS and latency.  The library keeps the threads.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func not in _NO_CYCLOTOMIC:
-        # Imported first, so that they compile before numpy is resident:
-        # this keeps the peak RSS where the eager imports had it.
-        if args.func in (cmd_catalog, cmd_fuse, cmd_qdim) or args.catalog:
-            from . import orbifold_catalog  # noqa: F401
-        from . import cyclotomic  # noqa: F401
+    if args.func is cmd_catalog or getattr(args, "catalog", None):
+        # Imported first, so that it compiles before numpy is resident: this
+        # keeps the peak RSS of a catalog call down.
+        from . import orbifold_catalog  # noqa: F401
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -358,19 +361,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
     except (CliError, KeyError, ValueError, ArithmeticError) as exc:
-        # FcatError is a ValueError.  The arithmetic errors are resolved
-        # here, so `char` and `count` never import their modules.
-        code = getattr(exc, "exit_code", EXIT_USAGE)
-        if isinstance(exc, ArithmeticError):
-            from .cyclotomic import CycError
-            from .modular_data import GlobalDimensionError, VerlindeError
-            if isinstance(exc, VerlindeError):
-                code = EXIT_VERIFY_FAIL     # the datum fails Verlinde
-            elif not isinstance(exc, (CycError, GlobalDimensionError)):
-                raise
+        # FcatError is a ValueError.
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
-        return code
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 def run() -> int:

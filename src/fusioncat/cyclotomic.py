@@ -29,11 +29,21 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import _blas  # noqa: F401  (before numpy: idle BLAS workers sleep)
+# numpy enters the package here (`fusion_ring` and `modular_data` import this
+# module first), with OPENBLAS_THREAD_TIMEOUT=4 only while it loads, unless
+# the environment gives a value: see the package docstring.
+if "numpy" not in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 import numpy as np
 
 __all__ = [
@@ -403,11 +413,22 @@ class CycNum(_CycArray):
         return other * cyc_inv(self)
 
     def embed(self) -> complex:
-        """Double-precision complex embedding sum c_k e^{2 pi i k / N}."""
+        """Double-precision complex embedding sum c_k e^{2 pi i k / N}; a
+        part above the double range is +-inf, one below it 0."""
+        z, exp = self.scaled_embed()
+        return complex(_ldexp(z.real, exp), _ldexp(z.imag, exp))
+
+    def scaled_embed(self) -> tuple[complex, int]:
+        """(z, e) with the embedding z 2^e, z finite: the coefficients and the
+        denominator are shifted right, exactly, to at most 1000 bits before
+        they become floats, so phi(N) terms stay below the maximum 2^1024."""
         ctx = _order_context(self.order)
+        shift = max(0, max(map(abs, self.num.tolist())).bit_length() - 1000)
+        den_shift = max(0, int(self.den).bit_length() - 1000)
         # Not np.dot: its BLAS kernel alone adds about 0.1 MB of peak RSS.
-        num = self.num.astype(float)
-        return complex((num * ctx.roots).sum() / self.den)
+        num = (self.num >> shift).astype(float)
+        z = complex((num * ctx.roots).sum() / (self.den >> den_shift))
+        return z, shift - den_shift
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -428,6 +449,14 @@ class CycNum(_CycArray):
 
     def __str__(self):
         return format_cyc(self)
+
+
+def _ldexp(x: float, exp: int) -> float:
+    """x 2^exp; +-inf above the double range, 0 (not -0) below it."""
+    try:
+        return math.ldexp(x, exp) + 0.0
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _lowest(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:

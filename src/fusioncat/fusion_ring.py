@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from . import _blas  # noqa: F401  (before numpy: idle BLAS workers sleep)
-import numpy as np
-
+# cyclotomic first: it loads numpy.
 from .cyclotomic import CycNum, _exact, _memo, format_cyc, parse_cyc
+import numpy as np
 
 __all__ = [
     "FusionRing",

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import _blas  # noqa: F401  (before numpy: idle BLAS workers sleep)
-import numpy as np
-
+# Before numpy, which cyclotomic loads: compiled first, they cost less RSS.
+from .fusion_ring import CheckReport, FusionRing, check, first_violation
 from .cyclotomic import (
     CycNum,
     _CycArray,
@@ -53,7 +52,7 @@ from .cyclotomic import (
     cyc_rational,
     cyc_root_of_unity,
 )
-from .fusion_ring import CheckReport, FusionRing, check, first_violation
+import numpy as np
 
 __all__ = [
     "GlobalDimensionError",
@@ -159,13 +158,15 @@ class ModularDatum:
         Q(zeta_L): so e(c/8) is one of the e(k/m), m = 2 lcm(2, L).  The
         phase of p+ names k, and D = p+ e(-k/m) is accepted only if it is
         real and squares to the global dimension, exactly; |D| >= 1 keeps the
-        float far from a wrong k.  An e(k/m) of order 2 mod 4 is written as
-        -e(k/m + 1/2), of odd order, so D and S stay in the field of s~.
+        float far from a wrong k, and the phase is read from coefficients
+        scaled by a power of two (`scaled_embed`), so a p+ of any size has
+        one.  An e(k/m) of order 2 mod 4 is written as -e(k/m + 1/2), of odd
+        order, so D and S stay in the field of s~.
         """
         glob = self.global_dimension()
         plus, _ = self.gauss_sums()
         m = 2 * math.lcm(2, self._conductor())
-        z = plus.embed()
+        z, _ = plus.scaled_embed()
         k = round(math.atan2(z.imag, z.real) * m / (2 * math.pi)) % m
         turn = Fraction(k, m)
         flip = turn.denominator % 4 == 2      # e(t) = -e(t + 1/2)

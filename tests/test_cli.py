@@ -1,16 +1,23 @@
 """End-to-end CLI behavior: outputs, exit codes, round trips, determinism."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import os
 import re
 import subprocess
 import sys
+import types
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusioncat import cyclotomic
+from fusioncat import cli, cyclotomic
 from fusioncat.cli import main
 from fusioncat.cyclotomic import parse_cyc
 from fusioncat.modular_data import ModularDatum, ModularReport
@@ -49,6 +56,18 @@ class TestFuse:
                                capsys=capsys)
         assert code == 0
         assert out.strip() == "M~_0[0] + M~_0[1] + M~_0[2] + 2*M^0"
+
+    def test_w_aliases_on_emitted_u(self, tmp_path, capsys):
+        path = tmp_path / "u.fcat"
+        path.write_text(run_cli(["catalog", "U"], capsys=capsys)[1])
+        assert run_cli(["fuse", "W6", "W6", str(path)], capsys=capsys) == (
+            0, "M~_0[0] + M~_0[1] + M~_0[2] + 2*M^0\n", "")
+        assert run_cli(["fuse", "W25", "W6", str(path)], capsys=capsys) == (
+            2, "", "error: W-index 'W25' out of range\n")
+
+    def test_w_name_elsewhere_is_an_unknown_label(self, capsys):
+        assert run_cli(["fuse", "--catalog", "VLtau", "W3", "W3"],
+                       capsys=capsys) == (2, "", "error: unknown label 'W3'\n")
 
     def test_vltau(self, capsys):
         code, out, _ = run_cli(
@@ -493,6 +512,79 @@ def _assert_no_d(run, path: str, glob: str):
         "S = s~/D is undefined"]
 
 
+class TestBeyondTheDoubleRange:
+    """Valid files whose numbers no double holds: p+ p- != D^2, so there is
+    no D, and a float of such a number is +-inf or 0, never an error."""
+
+    ONE_LABEL = "label 0 a\nunit 0\nN 0 0 0 1\ntwist 0 0/1\ndim 0 {}\n"
+    FILES = {
+        "dim-10^400": (ONE_LABEL.format(10**400), f"{10**800}",
+                       ["0 0 inf 0"]),
+        "dim-1/10^400": (ONE_LABEL.format(f"1/{10**400}"), f"1/{10**800}",
+                         ["0 0 0 0"]),
+        "z2-dims-1-and-10^400": (_z2_fcat(dim=str(10**400)),
+                                 f"{10**800 + 1}",
+                                 ["0 0 1 0", "0 1 inf 0", "1 0 inf 0",
+                                  "1 1 -1 0"]),
+    }
+
+    @pytest.fixture(params=sorted(FILES))
+    def case(self, request, tmp_path):
+        text, glob, floats = self.FILES[request.param]
+        path = tmp_path / "huge.fcat"
+        path.write_text(text)
+        return str(path), glob, floats
+
+    def test_verify_fails_and_smatrix_finds_no_d(self, case, capsys):
+        path, glob, _ = case
+        _assert_no_d(lambda argv: run_cli(argv, capsys=capsys), path, glob)
+        code, out, err = run_cli(["verify", path], capsys=capsys)
+        assert (code, len(out.splitlines()), err) == (1, 12, "")
+
+    def test_unnormalized_smatrix_prints(self, case, capsys):
+        path, _, floats = case
+        code, out, err = run_cli(["smatrix", "--unnormalized", path],
+                                 capsys=capsys)
+        assert (code, len(out.splitlines()), err) == (0, len(floats), "")
+        assert run_cli(["smatrix", "--unnormalized", "--format", "float",
+                        path], capsys=capsys) == (
+            0, "".join(f"{line}\n" for line in floats), "")
+
+
+@st.composite
+def _pointed_fcat(draw):
+    """A pointed Z_n file, n <= 6, with twists p/q of one q <= 24, so its
+    field stays inside the cap, and dims +-k 10^e or +-1/10^e, e <= 400."""
+    n, q = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    lines = [f"label {i} g{i}" for i in range(n)] + ["unit 0"]
+    lines += [f"N {i} {j} {(i + j) % n} 1" for i in range(n) for j in range(n)]
+    for i in range(n):
+        sign = draw(st.sampled_from(["", "-"]))
+        e = draw(st.integers(0, 400))
+        dim = (f"1/{10**e}" if draw(st.booleans())
+               else f"{draw(st.integers(1, 9)) * 10**e}")
+        lines += [f"twist {i} {draw(st.integers(-30, 30))}/{q}",
+                  f"dim {i} {sign}{dim}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None)
+@given(_pointed_fcat())
+def test_any_pointed_datum_ends_without_traceback(text):
+    for argv in (["verify"], ["smatrix"],
+                 ["smatrix", "--unnormalized", "--format", "float"],
+                 ["tmatrix"], ["verlinde"]):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main([*argv, "-"])
+        assert code in (0, 1, 2), argv
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1
+                               and lines[0].startswith("error: ")), argv
+
+
 class TestOrderCap:
     # Each field above the cap is refused where it would be built, before
     # its tables are allocated.  D is sought next to the Gauss sums, so a
@@ -799,6 +891,29 @@ class TestCatalogChar:
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             "error: --cutoff must be non-negative, not -5"]
+
+    @pytest.mark.parametrize("cutoff", [10_001, 10**12])
+    def test_char_cutoff_above_the_bound_exits_2(self, cutoff, monkeypatch,
+                                                  capsys):
+        def refuse(*args):
+            raise AssertionError("character() called")
+        monkeypatch.setattr(cli, "character", refuse)
+        code, out, err = run_cli(["char", "M^0", "--cutoff", str(cutoff)],
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: --cutoff {cutoff} exceeds the bound 10000"]
+
+    def test_char_cutoff_at_the_bound_is_valid(self, monkeypatch, capsys):
+        cutoffs = []
+
+        def record(pieces, c, cutoff):
+            cutoffs.append(cutoff)
+            return types.SimpleNamespace(dump_lines=lambda: ["0 1"])
+        monkeypatch.setattr(cli, "character", record)
+        assert run_cli(["char", "M^0", "--cutoff", "10000"],
+                       capsys=capsys) == (0, "0 1\n", "")
+        assert cutoffs == [Fraction(10000)]
 
     def test_char_zero_cutoff_is_valid(self, capsys):
         code, _, err = run_cli(["char", "M^0", "--cutoff", "0"],

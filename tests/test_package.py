@@ -4,11 +4,12 @@
 Fraction work and must never load numpy or the cyclotomic module; a call on
 an FCAT file loads none of the catalog modules, and `fuse` and `qdim`, which
 read only the ring, load no `modular_data`.  Module loading is checked
-in a fresh interpreter through `sys.modules`.  The process entry freezes
-the heap before exit, and `main(argv)` leaves the collector as it was.
-numpy loads with a short OpenBLAS thread timeout, so idle BLAS workers do
-not spin; the variable is set only while numpy loads, and a user's value is
-never overridden.
+in a fresh interpreter through `sys.modules`.  numpy is first imported by
+`fusioncat.cyclotomic` whatever module or command loads it, checked with
+`-X importtime`.  The process entry freezes the heap before exit, and
+`main(argv)` leaves the collector as it was.  numpy loads with a short
+OpenBLAS thread timeout, so idle BLAS workers do not spin; the variable is
+set only while numpy loads, and a user's value is never overridden.
 """
 
 import gc
@@ -46,13 +47,13 @@ CLI_CASES = [
 ]
 
 
-def _python(*args, **env):
+def _python(*args, cwd=None, **env):
     """A fresh interpreter on this checkout, with the OpenBLAS settings of
     `env` only: a developer's own cannot mask what a test checks."""
     env = {**{k: v for k, v in os.environ.items()
               if not k.startswith("OPENBLAS_")}, **env, "PYTHONPATH": SRC}
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=600)
+                          text=True, env=env, timeout=600, cwd=cwd)
 
 
 class TestLazySurface:
@@ -151,11 +152,13 @@ class TestCommandImports:
     @pytest.mark.parametrize("argv", [["qdim"], ["fuse", "1", "s"]],
                              ids=["qdim", "fuse"])
     def test_ring_command_loads_no_modular_data(self, argv, tmp_path):
+        # nor the catalog module, whose W-index alias names only U's labels
         path = tmp_path / "semion.fcat"
         path.write_text(SEMION)
         loaded = _loaded_in_order([*argv, str(path)])
         assert "fusioncat.fusion_ring" in loaded
-        assert "fusioncat.modular_data" not in loaded
+        assert [m for m in ("fusioncat.modular_data", *CATALOG)
+                if m in loaded] == []
 
     def test_char_loads_no_catalog_builder(self):
         loaded = _loaded_in_order(["char", "M^0", "--cutoff", "30"])
@@ -167,6 +170,39 @@ class TestCommandImports:
         loaded = _loaded_in_order(["verify", "--catalog", "U"])
         assert (loaded.index("fusioncat.orbifold_catalog")
                 < loaded.index("numpy"))
+
+
+def _importer_of_numpy(*args, cwd=None):
+    """The module whose import first imported numpy, in `-X importtime`
+    output: the first line after numpy's that is indented less."""
+    proc = _python("-X", "importtime", *args, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.rsplit("|", 1)[1] for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line]
+    names = [row.strip() for row in rows]
+    depth = [len(row) - len(row.lstrip()) for row in rows]
+    at = names.index("numpy")
+    return next(names[i] for i in range(at + 1, len(rows))
+                if depth[i] < depth[at])
+
+
+class TestNumpyEntry:
+    @pytest.mark.parametrize("argv", [
+        [command, *source]
+        for command in ("verify", "smatrix", "tmatrix", "verlinde")
+        for source in (["--catalog", "U"], ["semion.fcat"])
+    ] + [["qdim", "semion.fcat"], ["fuse", "1", "s", "semion.fcat"],
+         ["catalog", "U"]], ids=" ".join)
+    def test_cli(self, argv, tmp_path):
+        (tmp_path / "semion.fcat").write_text(SEMION)
+        assert _importer_of_numpy("-m", "fusioncat.cli", *argv,
+                                  cwd=tmp_path) == "fusioncat.cyclotomic"
+
+    @pytest.mark.parametrize("module", ["fusioncat.fusion_ring",
+                                        "fusioncat.modular_data"])
+    def test_import(self, module):
+        assert (_importer_of_numpy("-c", f"import {module}")
+                == "fusioncat.cyclotomic")
 
 
 # Runs the CLI as `python -m fusioncat.cli` does, and prints, as the last
@@ -224,19 +260,25 @@ _OPENBLAS_ENV = ("import os\n"
                  " if k.startswith('OPENBLAS_')})")
 
 
+# The modules that import numpy.
+ARRAY_MODULES = ["fusioncat.cyclotomic", "fusioncat.fusion_ring",
+                 "fusioncat.modular_data"]
+
+
 class TestBlasDefault:
     @pytest.mark.skipif(os.cpu_count() < 2 or "openblas" not in _blas_name(),
                         reason="needs OpenBLAS and a second CPU")
     def test_idle_workers_do_not_spin(self):
         # CPU time outside the main thread while it sleeps: a spinning
         # worker takes about 0.06 s of it.
-        proc = _python("-c", "import time, fusioncat.cyclotomic\n"
-                       "time.sleep(0.3)\n"
-                       "print(time.process_time() - time.thread_time())")
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 0.01
+        for module in ARRAY_MODULES:
+            proc = _python("-c", f"import time, {module}\n"
+                           "time.sleep(0.3)\n"
+                           "print(time.process_time() - time.thread_time())")
+            assert proc.returncode == 0, proc.stderr
+            assert float(proc.stdout) < 0.01, module
 
-    @pytest.mark.parametrize("module", ["fusioncat", "fusioncat.cyclotomic"])
+    @pytest.mark.parametrize("module", ["fusioncat", *ARRAY_MODULES])
     def test_environment_left_as_it_was(self, module):
         # The timeout is set only while numpy loads: neither this process
         # nor a child it starts afterwards sees an OpenBLAS variable.
