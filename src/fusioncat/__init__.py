@@ -8,7 +8,7 @@ no submodule and no numpy.  numpy is imported first by `cyclotomic`, with
 OPENBLAS_THREAD_TIMEOUT=4 while it loads unless the environment gives a
 value, so that idle BLAS workers sleep instead of spinning.  The workers
 stay, so large exact products still run in parallel; the CLI alone runs
-BLAS on one thread (`cli.main`).
+BLAS on one thread (`cli.run`).
 """
 
 import importlib
@@ -20,7 +20,8 @@ _EXPORTS = {
     "cyclotomic": ("CycNum", "CycError", "OrderCapExceeded", "cyc_rational",
                    "cyc_root_of_unity", "format_cyc", "parse_cyc"),
     "fusion_ring": ("FusionRing", "RingElement", "ValidationReport",
-                    "FcatDocument", "FcatError", "parse_fcat", "emit_fcat"),
+                    "FcatDocument", "FcatError", "InvalidRingError",
+                    "parse_fcat", "emit_fcat"),
     "lattice": ("Lattice", "Coset", "dual_coset_reps", "min_norm",
                 "min_vectors", "orbifold_decomposition", "tau_action"),
     "modular_data": ("ModularDatum", "ModularReport", "VerlindeError"),

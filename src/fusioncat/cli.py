@@ -1,21 +1,23 @@
 """Command-line front end.
 
 Subcommands: verify, fuse, qdim, smatrix, tmatrix, verlinde, catalog, char,
-count.  Exit codes: 0 success, 1 verification failure, 2 parse/usage error.
-Exact output is the default; `--format float` rounds at 10 significant
-digits.  Each command imports only the modules it runs: `char` and `count`
-load no numpy, the matrix commands on an FCAT file no catalog module, and
-`fuse` and `qdim`, which read only the ring, neither (except for a W-index
-alias of U) nor `modular_data`.  Input bounds are fixed, not options: a
+count.  Exit codes: 0 success, 1 a failed check (a library error for one
+carries `exit_code` 1), 2 parse/usage error.  Exact output is the default;
+`--format float` rounds at 10 significant digits.  `char` and `count` load
+no numpy, the matrix commands on an FCAT file no catalog module, and `fuse`
+and `qdim` neither (except for a W-index alias of U) nor `modular_data`,
+which `verify` and `verlinde` import first on every source: compiled after
+numpy, it raises their peak RSS.  Input bounds are fixed, not options: a
 field Q(zeta_N) with N > 720, a rank > 512, a `char --cutoff` above 10000 or
 an FCAT line whose field count misses its directive's arity (`dim`: at least
-1) is one `error:` line, exit 2, and so is every arithmetic error.
+1) is one `error:` line, exit 2, and so is every other arithmetic error.
 
 `run()` is the process entry of both `python -m fusioncat.cli` and the
-`fusioncat` console script: it runs `main()` and then freezes the heap, so
-interpreter finalization skips its collections over the objects numpy and
-fusioncat leave alive.  `main(argv)` has no such side effect and can be
-called in process any number of times.
+`fusioncat` console script: it sets one BLAS thread unless the environment
+gives a value, runs `main()` and then freezes the heap, so interpreter
+finalization skips its collections over the objects numpy and fusioncat
+leave alive.  `main(argv)` has neither side effect and can be called in
+process any number of times.
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ class CliError(Exception):
     """Usage-level error: printed as a single diagnostic line, exit 2."""
 
     exit_code = EXIT_USAGE
-
-
-class CheckError(CliError):
-    """Input that parses but fails a check the command needs: one
-    diagnostic line, exit 1."""
-
-    exit_code = EXIT_VERIFY_FAIL
 
 
 # Called through these names, so that a caller can wrap them in place.
@@ -110,13 +105,9 @@ def _load(args) -> tuple[FusionRing, Callable[[], ModularDatum] | None]:
 
 
 def _require_datum(args) -> ModularDatum:
-    ring, datum = _load(args)
+    _, datum = _load(args)
     if datum is None:
         raise CliError("input lacks twist/dim annotations needed here")
-    try:
-        ring.require_valid()
-    except ValueError as exc:
-        raise CheckError(*exc.args) from None
     return datum()
 
 
@@ -202,8 +193,6 @@ def cmd_smatrix(args) -> int:
 
 def cmd_tmatrix(args) -> int:
     md = _require_datum(args)
-    if md.central_charge is None:
-        raise CliError("central charge required for the T matrix")
     text = _entry_str(args)
     for i, entry in enumerate(md.t_matrix()):
         print(f"{i} {text(entry)}")
@@ -211,12 +200,9 @@ def cmd_tmatrix(args) -> int:
 
 
 def cmd_verlinde(args) -> int:
-    from .modular_data import VerlindeError
-    md = _require_datum(args)
-    try:
-        tensor = md.verlinde()
-    except VerlindeError as exc:            # the datum fails Verlinde
-        raise CheckError(*exc.args) from None
+    # Compiled before numpy is resident: compiled after it, it raises peak RSS.
+    from . import modular_data  # noqa: F401
+    tensor = _require_datum(args).verlinde()
     for i, j, k in zip(*tensor.nonzero()):           # row-major
         print(f"N {i} {j} {k} {tensor[i, j, k]}")
     return EXIT_OK
@@ -339,9 +325,6 @@ def _discard_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # One BLAS thread: a catalog-size call gains nothing from a second one,
-    # which costs it peak RSS and latency.  The library keeps the threads.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.func is cmd_catalog or getattr(args, "catalog", None):
@@ -368,13 +351,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> int:
-    """Process entry: `main()` on sys.argv, then `gc.freeze()`.
+    """Process entry: one BLAS thread, `main()` on sys.argv, `gc.freeze()`.
 
-    The freeze moves every live object to the permanent generation, so the
-    collections of interpreter finalization traverse nothing; flushing,
-    atexit handlers and the exit code are unchanged.  Only a process that
-    is about to exit should call this.
+    A catalog-size call gains nothing from a second BLAS thread, which costs
+    it peak RSS and latency.  The freeze moves every live object to the
+    permanent generation, so the collections of interpreter finalization
+    traverse nothing; flushing, atexit handlers and the exit code are
+    unchanged.  Only a process that is about to exit should call this.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return main()
     finally:

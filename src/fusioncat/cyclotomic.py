@@ -12,8 +12,8 @@ of one conductor N, over one common positive denominator.  A number,
 promotion, conjugation and the other Galois maps, +, -, the entrywise
 product, equality and the canonical form are each written once, for
 arrays, and a number broadcasts into an array operation.  A binary
-operation first brings both operands to the lcm of their conductors; an
-int or a Fraction counts as an element of Q.
+operation, `@` too, first brings both operands to the lcm of their
+conductors; an int or a Fraction counts as an element of Q.
 
 An entrywise or matrix product builds the unreduced polynomial product,
 contracted over the inner index, in 2 phi - 1 slots and reduces it once
@@ -229,6 +229,8 @@ class _CycArray:
 
     @property
     def T(self) -> "_CycArray":
+        if self.num.ndim != 3:
+            raise ValueError("only a matrix has a transpose")
         return _CycArray(self.num.swapaxes(0, 1), self.den, self.order)
 
     def _substitute(self, k: int, order: int) -> "_CycArray":
@@ -307,6 +309,7 @@ class _CycArray:
             return NotImplemented
         return self * cyc_inv(other)
 
+    @_binary
     def __matmul__(self, other: "_CycArray") -> "_CycArray":
         """Matrix product: out[i, k] = sum_j self[i, j] * other[j, k]."""
         ctx = _order_context(self.order)

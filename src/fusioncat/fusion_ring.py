@@ -23,6 +23,7 @@ __all__ = [
     "RingElement",
     "ValidationReport",
     "FcatError",
+    "InvalidRingError",
     "FcatDocument",
     "parse_fcat",
     "emit_fcat",
@@ -31,6 +32,12 @@ __all__ = [
 
 class FcatError(ValueError):
     """Malformed FCAT v1 input; message carries the offending line number."""
+
+
+class InvalidRingError(ValueError):
+    """A ring that fails validation."""
+
+    exit_code = 1           # the CLI's code for a failed check
 
 
 def check(label: str):
@@ -211,7 +218,8 @@ class FusionRing:
     def require_valid(self) -> None:
         report = self.validate()
         if not report.passed:
-            raise ValueError("invalid fusion ring: " + "; ".join(report.failures))
+            raise InvalidRingError(
+                "invalid fusion ring: " + "; ".join(report.failures))
 
     # -- operations ---------------------------------------------------------
 

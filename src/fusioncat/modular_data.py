@@ -66,6 +66,8 @@ class VerlindeError(ArithmeticError):
     """The Verlinde formula gives no integer N: a non-integer value, or a
     quantum dimension of 0 to divide by (inconsistent input datum)."""
 
+    exit_code = 1           # the CLI's code for a failed check
+
 
 class GlobalDimensionError(ArithmeticError):
     """The global dimension is zero, or the Gauss sums give no real root of
@@ -252,7 +254,7 @@ class ModularDatum:
     def t_matrix(self) -> list[CycNum]:
         """Diagonal of T: e^{2 pi i (Delta_i - c/24)}."""
         if self.central_charge is None:
-            raise ValueError("central charge not set")
+            raise ValueError("central charge required for the T matrix")
         diag = []
         for i in range(self.ring.rank):
             phase = self.twists[i] - self.central_charge / 24
@@ -268,7 +270,7 @@ class ModularDatum:
         array engine, O(n^3 phi(N)^2).
         """
         t, = _cyc_arrays(self.t_matrix(), order=self._conductor())
-        st = self._stilde().promote(t.order)
+        st = self._stilde()
         st_t = st * t
         return bool(((st_t @ st_t) @ st_t).equals((st @ st) * self.D).all())
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from fusioncat import cli, cyclotomic
 from fusioncat.cli import main
 from fusioncat.cyclotomic import parse_cyc
+from fusioncat.fusion_ring import parse_fcat
 from fusioncat.modular_data import ModularDatum, ModularReport
 
 from test_golden import CLI_SHA256, pointed_fcat
@@ -568,21 +569,74 @@ def _pointed_fcat(draw):
     return "\n".join(lines) + "\n"
 
 
+def _main_on_text(argv, text):
+    """`main` in process on `text` as stdin: the exit code and the stderr
+    lines, after checking that the code is 0, 1 or 2 and that stderr is at
+    most one `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main([*argv, "-"])
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1
+                           and lines[0].startswith("error: ")), argv
+    return code, lines
+
+
 @settings(deadline=None)
 @given(_pointed_fcat())
 def test_any_pointed_datum_ends_without_traceback(text):
     for argv in (["verify"], ["smatrix"],
                  ["smatrix", "--unnormalized", "--format", "float"],
                  ["tmatrix"], ["verlinde"]):
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch("sys.stdin", io.StringIO(text)), \
-                contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = main([*argv, "-"])
-        assert code in (0, 1, 2), argv
-        lines = err.getvalue().splitlines()
-        assert lines == [] or (len(lines) == 1
-                               and lines[0].startswith("error: ")), argv
+        _main_on_text(argv, text)
+
+
+@st.composite
+def _broken_pointed_fcat(draw):
+    """A `_pointed_fcat` file with one N line dropped or changed, with or
+    without its twist and dim lines."""
+    lines = draw(_pointed_fcat()).splitlines()
+    n = sum(line.startswith("label ") for line in lines)
+    at = draw(st.sampled_from([i for i, line in enumerate(lines)
+                               if line.startswith("N ")]))
+    _, i, j, _, _ = lines[at].split()
+    if draw(st.booleans()):
+        k, m = draw(st.integers(0, n - 1)), draw(st.integers(0, 3))
+        lines[at] = f"N {i} {j} {k} {m}"
+    else:
+        del lines[at]
+    if draw(st.booleans()):
+        lines = [line for line in lines
+                 if not line.startswith(("twist ", "dim "))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None)
+@given(_broken_pointed_fcat(), st.data())
+def test_a_ring_that_fails_validation_is_exit_1(text, data):
+    # One rule, whichever command meets the invalid ring: its error line
+    # and exit 1.  `verify` prints its report instead, and a matrix command
+    # on a file without annotations stops at that first.
+    doc = parse_fcat(text)
+    valid = doc.ring.validate().passed
+    labels = st.sampled_from(doc.ring.labels)
+    for argv in (["verify"], ["fuse", data.draw(labels), data.draw(labels)],
+                 ["qdim"], ["smatrix"], ["tmatrix"], ["verlinde"]):
+        code, lines = _main_on_text(argv, text)
+        if valid:
+            continue
+        if argv[0] == "verify":
+            assert (code, lines) == (1, []), argv
+        elif argv[0] in ("smatrix", "tmatrix", "verlinde") \
+                and not doc.has_modular_annotations:
+            assert (code, lines) == (
+                2, ["error: input lacks twist/dim annotations needed here"])
+        else:
+            assert code == 1, argv
+            assert lines[0].startswith("error: invalid fusion ring: "), argv
 
 
 class TestOrderCap:
@@ -782,8 +836,8 @@ def test_matrices_need_annotations(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["smatrix", "tmatrix", "verlinde"])
 def test_matrices_on_an_invalid_annotated_ring(command, tmp_path, capsys):
     # Every label has a twist and a dim, but without N[0,1]^1 the ring
-    # fails validation: the ring's own error line, exit 1 as for verlinde
-    # on a datum that fails verify_modular.
+    # fails validation: the ring's own error line, exit 1 as for every
+    # failed check.
     path = tmp_path / "z2.fcat"
     path.write_text(_z2_fcat().replace("N 0 1 1 1\n", ""))
     code, out, err = run_cli([command, str(path)], capsys=capsys)
@@ -792,9 +846,9 @@ def test_matrices_on_an_invalid_annotated_ring(command, tmp_path, capsys):
         "error: invalid fusion ring: unit: N[unit,1]^1 = 0; "
         "commutativity: N[0,1]^1 != N[1,0]^1; "
         "associativity: quadruple (0,1,1,0) 0 != 1"]
-    # the text `qdim` prints for the same ring, where it stays exit 2
+    # `qdim` prints the same line for the same ring, with the same exit 1
     code, _, qdim_err = run_cli(["qdim", str(path)], capsys=capsys)
-    assert (code, qdim_err) == (2, err)
+    assert (code, qdim_err) == (1, err)
 
 
 class TestCatalogWithInput:

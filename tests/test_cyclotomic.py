@@ -98,8 +98,10 @@ class TestExamples:
         (lambda: e(1, 3).promote(8), ValueError,
          "target order must be a multiple of current order"),
         (lambda: e(1, 3).as_rational(), CycError, "value is not rational"),
+        (lambda: _cyc_arrays([e(1, 5), e(2, 5)])[0].T, ValueError,
+         "only a matrix has a transpose"),
     ], ids=["root-zero-denominator", "inverse-of-zero", "promote-non-multiple",
-            "irrational-as-rational"])
+            "irrational-as-rational", "transpose-of-a-vector"])
     def test_invalid_call_raises(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
@@ -461,6 +463,53 @@ def test_products_match_scalar_arithmetic_in_each_tier(tier, op, data):
         else:
             expect = a.entry(i, k) * b.entry(i, k)
         assert out.entry(i, k) == expect
+
+
+# Coefficient ranges of the stored entries: below 2^53, between 2^53 and
+# 2^62, past 2^62 (held as Python ints, as a CycNum would hold them).
+_COEFF_RANGES = [(1, 2**53 - 1), (2**53, 2**62 - 1), (2**62, 2**90)]
+
+
+@st.composite
+def cyc_square_arrays(draw, size):
+    """A size x size array at an order of its own, with its coefficients in
+    one drawn range, and the same entries as CycNum rows built apart."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 10, 12]))
+    phi = cyclotomic._order_context(n).phi
+    top = draw(st.integers(*draw(st.sampled_from(_COEFF_RANGES))))
+    num = draw(coefficient_array((size, size), phi, top))
+    den = draw(st.integers(1, 5))
+    entries = [[CycNum(n, [Fraction(int(c), den) for c in num[i, j]])
+                for j in range(size)] for i in range(size)]
+    if top < 2**62:
+        num = num.astype(np.int64)
+    return _CycArray(num, den, n), entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda size: st.tuples(
+           cyc_square_arrays(size), cyc_square_arrays(size),
+           st.lists(st.booleans(), min_size=size * size,
+                    max_size=size * size))))
+def test_array_operations_across_conductors_match_cycnum(operands):
+    # Each binary operation brings both operands to the lcm of their
+    # conductors, the matrix product too.
+    (a, a_rows), (b, b_rows), take_b = operands
+    size = len(a_rows)
+    mask = _CycArray(np.array(take_b, dtype=np.int64).reshape(size, size, 1),
+                     1, 1)
+    c = a + (b - a) * mask          # b's entry where take_b is set, else a's
+    total, diff, prod, matprod = a + b, a - b, a * b, a @ b
+    same = a.equals(c)
+    for i, j in np.ndindex(size, size):
+        x, y = a_rows[i][j], b_rows[i][j]
+        assert total.entry(i, j) == x + y
+        assert diff.entry(i, j) == x - y
+        assert prod.entry(i, j) == x * y
+        assert matprod.entry(i, j) == sum(
+            (a_rows[i][k] * b_rows[k][j] for k in range(size)),
+            cyc_rational(0))
+        assert same[i, j] == (not take_b[size * i + j] or x == y)
 
 
 def test_odd_product_past_2_pow_53_is_exact():

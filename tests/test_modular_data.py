@@ -366,7 +366,7 @@ class TestTMatrix:
         md = ModularDatum(ring, {0: Fraction(0)}, {0: 1})
         with pytest.raises(ValueError):
             md.t_matrix()
-        with pytest.raises(ValueError, match="central charge not set"):
+        with pytest.raises(ValueError, match="central charge required for the T matrix"):
             md.st_relation_holds()
 
     def test_st_relation_reported(self, u_datum):

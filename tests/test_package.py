@@ -6,10 +6,11 @@ an FCAT file loads none of the catalog modules, and `fuse` and `qdim`, which
 read only the ring, load no `modular_data`.  Module loading is checked
 in a fresh interpreter through `sys.modules`.  numpy is first imported by
 `fusioncat.cyclotomic` whatever module or command loads it, checked with
-`-X importtime`.  The process entry freezes the heap before exit, and
-`main(argv)` leaves the collector as it was.  numpy loads with a short
-OpenBLAS thread timeout, so idle BLAS workers do not spin; the variable is
-set only while numpy loads, and a user's value is never overridden.
+`-X importtime`.  The process entry runs BLAS on one thread and freezes
+the heap before exit; `main(argv)` leaves the collector and the environment
+as they were.  numpy loads with a short OpenBLAS thread timeout, so idle
+BLAS workers do not spin; the variable is set only while numpy loads, and a
+user's value is never overridden.
 """
 
 import gc
@@ -265,6 +266,14 @@ ARRAY_MODULES = ["fusioncat.cyclotomic", "fusioncat.fusion_ring",
                  "fusioncat.modular_data"]
 
 
+# As _RUN_CLI_AS_MAIN, but prints the OPENBLAS_NUM_THREADS of the process.
+_RUN_CLI_AS_MAIN_BLAS = """\
+import atexit, os, runpy
+atexit.register(lambda: print("threads:", os.environ["OPENBLAS_NUM_THREADS"]))
+runpy.run_module("fusioncat.cli", run_name="__main__")
+"""
+
+
 class TestBlasDefault:
     @pytest.mark.skipif(os.cpu_count() < 2 or "openblas" not in _blas_name(),
                         reason="needs OpenBLAS and a second CPU")
@@ -299,3 +308,23 @@ class TestBlasDefault:
         proc = _python("-c", "import numpy, fusioncat.cyclotomic\n"
                        + _OPENBLAS_ENV)
         assert proc.stdout == "{}\n"
+
+    def test_main_sets_no_variable(self):
+        # An in-process call leaves the environment as it was, for this
+        # process and for a child it starts afterwards.
+        child = f"subprocess.run([sys.executable, '-c', {_OPENBLAS_ENV!r}])"
+        proc = _python("-c", "import subprocess, sys\n"
+                       "from fusioncat.cli import main\n"
+                       "main(['count', '2'])\n"
+                       f"{_OPENBLAS_ENV}\nsys.stdout.flush()\n{child}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "20\n{}\n{}\n"
+
+    @pytest.mark.parametrize("env,threads", [
+        ({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ], ids=["default", "user-value"])
+    def test_process_entry_runs_one_thread(self, env, threads):
+        proc = _python("-c", _RUN_CLI_AS_MAIN_BLAS, "tmatrix", "--catalog", "U",
+                       **env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"threads: {threads}"
