@@ -312,6 +312,8 @@ class _CycArray:
     @_binary
     def __matmul__(self, other: "_CycArray") -> "_CycArray":
         """Matrix product: out[i, k] = sum_j self[i, j] * other[j, k]."""
+        if self.num.ndim != 3 or other.num.ndim != 3:
+            raise ValueError("only two matrices have a matrix product")
         ctx = _order_context(self.order)
         phi = ctx.phi
         (n, inner, _), k = self.num.shape, other.num.shape[1]
@@ -344,26 +346,27 @@ class _CycArray:
         with equal coefficients.
 
         An entry lies in Q(zeta_d), d | N, exactly when sigma_k: zeta ->
-        zeta^k fixes it for every unit k = 1 mod d, and its minimal order is
-        the smallest such d.  Each sigma_k is one product with permuted
-        power rows (`_substitute`), taken one unit at a time; the entries of
-        order d < N then move down through one cached rational matrix
-        (`_demotion`).
+        zeta^k fixes it for every unit k = 1 mod d.  Its minimal order is
+        the least such d: over each p^e || N, the least p^t for which the
+        entry lies in Q(zeta_M), M = N p^(t-e).  Each p descends on its own
+        (`_descent`): an entry in Q(zeta_M) lies in Q(zeta_(M/p)) when one
+        sigma_k fixes it, k a generator of the units = 1 mod M/p over those
+        = 1 mod M; so each step is one product with permuted power rows
+        (`_substitute`), on the entries still at that step.  An order 2 mod 4
+        is halved.  The entries of order d < N then move down through one
+        cached rational matrix (`_demotion`).
         """
         n, ctx = self.order, _order_context(self.order)
-        flat = _CycArray(self.num.reshape(-1, ctx.phi), self.den, n)
-        num = flat.num
-        divisors = [d for d in range(1, n) if n % d == 0]
-        fixed = {d: np.ones(len(num), dtype=bool) for d in divisors}
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                fixed_by_k = (flat._galois(k).num == num).all(axis=-1)
-                for d in divisors:
-                    if (k - 1) % d == 0:
-                        fixed[d] &= fixed_by_k
-        orders = np.full(len(num), n)
-        for d in reversed(divisors):
-            orders[fixed[d]] = d
+        num = self.num.reshape(-1, ctx.phi)
+        orders = np.ones(len(num), dtype=np.int64)
+        for p, e, steps in _descent(n):
+            level = np.full(len(num), e)   # in Q(zeta_M), M = N p^(level-e)
+            for s, k in steps:
+                at = np.flatnonzero(level == s)
+                image = _CycArray(num[at], self.den, n)._galois(k).num
+                level[at[(image == num[at]).all(axis=-1)]] = s - 1
+            orders *= p ** level
+        orders[orders % 4 == 2] //= 2          # Q(zeta_2m) = Q(zeta_m), m odd
         out = np.empty(len(num), dtype=object)
         for d in set(orders.tolist()):
             at = np.flatnonzero(orders == d)
@@ -477,6 +480,30 @@ def _of(num: np.ndarray, den: int, order: int) -> _CycArray:
     x = CycNum.__new__(CycNum)
     _CycArray.__init__(x, *_lowest(num, den), order)
     return x
+
+
+@functools.lru_cache(maxsize=None)
+def _descent(n: int) -> tuple[tuple[int, int, tuple], ...]:
+    """(p, e, steps) for each p^e || n: the step (s, k) of `canonical` takes
+    an entry from p^s to p^(s-1) when sigma_k fixes it.  k = u mod p^e and
+    1 mod n/p^e, u a generator of the units = 1 mod p^(s-1) over those
+    = 1 mod p^s: 1 + p^(s-1) for s > 1, the least primitive root mod an
+    odd p for s = 1, and no step s = 1 for p = 2: every unit is 1 mod 2."""
+    out = []
+    for p in range(2, n + 1):
+        if n % p or any(p % f == 0 for f in range(2, p)):
+            continue
+        e = next(e for e in range(1, n + 1) if n % p ** (e + 1))
+        pe, r = p ** e, n // p ** e
+        steps = []
+        for s in range(e, 1 if p == 2 else 0, -1):
+            u = 1 + p ** (s - 1) if s > 1 else next(
+                g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1
+                                              for q in range(2, p)
+                                              if (p - 1) % q == 0))
+            steps.append((s, (1 + (u - 1) * r * pow(r, -1, pe)) % n))
+        out.append((p, e, tuple(steps)))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -369,15 +369,3 @@ def orbifold_decomposition() -> list[DecompositionPiece]:
     if len({v[0] for v in offsets}) != 3:
         raise AssertionError("two pieces are one coset of Z b1 + L")
     return pieces
-
-
-def decomposition_piece_of(coords: Sequence[int]) -> DecompositionPiece:
-    """The unique piece containing the given alpha-lattice vector."""
-    b1, (b2, b3) = alpha_to_beta(coords)
-    for piece in coset_pieces(0, "0"):
-        if all((x - r).denominator == 1
-               for x, r in zip((b1, b2, b3), piece.rank1.rep + piece.rank2.rep)):
-            return piece
-    raise ValueError(f"vector {coords} is not in the alpha lattice")
-
-

@@ -73,6 +73,8 @@ class GlobalDimensionError(ArithmeticError):
     """The global dimension is zero, or the Gauss sums give no real root of
     it, so S = s~/D is undefined."""
 
+    exit_code = 1           # the CLI's code for a failed check
+
 
 @dataclass(frozen=True)
 class ModularReport(CheckReport):
@@ -373,11 +375,3 @@ class ModularDatum:
                     f"{Fraction(int(value[j, k]), scale)} at ({i},{i + j},{k})")
             out[i, i:] = out[i:, i] = value // scale
         return out
-
-    def perturbed(self, index: int, delta: Fraction) -> "ModularDatum":
-        """Copy with one twist shifted; used to exercise failure paths."""
-        twists = {i: t for i, t in enumerate(self.twists)}
-        twists[index] = twists[index] + delta
-        return ModularDatum(self.ring, twists,
-                            dict(enumerate(self.dims)), self.central_charge)
-

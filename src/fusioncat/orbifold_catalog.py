@@ -1,24 +1,23 @@
 """Builders for the two concrete catalogs: the 20-object cyclic-permutation
 orbifold datum ("U") and the 30-object lattice-orbifold datum ("VLtau").
 
-Both are one fusion rule over a Z_m x Z3 label grid, m = 2 for U and m = 3
-for VLtau, with twists and quantum dimensions attached, and validated at
-build time.  The module also owns the orbifold counting formula, the exact
-recomputation of the conformal-weight table from lattice minima, the exact
-quantum dimensions of the untwisted labels from the characters' y -> 0
-limits, and the golden fixture holding the transcribed 20 x 20 s-tilde table.
+Each is one product, pointed Z_m ⊠ R10, of a pointed datum and one rank-10
+datum R10 (`_product`): U = Z2 with twist 3a^2/4, c = 3, and VLtau = Z3
+with twist 2a^2/3, c = 2.  A label (a, c) has grade a in Z_m and R10 label
+c, and sits where the catalog's label order puts it (`_layout`).  This is
+the split Müger's theorem gives for a simple current of order m whose
+self-braiding is nondegenerate (Müger, Proc. LMS 87 (2003) 291).  The
+module also owns the orbifold counting formula, the exact recomputation of
+U's conformal-weight table from lattice minima, the exact quantum
+dimensions of U's untwisted labels from the characters' y -> 0 limits, and
+the golden fixture holding the transcribed 20 x 20 s-tilde table.
 
-Convention notes (documented once, here):
+Convention notes on R10's fusion rule (documented once, here):
 - For products of two like-twisted objects, the output epsilon pair is
   {-(e+e1), 1-(e+e1)} mod 3.  The alternative offset pairing fails S^2 = C
   and the Verlinde round-trip; this one is the unique consistent choice.
 - For an untwisted eigenspace object times a twisted object, the output
   grading is k*e + e1 (the twist exponent k scales the untwisted grading).
-- The 30-object ring is the 20-object ring with Z2 replaced by Z3, once its
-  twisted label T_j(tk)[e] is read at grade i = k*j mod 3 (k*k = 1 mod 3),
-  as U's Mhat_tk_i[e] is at grade i.  In the lattice index j, an object of
-  grade i shifts a tau^k-twisted object's j by +k*i; the sign-flipped
-  variant breaks associativity against the mixed-twist product rule.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import TYPE_CHECKING
 from .lattice import (
     Coset,
     DecompositionPiece,
-    coset_L,
     coset_pieces,
     full_coset_pieces,
     lattice_L,
@@ -69,89 +67,94 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# One fusion rule for both data: 10m labels over a Z_m x Z3 grid
+# One product for both data: pointed Z_m ⊠ R10
 # ---------------------------------------------------------------------------
 
-def _layout(m: int):
-    """The label index functions of the 10m-label ring, for a grade i in Z_m,
-    an eigenspace e in Z3 and a twist exponent k in {1, 2} mod 3: eigenspace
-    labels (i, e), off-diagonal labels i and twisted labels (k, i, e).  A
-    twisted label is stored at lattice index j = i for k = 1, j = -i for k = 2.
-    """
-    def eig(i: int, e: int) -> int:
-        return 3 * (i % m) + e % 3
-
-    def off(i: int) -> int:
-        return 3 * m + i % m
-
-    def tw(k: int, i: int, e: int) -> int:
-        k %= 3
-        j = i if k == 1 else -i
-        return m * (3 * k + 1) + 3 * (j % m) + e % 3
-
-    return eig, off, tw
+# R10's labels: the eigenspace labels e in Z3 at e, the off-diagonal label
+# at _OFF, and the twisted labels (k, e), k in {1, 2}, at `_tw(k, e)`.
+_OFF = 3
 
 
-def _structure_constants(m: int) -> dict[tuple[int, int, int], int]:
-    """N of the 10m-label ring: each product rule once, in grades."""
-    eig, off, tw = _layout(m)
+def _tw(k: int, e: int) -> int:
+    return 3 * (k % 3) + 1 + e % 3
+
+
+def _kind(c: int) -> tuple[int, int | None]:
+    """(k, e) of the R10 label c: twist exponent k (0 for the untwisted
+    labels) and eigenspace e (None for the off-diagonal label)."""
+    if c < _OFF:
+        return 0, c
+    return (0, None) if c == _OFF else divmod(c - 1, 3)
+
+
+def _r10() -> dict[tuple[int, int, int], int]:
+    """N of R10: each product rule once, at one grade."""
     out: dict[tuple[int, int, int], int] = {}
 
     def add(a: int, b: int, targets: list[int]) -> None:
         for t in targets:
             out[a, b, t] = out[b, a, t] = targets.count(t)
 
-    for i in range(m):
-        for j in range(m):
-            ij = i + j
-            add(off(i), off(j), [eig(ij, r) for r in range(3)] + [off(ij)] * 2)
-            for e in range(3):
-                add(off(i), eig(j, e), [off(ij)])
-                for e1 in range(3):
-                    add(eig(i, e), eig(j, e1), [eig(ij, e + e1)])
-                    add(tw(1, i, e), tw(2, j, e1),
-                        [eig(ij, e + 2 * e1), off(ij)])
-                for k in (1, 2):
-                    add(off(i), tw(k, j, e), [tw(k, ij, r) for r in range(3)])
-                    for e1 in range(3):
-                        add(eig(i, e), tw(k, j, e1), [tw(k, ij, k * e + e1)])
-                        add(tw(k, i, e), tw(k, j, e1),
-                            [tw(2 * k, ij, -(e + e1)),
-                             tw(2 * k, ij, 1 - (e + e1))])
+    add(_OFF, _OFF, [0, 1, 2, _OFF, _OFF])
+    for e in range(3):
+        add(_OFF, e, [_OFF])
+        for e1 in range(3):
+            add(e, e1, [(e + e1) % 3])
+            add(_tw(1, e), _tw(2, e1), [(e + 2 * e1) % 3, _OFF])
+        for k in (1, 2):
+            add(_OFF, _tw(k, e), [_tw(k, r) for r in range(3)])
+            for e1 in range(3):
+                add(e, _tw(k, e1), [_tw(k, k * e + e1)])
+                add(_tw(k, e), _tw(k, e1),
+                    [_tw(2 * k, -(e + e1)), _tw(2 * k, 1 - (e + e1))])
     return out
 
 
-def _duals(m: int) -> tuple[int, ...]:
-    """(i, e) -> (-i, -e), i -> -i and (k, i, e) -> (2k, -i, e)."""
-    eig, off, tw = _layout(m)
-    dual = [0] * (10 * m)
-    for i in range(m):
-        dual[off(i)] = off(-i)
-        for e in range(3):
-            dual[eig(i, e)] = eig(-i, -e)
-            for k in (1, 2):
-                dual[tw(k, i, e)] = tw(2 * k, -i, e)
-    return tuple(dual)
+# R10's duals e -> -e and (k, e) -> (2k, e), its twists (0 on e, 1/2 on the
+# off-diagonal label, 1/9 - e/3 on (k, e)) and its dims.  D = 6, c = 4 mod 8.
+_R10_DUALS = (0, 2, 1, _OFF, 7, 8, 9, 4, 5, 6)
+_R10_TWISTS = ((Fraction(0),) * 3 + (Fraction(1, 2),)
+               + (Fraction(1, 9), Fraction(7, 9), Fraction(4, 9)) * 2)
+_R10_DIMS = (1, 1, 1, 3) + (2,) * 6
 
 
-def _build(m: int, labels: tuple[str, ...], weights: tuple[Fraction, ...],
-           central_charge: int) -> ModularDatum:
-    """The validated datum of the 10m-label ring: dims 1 on the 3m eigenspace
-    labels, 3 on the m off-diagonal ones and 2 on the 6m twisted ones."""
+def _layout(m: int, a: int, c: int) -> int:
+    """The catalog index of the label (a, c) of Z_m ⊠ R10: the 3m
+    eigenspace labels (a, e), the m off-diagonal labels a, then the twisted
+    labels (k, a, e), k = 1 before k = 2.  A twisted label is stored at
+    lattice index j = a for k = 1, j = -a for k = 2."""
+    k, e = _kind(c)
+    if e is None:
+        return 3 * m + a % m
+    if k == 0:
+        return 3 * (a % m) + e
+    return m * (3 * k + 1) + 3 * ((a if k == 1 else -a) % m) + e
+
+
+def _product(m: int, q: Fraction, labels: tuple[str, ...]
+             ) -> tuple[FusionRing, dict[int, Fraction], dict[int, int]]:
+    """The ring, twists and dims of Z_m ⊠ R10, the inputs of `ModularDatum`,
+    with the label (a, c) at index `_layout(m, a, c)`.  Z_m is pointed with
+    twist q a^2: grades add, the dual of a is -a and every dim is 1.  So
+    N[(a,c),(b,d),(a+b,e)] = N_R10[c,d,e], the dual of (a, c) is (-a, c*),
+    its twist (q a^2 + h_c) mod 1 and its dim d_c."""
     from .fusion_ring import FusionRing
-    from .modular_data import ModularDatum
-    ring = FusionRing(labels, unit=0,
-                      structure_constants=_structure_constants(m),
-                      supplied_dual=dict(enumerate(_duals(m))))
-    dims = (1,) * (3 * m) + (3,) * m + (2,) * (6 * m)
-    return ModularDatum(ring,
-                        twists=dict(enumerate(weights)),
-                        dims=dict(enumerate(dims)),
-                        central_charge=central_charge)
+    at = {(a, c): _layout(m, a, c) for a in range(m) for c in range(10)}
+    r10 = _r10().items()
+    ring = FusionRing(
+        labels, unit=0,
+        structure_constants={(at[a, c], at[b, d], at[(a + b) % m, e]): v
+                             for a in range(m) for b in range(m)
+                             for (c, d, e), v in r10},
+        supplied_dual={i: at[-a % m, _R10_DUALS[c]]
+                       for (a, c), i in at.items()})
+    return (ring,
+            {i: (q * a * a + _R10_TWISTS[c]) % 1 for (a, c), i in at.items()},
+            {i: _R10_DIMS[c] for (a, c), i in at.items()})
 
 
 # ---------------------------------------------------------------------------
-# The 20-object datum (m = 2)
+# The 20-object datum: Z2 ⊠ R10
 # ---------------------------------------------------------------------------
 
 U_LABELS: tuple[str, ...] = tuple(
@@ -177,12 +180,15 @@ U_DUALS: tuple[int, ...] = (0, 2, 1, 3, 5, 4, 6, 7,
 
 
 def build_U() -> ModularDatum:
-    """The validated 20-object datum (central charge 3, global dimension 72)."""
-    return _build(2, U_LABELS, U_WEIGHTS, 3)
+    """The validated 20-object datum, Z2 with twist 3a^2/4 ⊠ R10 (central
+    charge 3, global dimension 72)."""
+    from .modular_data import ModularDatum
+    return ModularDatum(*_product(2, Fraction(3, 4), U_LABELS),
+                        central_charge=3)
 
 
 # ---------------------------------------------------------------------------
-# The 30-object datum (m = 3)
+# The 30-object datum: Z3 ⊠ R10
 # ---------------------------------------------------------------------------
 
 VLTAU_LABELS: tuple[str, ...] = tuple(
@@ -193,32 +199,12 @@ VLTAU_LABELS: tuple[str, ...] = tuple(
 )
 
 
-def vltau_duals() -> tuple[int, ...]:
-    return _duals(3)
-
-
-def _twisted_weight(j: int, e: int) -> Fraction:
-    """The twisted conformal weight at lattice index j and eigenspace e."""
-    return Fraction(10 - 3 * (j * j + e), 9)
-
-
-def vltau_weights() -> tuple[Fraction, ...]:
-    """The twists of the 30 labels; a twisted label's depends on its lattice
-    index j only through j^2 = i^2."""
-    eig, off, tw = _layout(3)
-    w: list[Fraction] = [Fraction(0)] * 30
-    for i in range(3):
-        w[off(i)] = min_norm(coset_L("c", i)) / 2
-        for e in range(3):
-            w[eig(i, e)] = Fraction(2 * i * i, 3) % 1
-            for k in (1, 2):
-                w[tw(k, i, e)] = _twisted_weight(i, e) % 1
-    return tuple(w)
-
-
 def build_VLtau() -> ModularDatum:
-    """The validated 30-object lattice-orbifold datum (central charge 2)."""
-    return _build(3, VLTAU_LABELS, vltau_weights(), 2)
+    """The validated 30-object lattice-orbifold datum, Z3 with twist 2a^2/3
+    ⊠ R10 (central charge 2)."""
+    from .modular_data import ModularDatum
+    return ModularDatum(*_product(3, Fraction(2, 3), VLTAU_LABELS),
+                        central_charge=2)
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +252,21 @@ class WeightCheckReport:
 def _label_parts(index: int) -> tuple[int, int | None, int]:
     """(i, eps, k) of the U label `index`: lattice index i, eigenspace eps
     (None for M^i) and twist exponent k (0 for the untwisted labels)."""
-    eig, off, tw = _layout(2)
-    parts = {off(i): (i, None, 0) for i in range(2)}
-    parts.update({tw(k, i, e) if k else eig(i, e): (i, e, k)
-                  for i in range(2) for e in range(3) for k in range(3)})
-    return parts[index]
+    i, c = next((a, c) for a in range(2) for c in range(10)
+                if _layout(2, a, c) == index)
+    k, eps = _kind(c)
+    return i, eps, k
 
 
 def _label_pieces(i: int, eps: int | None) -> list[DecompositionPiece]:
     """The pieces of M^i for eps None, else those of the coset under
     M~_i[eps], whose rank-1 parts the twisted labels (i, eps) share."""
     return full_coset_pieces(i) if eps is None else coset_pieces(i, "0")
+
+
+def _twisted_weight(j: int, e: int) -> Fraction:
+    """The twisted conformal weight at lattice index j and eigenspace e."""
+    return Fraction(10 - 3 * (j * j + e), 9)
 
 
 def _certify_tau_fixes_no_vector() -> None:

@@ -44,11 +44,11 @@ from fusioncat.orbifold_catalog import (
     U_DUALS,
     count_orbifold_irreducibles,
     stilde_fixture,
-    vltau_duals,
     weight_table_check,
 )
 from fusioncat.qseries import QSeries, qdim_limit, theta_coset
 from reference import stilde_conjugate_form
+from test_orbifold_catalog import vltau_duals_by_rule
 
 
 # Errata of the printed table, read off the table itself.  In the block of
@@ -189,7 +189,7 @@ def test_criterion_7_vltau_ring(vltau_datum):
             3 if name.startswith("V(c,") else 2)
         assert vltau_datum.ring.qdim_pf(i) == pytest.approx(expected,
                                                             abs=1e-8)
-    assert vltau_datum.ring.dual_vector() == vltau_duals()
+    assert vltau_datum.ring.dual_vector() == vltau_duals_by_rule()
     # Whether the derived modular datum verifies is reported, not claimed.
     modular = vltau_datum.verify_modular().passed
     print(f"CRITERION 7: PASS (derived modular datum verifies: {modular})")

@@ -376,7 +376,7 @@ class TestGlobalDimension:
         path = tmp_path / "z3.fcat"
         path.write_text(_Z3_ZERO_DIM)
         code, _, err = run_cli([command, str(path)], capsys=capsys)
-        assert code == 2
+        assert code == 1
         assert err.splitlines() == [
             "error: global dimension is 0; S = s~/D is undefined"]
 
@@ -400,7 +400,7 @@ class TestWithoutD:
 
     def test_smatrix_is_one_error_line(self, wrong_twist, capsys):
         code, out, err = run_cli(["smatrix", wrong_twist], capsys=capsys)
-        assert (code, out) == (2, "")
+        assert (code, out) == (1, "")
         assert err.splitlines() == [
             "error: no real D with D^2 = 5 and p+ = D e(c/8); "
             "S = s~/D is undefined"]
@@ -507,7 +507,7 @@ def _assert_no_d(run, path: str, glob: str):
     assert code == 1
     assert "Gauss sums p+p- = D^2       FAIL" in out.splitlines()
     code, out, err = run(["smatrix", path])
-    assert (code, out) == (2, "")
+    assert (code, out) == (1, "")
     assert err.splitlines() == [
         f"error: no real D with D^2 = {glob} and p+ = D e(c/8); "
         "S = s~/D is undefined"]

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import minimal_orders
+
 from fusioncat import cyclotomic
 from fusioncat.cyclotomic import (
     CycError,
@@ -100,8 +102,13 @@ class TestExamples:
         (lambda: e(1, 3).as_rational(), CycError, "value is not rational"),
         (lambda: _cyc_arrays([e(1, 5), e(2, 5)])[0].T, ValueError,
          "only a matrix has a transpose"),
+        (lambda: _cyc_arrays([[e(1, 5)]])[0] @ 2, ValueError,
+         "only two matrices have a matrix product"),
+        (lambda: _cyc_arrays([[e(1, 5)]])[0] @ e(1, 3), ValueError,
+         "only two matrices have a matrix product"),
     ], ids=["root-zero-denominator", "inverse-of-zero", "promote-non-multiple",
-            "irrational-as-rational", "transpose-of-a-vector"])
+            "irrational-as-rational", "transpose-of-a-vector",
+            "matmul-with-an-int", "matmul-with-a-number"])
     def test_invalid_call_raises(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
@@ -564,3 +571,40 @@ def test_more_coefficients_than_the_degree_is_an_error():
     assert CycNum(3, [1, 2]) == 1 + 2 * e(1, 3)
     with pytest.raises(ValueError):
         CycNum(3, [0, 0, 1])
+
+
+@st.composite
+def subfield_arrays(draw):
+    """A vector at a conductor N, N = 2 mod 4 often, whose entries each
+    come from a random subfield Q(zeta_d), d | N: sums of a few roots."""
+    n = draw(st.one_of(st.sampled_from([2, 6, 10, 18, 30, 42, 90]),
+                       st.integers(1, 90)))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        d = draw(st.sampled_from(divisors))
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3),
+                                        st.integers(0, d - 1)), max_size=4))
+        entries.append(sum((c * e(j, d) for c, j in terms), cyc_rational(0)))
+    return _cyc_arrays(entries, order=n)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(subfield_arrays())
+def test_canonical_orders_match_the_all_units_search(a):
+    canon = a.canonical()
+    assert [x.order for x in canon] == minimal_orders(a)
+    assert all(x == a[t] for t, x in enumerate(canon))
+
+
+def test_canonical_descends_one_prime_at_a_time(monkeypatch):
+    # 252 = 4 * 9 * 7: one automorphism for 4 (2 -> 1 is free), two for 9
+    # and one for 7, where all 72 units would take 71.
+    calls = []
+    galois = _CycArray._galois
+    monkeypatch.setattr(_CycArray, "_galois",
+                        lambda self, k: calls.append(k) or galois(self, k))
+    a, = _cyc_arrays([e(1, 252), e(1, 7) - e(1, 9), e(1, 4), e(1, 6)],
+                     order=252)
+    assert [x.order for x in a.canonical()] == [252, 63, 4, 3]
+    assert len(calls) == 4

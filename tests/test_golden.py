@@ -15,6 +15,7 @@ from fusioncat import build_U, build_VLtau
 from fusioncat.cli import main
 from fusioncat.modular_data import VerlindeError
 
+from reference import shifted_twist
 from test_modular_data import z3_datum
 
 # sha256 of stdout; every call exits 0.
@@ -145,7 +146,7 @@ def test_char_stdout_digest(label, cutoff, capsys):
 
 
 def test_perturbed_z3_report_lines():
-    md = z3_datum().perturbed(1, Fraction(1, 9))
+    md = shifted_twist(z3_datum(), 1, Fraction(1, 9))
     assert md.verify_modular().lines() == _FAILING_CHECKS + [
         "  detail: S[0][1] != S[1][0]",
         "  detail: (S^2)[0][0] != C[0][0]",
@@ -158,7 +159,7 @@ def test_perturbed_z3_report_lines():
 
 
 def test_perturbed_u_report_lines():
-    md = build_U().perturbed(8, Fraction(1, 9))
+    md = shifted_twist(build_U(), 8, Fraction(1, 9))
     assert md.verify_modular().lines() == _FAILING_CHECKS + [
         "  detail: S[0][8] != S[8][0]",
         "  detail: (S^2)[0][0] != C[0][0]",
@@ -171,7 +172,7 @@ def test_perturbed_u_report_lines():
 
 
 def test_perturbed_z3_verlinde_message():
-    md = z3_datum().perturbed(1, Fraction(1, 9))
+    md = shifted_twist(z3_datum(), 1, Fraction(1, 9))
     with pytest.raises(VerlindeError) as info:
         md.verlinde(require_verified=False)
     assert str(info.value) == "non-rational Verlinde value at (0,0,1)"

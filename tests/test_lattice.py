@@ -15,7 +15,6 @@ from fusioncat.lattice import (
     alpha_to_beta,
     coset_L,
     coset_Zbeta1,
-    decomposition_piece_of,
     dual_coset_reps,
     lattice_L,
     lattice_Zbeta1,
@@ -274,22 +273,12 @@ class TestDecomposition:
         with pytest.raises(AssertionError):
             orbifold_decomposition()
 
-    def test_alpha1_lands_in_second_piece(self):
-        piece = decomposition_piece_of((1, 0, 0))
-        assert piece.rank1.rep == (F(1, 3),)
-        assert piece.rank2 == coset_L("0", 1)
-
-    def test_beta1_lands_in_first_piece(self):
-        # alpha^1 + alpha^2 + alpha^3 = beta_1
-        b1, (b2, b3) = alpha_to_beta((1, 1, 1))
-        assert (b1, b2, b3) == (F(1), F(0), F(0))
-        piece = decomposition_piece_of((1, 1, 1))
-        assert piece.rank1.is_zero and piece.rank2.is_zero
-
     def test_alpha_to_beta_change_of_basis(self):
         assert alpha_to_beta((1, 0, 0)) == (F(1, 3), (F(2, 3), F(1, 3)))
         assert alpha_to_beta((0, 1, 0)) == (F(1, 3), (F(-1, 3), F(1, 3)))
         assert alpha_to_beta((0, 0, 1)) == (F(1, 3), (F(-1, 3), F(-2, 3)))
+        # alpha^1 + alpha^2 + alpha^3 = beta_1
+        assert alpha_to_beta((1, 1, 1)) == (F(1), (F(0), F(0)))
 
 
 @st.composite

@@ -16,7 +16,7 @@ from fusioncat.cyclotomic import (_CycArray, cyc_rational, cyc_root_of_unity,
 from fusioncat.fusion_ring import FusionRing, ValidationReport
 from fusioncat.modular_data import (GlobalDimensionError, ModularDatum,
                                     ModularReport, VerlindeError)
-from reference import stilde_conjugate_form
+from reference import shifted_twist, stilde_conjugate_form
 
 
 def trivial_datum() -> ModularDatum:
@@ -318,7 +318,7 @@ class TestVerification:
         assert z3_datum().verify_modular().passed
 
     def test_perturbed_twist_fails(self):
-        md = z3_datum().perturbed(1, Fraction(1, 9))
+        md = shifted_twist(z3_datum(), 1, Fraction(1, 9))
         report = md.verify_modular()
         assert not report.passed
         assert not report.s_squared_is_charge_conjugation
@@ -329,7 +329,7 @@ class TestVerification:
             ModularDatum(ring, {i: Fraction(0) for i in range(3)}, {0: 1, 1: 1})
 
     def test_report_lines_mention_failures(self):
-        md = z3_datum().perturbed(1, Fraction(1, 9))
+        md = shifted_twist(z3_datum(), 1, Fraction(1, 9))
         lines = md.verify_modular().lines()
         assert any("FAIL" in line for line in lines)
 
@@ -394,7 +394,7 @@ class TestVerlinde:
         assert np.array_equal(vltau_datum.verlinde(), vltau_datum.ring.tensor)
 
     def test_unverified_datum_refused(self):
-        md = z3_datum().perturbed(1, Fraction(1, 9))
+        md = shifted_twist(z3_datum(), 1, Fraction(1, 9))
         with pytest.raises(VerlindeError):
             md.verlinde()
 
@@ -432,7 +432,7 @@ class TestVerlinde:
             "at (1,1,1)")
 
     def test_force_on_broken_datum_raises_or_disagrees(self):
-        md = z3_datum().perturbed(1, Fraction(1, 9))
+        md = shifted_twist(z3_datum(), 1, Fraction(1, 9))
         try:
             tensor = md.verlinde(require_verified=False)
         except VerlindeError:

@@ -1,13 +1,17 @@
 """The 20- and 30-object catalogs: counts, fusion rules, weights, fixtures."""
 
 import hashlib
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from fusioncat.cyclotomic import cyc_rational
-from fusioncat.lattice import coset_L, coset_Zbeta1, full_coset_pieces
+from fusioncat.fusion_ring import FusionRing
+from fusioncat.lattice import (coset_L, coset_Zbeta1, full_coset_pieces,
+                               min_norm)
+from fusioncat.modular_data import ModularDatum
 from fusioncat import orbifold_catalog
 from fusioncat.orbifold_catalog import (
     U_DIMS,
@@ -20,9 +24,23 @@ from fusioncat.orbifold_catalog import (
     stilde_fixture,
     stilde_fixture_diff,
     untwisted_qdims,
-    vltau_duals,
     weight_table_check,
 )
+
+
+def vltau_duals_by_rule() -> tuple[int, ...]:
+    """VLtau's duals from the rule (i, e) -> (-i, -e), i -> -i and
+    (k, i, e) -> (2k, -i, e) at grade i, where the twisted label
+    T_j(tk)[e] has grade i = k j mod 3, so j = k i."""
+    dual = {}
+    for i in range(3):
+        dual[f"V(c,{i})"] = f"V(c,{-i % 3})"
+        for e in range(3):
+            dual[f"V(0,{i})[{e}]"] = f"V(0,{-i % 3})[{-e % 3}]"
+            for k in (1, 2):
+                dual[f"T_{k * i % 3}(t{k})[{e}]"] = (
+                    f"T_{2 * k * -i % 3}(t{2 * k % 3})[{e}]")
+    return tuple(VLTAU_LABELS.index(dual[name]) for name in VLTAU_LABELS)
 
 
 class TestFullCosetPieces:
@@ -144,7 +162,7 @@ class TestBuildVLtau:
             assert ring.qdim_pf(i) == pytest.approx(expected, abs=1e-8)
 
     def test_duals_match_remark(self, vltau_datum):
-        assert vltau_datum.ring.dual_vector() == vltau_duals()
+        assert vltau_datum.ring.dual_vector() == vltau_duals_by_rule()
 
     def test_c_type_square(self, vltau_datum):
         ring = vltau_datum.ring
@@ -155,9 +173,10 @@ class TestBuildVLtau:
         assert out.coefficients == expected
 
     def test_c_type_weights_from_lattice(self, vltau_datum):
-        assert vltau_datum.twists[9] == F(1, 2)
-        assert vltau_datum.twists[10] == F(1, 6)
-        assert vltau_datum.twists[11] == F(1, 6)
+        # The twist of V(c,i) is the lowest weight of its lattice coset.
+        for i in range(3):
+            index = vltau_datum.ring.label_index(f"V(c,{i})")
+            assert vltau_datum.twists[index] == min_norm(coset_L("c", i)) / 2
 
     def test_simple_currents_form_z3_squared(self, vltau_datum):
         ring = vltau_datum.ring
@@ -180,6 +199,56 @@ class TestBuildVLtau:
     def test_verify_modular_reported(self, vltau_datum):
         # Not a claim from the source text; computed and reported.
         assert vltau_datum.verify_modular().passed
+
+
+def pointed(m: int, q: F) -> ModularDatum:
+    """Z_m with twist q a^2."""
+    ring = FusionRing([str(a) for a in range(m)], 0,
+                      {(a, b, (a + b) % m): 1
+                       for a in range(m) for b in range(m)})
+    return ModularDatum(ring, {a: q * a * a for a in range(m)},
+                        {a: 1 for a in range(m)})
+
+
+@pytest.fixture(scope="module")
+def r10():
+    """The rank-10 factor of both catalogs: Z1 ⊠ R10."""
+    return ModularDatum(*orbifold_catalog._product(
+        1, F(0), tuple(f"r{c}" for c in range(10))), central_charge=4)
+
+
+class TestProduct:
+    """U = Z2 ⊠ R10 and VLtau = Z3 ⊠ R10, with the label (a, c) at index
+    `_layout(m, a, c)`, exactly."""
+
+    def test_r10_is_modular_with_d_6(self, r10):
+        assert r10.verify_modular().passed
+        assert r10.D == 6
+        assert r10.infer_central_charge_mod8() == 4
+        assert r10.twists == ((0, 0, 0, F(1, 2))
+                              + (F(1, 9), F(7, 9), F(4, 9)) * 2)
+
+    @pytest.mark.parametrize("m,q,catalog", [(2, F(3, 4), "u_datum"),
+                                             (3, F(2, 3), "vltau_datum")])
+    def test_catalog_factors(self, m, q, catalog, r10, request):
+        md = request.getfixturevalue(catalog)
+        zm = pointed(m, q)
+        pairs = [(a, c) for a in range(m) for c in range(10)]
+        index = [orbifold_catalog._layout(m, a, c) for a, c in pairs]
+        assert sorted(index) == list(range(10 * m))
+        # N[(a,c),(b,d),(x,e)] = N_Zm[a,b,x] N_R10[c,d,e]
+        kron = np.einsum("abx,cdy->acbdxy", zm.ring.tensor, r10.ring.tensor)
+        assert np.array_equal(md.ring.tensor[np.ix_(index, index, index)],
+                              kron.reshape((10 * m,) * 3))
+        labels = list(zip(index, pairs))
+        for i, (a, c) in labels:
+            assert md.twists[i] == (zm.twists[a] + r10.twists[c]) % 1
+            assert md.dims[i] == r10.dims[c]
+        s, s_zm, s_r10 = md.stilde(), zm.stilde(), r10.stilde()
+        for (i, (a, c)), (j, (b, d)) in itertools.product(labels, repeat=2):
+            assert s[i][j] == s_zm[a][b] * s_r10[c][d]
+        c_zm = zm.infer_central_charge_mod8()
+        assert (c_zm + 4 - md.central_charge) % 8 == 0
 
 
 class TestWeightTable:
