@@ -7,13 +7,15 @@ first failing entry.
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fusioncat import build_U, build_VLtau
 from fusioncat.cli import main
-from fusioncat.modular_data import VerlindeError
+from fusioncat.fusion_ring import parse_fcat
+from fusioncat.modular_data import ModularDatum, VerlindeError
 
 from reference import shifted_twist
 from test_modular_data import z3_datum
@@ -53,8 +55,9 @@ CATALOG_SHA256 = {
 }
 
 # sha256 of `smatrix [--unnormalized] <file>` stdout on pointed_fcat(n, a, seed).
-# S is computed at order 44 (Z11) and 60 (Z15), s-tilde at order n; each
-# entry prints at its minimal order.
+# S is computed at order 44 (Z11), 60 (Z15) and 252 (Z63), s-tilde at order
+# n; each entry prints at its minimal order.  Z63's S entries demote to
+# orders 28, 84 and 252 (`test_pointed_z63_s_demotes`).
 POINTED_SHA256 = {
     (11, 3, 1, "smatrix"):
         "765b39aa723219f18a356e06c1188df7a0bce61d3515fd0418b337d2c7907ccb",
@@ -64,6 +67,10 @@ POINTED_SHA256 = {
         "2d67ea936a23263b884656dc45598389c441a054dcf0cd3e19c39e310345a52a",
     (15, 2, 2, "smatrix --unnormalized"):
         "94f6e4337a18186ec0d51f5d9833895e6b8267a71b7a9d8a429dd1408915bb35",
+    (63, 2, 3, "smatrix"):
+        "cbbfc8d2b73b097cada136b523a326f654e84fb9aae6820fa2b70ca07f2025ec",
+    (63, 2, 3, "smatrix --unnormalized"):
+        "4b4ad0542372a194111e45af3110c6f8a048fe98fbf04ec537f541b939a6ba17",
 }
 
 # sha256 of `char <label> --cutoff <c>` stdout; every call exits 0.
@@ -135,6 +142,13 @@ def test_pointed_smatrix_digest(key, tmp_path, capsys):
     path.write_text(pointed_fcat(n, a, seed))
     argv = command.split() + [str(path)]
     assert _stdout_digest(argv, capsys) == POINTED_SHA256[key]
+
+
+def test_pointed_z63_s_demotes():
+    doc = parse_fcat(pointed_fcat(63, 2, 3))
+    s = ModularDatum(doc.ring, doc.twists, doc.dims).s_matrix()
+    assert Counter(x.order for row in s for x in row) == {
+        252: 1764, 84: 1176, 28: 1029}
 
 
 @pytest.mark.parametrize("label,cutoff", sorted(CHAR_SHA256))
