@@ -20,9 +20,14 @@ contracted over the inner index, in 2 phi - 1 slots and reduces it once
 through the power rows.  Every contraction runs in the narrowest of three
 exact tiers that `_exact` certifies from a bound on its partial sums:
 float64 on BLAS below 2^53, int64 below 2^62, Python ints past that; all
-three run the same code.  `_CycArray.canonical` gives each entry at its
-minimal order, the one form a value has whatever order it was computed
-at; `hash` uses that form.
+three run the same code.
+
+`_CycArray.canonical` gives each entry at its minimal order, the one form
+a value has whatever order it was computed at; `hash` uses that form.  It
+reads the order and the coefficients there off the tensor (CRT) basis of
+Q(zeta_N), in which every subfield is a coordinate subspace, the idea of
+the Zumbroich basis (Breuer, AAECC 8 (1997) 279): no Galois map and no
+linear solve.
 """
 
 from __future__ import annotations
@@ -84,38 +89,43 @@ def _memo(method):
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers (dense, lowest degree first)
+# The field data of one order
 # ---------------------------------------------------------------------------
 
-def _poly_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact division of integer polynomials (remainder must vanish)."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    out = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        q, r = divmod(a[i], lead)
-        if r:
-            raise CycError("non-exact polynomial division")
-        out[i - db] = q
-        if q:
-            for j in range(db + 1):
-                a[i - db + j] -= q * b[j]
-    if any(a[:db]):
-        raise CycError("non-exact polynomial division (remainder)")
-    return out
+@functools.lru_cache(maxsize=None)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) for each p^e || n, p ascending."""
+    out = []
+    for p in range(2, n + 1):
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, lowest degree first."""
+    """Integer coefficients of Phi_n, lowest degree first: the product of
+    (x^(n/d) - 1)^mu(d) over the squarefree d | n.  The factors with
+    mu(d) = 1 are multiplied first, so that each division by x^m - 1 after
+    them is exact: q[i] = q[i - m] - a[i]."""
     if n < 1:
         raise ValueError("order must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
+    up, down = [n], []                      # n/d for mu(d) = 1 and -1
+    for p, _ in _prime_powers(n):
+        up, down = up + [m // p for m in down], down + [m // p for m in up]
+    poly = [1]
+    for m in up:
+        poly = [0] * m + poly
+        for i in range(len(poly) - m):
+            poly[i] -= poly[i + m]
+    for m in down:
+        q = []
+        for i in range(len(poly) - m):
+            q.append((q[i - m] if i >= m else 0) - poly[i])
+        poly = q
     return tuple(poly)
 
 
@@ -141,7 +151,7 @@ class _OrderContext:
         self.phi = len(phi_poly) - 1
         # Rows: canonical coefficients of x^k mod Phi_n for k up to the
         # largest exponent needed by multiplication (2*phi-2) and by
-        # `_CycArray._substitute` and `times_root` (n-1).
+        # `_CycArray._substitute`, `times_root`, `_crt` and `canonical` (n-1).
         kmax = max(2 * self.phi - 1, n)
         rows: list[list[int]] = []
         cur = [0] * self.phi
@@ -345,38 +355,33 @@ class _CycArray:
         of the entry shape (one number: a CycNum); equal values come out
         with equal coefficients.
 
-        An entry lies in Q(zeta_d), d | N, exactly when sigma_k: zeta ->
-        zeta^k fixes it for every unit k = 1 mod d.  Its minimal order is
-        the least such d: over each p^e || N, the least p^t for which the
-        entry lies in Q(zeta_M), M = N p^(t-e).  Each p descends on its own
-        (`_descent`): an entry in Q(zeta_M) lies in Q(zeta_(M/p)) when one
-        sigma_k fixes it, k a generator of the units = 1 mod M/p over those
-        = 1 mod M; so each step is one product with permuted power rows
-        (`_substitute`), on the entries still at that step.  An order 2 mod 4
-        is halved.  The entries of order d < N then move down through one
-        cached rational matrix (`_demotion`).
+        Q(zeta_N) is the tensor product of the Q(zeta_q) over the q = p^e
+        || N, and in the product of their power bases (`_crt`) each subfield
+        Q(zeta_d), d | N, is a coordinate subspace: it is spanned by the
+        basis elements whose order divides d.  So an entry's minimal order
+        is the lcm of the orders of the basis elements it uses, and its
+        coefficients at order d are the slice at the elements of Q(zeta_d),
+        mapped back to the power basis of Q(zeta_d) by the power rows of
+        those elements (`_tensor_powers`).  No d is 2 mod 4, for Q(zeta_2)
+        = Q holds only the element 1.
         """
         n, ctx = self.order, _order_context(self.order)
         num = self.num.reshape(-1, ctx.phi)
-        orders = np.ones(len(num), dtype=np.int64)
-        for p, e, steps in _descent(n):
-            level = np.full(len(num), e)   # in Q(zeta_M), M = N p^(level-e)
-            for s, k in steps:
-                at = np.flatnonzero(level == s)
-                image = _CycArray(num[at], self.den, n)._galois(k).num
-                level[at[(image == num[at]).all(axis=-1)]] = s - 1
-            orders *= p ** level
-        orders[orders % 4 == 2] //= 2          # Q(zeta_2m) = Q(zeta_m), m odd
+        coords, crt = _exact(ctx.phi, num, _crt(n))
+        coords = _int(coords @ crt)
+        own = n // np.gcd(_tensor_powers(n), n)    # each basis element's order
+        orders = np.lcm.reduce(np.where(coords != 0, own, 1), axis=1)
         out = np.empty(len(num), dtype=object)
         for d in set(orders.tolist()):
             at = np.flatnonzero(orders == d)
-            coeffs, den = num[at], self.den
+            coeffs = num[at]
             if d < n:
-                demote, scale = _demotion(n, d)
-                coeffs, demote = _exact(ctx.phi, coeffs, demote)
-                coeffs, den = _int(coeffs @ demote), den * scale
+                rows = _order_context(d).pow_matrix[_tensor_powers(d) % d]
+                coeffs, rows = _exact(len(rows), coords[at][:, d % own == 0],
+                                      rows)
+                coeffs = _int(coeffs @ rows)
             for t, c in zip(at.tolist(), coeffs):
-                out[t] = _of(c, den, d)
+                out[t] = _of(c, self.den, d)
         return out.reshape(self.num.shape[:-1])[()]
 
     def sum(self) -> "CycNum":
@@ -483,90 +488,55 @@ def _of(num: np.ndarray, den: int, order: int) -> _CycArray:
 
 
 @functools.lru_cache(maxsize=None)
-def _descent(n: int) -> tuple[tuple[int, int, tuple], ...]:
-    """(p, e, steps) for each p^e || n: the step (s, k) of `canonical` takes
-    an entry from p^s to p^(s-1) when sigma_k fixes it.  k = u mod p^e and
-    1 mod n/p^e, u a generator of the units = 1 mod p^(s-1) over those
-    = 1 mod p^s: 1 + p^(s-1) for s > 1, the least primitive root mod an
-    odd p for s = 1, and no step s = 1 for p = 2: every unit is 1 mod 2."""
-    out = []
-    for p in range(2, n + 1):
-        if n % p or any(p % f == 0 for f in range(2, p)):
-            continue
-        e = next(e for e in range(1, n + 1) if n % p ** (e + 1))
-        pe, r = p ** e, n // p ** e
-        steps = []
-        for s in range(e, 1 if p == 2 else 0, -1):
-            u = 1 + p ** (s - 1) if s > 1 else next(
-                g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1
-                                              for q in range(2, p)
-                                              if (p - 1) % q == 0))
-            steps.append((s, (1 + (u - 1) * r * pow(r, -1, pe)) % n))
-        out.append((p, e, tuple(steps)))
-    return tuple(out)
+def _tensor_powers(n: int) -> np.ndarray:
+    """The tensor basis of Q(zeta_n): the products prod_p zeta_q^(j_p),
+    0 <= j_p < phi(q), over the q = p^e || n, p ascending and the last j
+    varying fastest, each as the power sum_p j_p n/q of zeta_n."""
+    expo = np.zeros(1, dtype=np.int64)
+    for p, e in _prime_powers(n):
+        q = p ** e
+        expo = np.add.outer(expo, np.arange(q - q // p) * (n // q)).ravel()
+    expo.flags.writeable = False                  # cached: shared by callers
+    return expo
 
 
 @functools.lru_cache(maxsize=None)
-def _demotion(n: int, d: int) -> tuple[np.ndarray, int]:
-    """(R, r) such that y = x @ R / r for every element of Q(zeta_d), with x
-    its coefficients at order n and y those at order d (d | n).
-
-    Promotion is y -> y @ P, P the rows of zeta_d^j = zeta_n^(j n/d).
-    Gauss-Jordan on [P | I] picks phi(d) pivot columns c of P and gives
-    E = P[:, c]^-1, so y = x[c] @ E: R holds r E in the rows c.
-    """
-    phi_d = _order_context(d).phi
-    promote = _CycArray(np.eye(phi_d, dtype=np.int64), 1, d).promote(n).num
-    aug = [[Fraction(int(v)) for v in row]
-           + [Fraction(i == j) for j in range(phi_d)]
-           for i, row in enumerate(promote)]
-    pivots: list[int] = []
-    for col in range(promote.shape[1]):
-        r = len(pivots)
-        p = next((i for i in range(r, phi_d) if aug[i][col]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        aug[r] = [v / aug[r][col] for v in aug[r]]
-        for i in range(phi_d):
-            if i != r and (f := aug[i][col]):
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        if len(pivots) == phi_d:
-            break
-    inverse = [row[-phi_d:] for row in aug]
-    scale = math.lcm(*(v.denominator for row in inverse for v in row))
-    demote = np.zeros((promote.shape[1], phi_d), dtype=object)
-    demote[pivots] = [[int(v * scale) for v in row] for row in inverse]
-    return _int(*_exact(1, demote)), scale
+def _crt(n: int) -> np.ndarray:
+    """Coefficients over the power basis of Q(zeta_n) to those over the
+    tensor basis (`_tensor_powers`).  zeta_n is prod_p zeta_q^(a_p) with
+    a_p n/q = 1 mod q, so row k is the Kronecker product over p of the power
+    rows k a_p mod q of order q; every entry is 0 or +-1."""
+    phi = _order_context(n).phi
+    k, out = np.arange(phi), np.ones((phi, 1), dtype=np.int64)
+    for p, e in _prime_powers(n):
+        q = p ** e
+        rows = _order_context(q).pow_matrix[k * pow(n // q, -1, q) % q]
+        out = (out[:, :, None] * rows[:, None, :]).reshape(phi, -1)
+    out.flags.writeable = False                   # cached: shared by callers
+    return out
 
 
-def _cyc_arrays(*blocks, order: int = 1) -> list[_CycArray]:
-    """Nested sequences of CycNum as arrays over one conductor.
+def _cyc_arrays(entries, order: int = 1) -> _CycArray:
+    """A nested sequence of CycNum as one array over one conductor.
 
     The conductor is the lcm of `order` and all entries' orders (a field
     above the cap is refused where it is built, by `_order_context`); the
     denominator is the lcm of the entries' denominators.  Each entry is
     promoted once.
     """
-    grids = [np.array(b, dtype=object) for b in blocks]
-    entries = [x for g in grids for x in g.flat]
-    order = math.lcm(order, *(x.order for x in entries))
-    den = math.lcm(*(x.den for x in entries))
-    ctx = _order_context(order)
-    out = []
-    for g in grids:
-        xs = list(g.flat)
-        num = np.zeros((len(xs), ctx.phi), dtype=object)
-        for o in {x.order for x in xs}:
-            rows = [t for t, x in enumerate(xs) if x.order == o]
-            coeffs = np.array([[c * (den // xs[t].den)
-                                for c in xs[t].num.tolist()]
-                               for t in rows], dtype=object)
-            num[rows] = _CycArray(coeffs, den, o).promote(order).num
-        num = _int(*_exact(1, num)).reshape(g.shape + (ctx.phi,))
-        out.append(_CycArray(num, den, order))
-    return out
+    grid = np.array(entries, dtype=object)
+    xs = list(grid.flat)
+    order = math.lcm(order, *(x.order for x in xs))
+    den = math.lcm(*(x.den for x in xs))
+    phi = _order_context(order).phi
+    num = np.zeros((len(xs), phi), dtype=object)
+    for o in {x.order for x in xs}:
+        rows = [t for t, x in enumerate(xs) if x.order == o]
+        coeffs = np.array([[c * (den // xs[t].den) for c in xs[t].num.tolist()]
+                           for t in rows], dtype=object)
+        num[rows] = _CycArray(coeffs, den, o).promote(order).num
+    num = _int(*_exact(1, num)).reshape(grid.shape + (phi,))
+    return _CycArray(num, den, order)
 
 
 # ---------------------------------------------------------------------------

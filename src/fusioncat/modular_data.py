@@ -206,8 +206,7 @@ class ModularDatum:
     @_memo
     def _dims_array(self) -> _CycArray:
         """The dims at the conductor L; cached."""
-        dims, = _cyc_arrays(self.dims, order=self._conductor())
-        return dims
+        return _cyc_arrays(self.dims, order=self._conductor())
 
     @_memo
     def _dim_squares(self) -> _CycArray:
@@ -271,7 +270,7 @@ class ModularDatum:
         it is checked as (s~ T)^3 = D s~^2: three matrix products on the
         array engine, O(n^3 phi(N)^2).
         """
-        t, = _cyc_arrays(self.t_matrix(), order=self._conductor())
+        t = _cyc_arrays(self.t_matrix(), order=self._conductor())
         st = self._stilde()
         st_t = st * t
         return bool(((st_t @ st_t) @ st_t).equals((st @ st) * self.D).all())
@@ -354,7 +353,7 @@ class ModularDatum:
                     "Verlinde divides by the quantum dimension of label "
                     f"{label!r}, which is 0")
         s = self._stilde()
-        d_inv, = _cyc_arrays([cyc_inv(d) for d in self.dims], order=s.order)
+        d_inv = _cyc_arrays([cyc_inv(d) for d in self.dims], order=s.order)
         weights = (s.conj() * (d_inv / glob)).T  # conj(s~_{k,m}) / d_m D^2
         out = np.zeros((n, n, n), dtype=np.int64)
         for i in range(n):

@@ -28,23 +28,14 @@ from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .lattice import (
-    Coset,
-    DecompositionPiece,
-    coset_pieces,
-    full_coset_pieces,
-    lattice_L,
-    min_norm,
-    min_vectors,
-    orbifold_decomposition,
-    tau_vector,
-)
-
 # The builders and the fixture import the array modules when called, so
-# counting, the weight check and label resolution load no numpy.
+# counting, the weight check and label resolution load no numpy.  Only the
+# functions that read the lattice import it: the builders, counting and
+# label resolution do not compile it.
 if TYPE_CHECKING:
     from .cyclotomic import CycNum
     from .fusion_ring import FusionRing
+    from .lattice import Coset, DecompositionPiece
     from .modular_data import ModularDatum
 
 __all__ = [
@@ -261,6 +252,7 @@ def _label_parts(index: int) -> tuple[int, int | None, int]:
 def _label_pieces(i: int, eps: int | None) -> list[DecompositionPiece]:
     """The pieces of M^i for eps None, else those of the coset under
     M~_i[eps], whose rank-1 parts the twisted labels (i, eps) share."""
+    from .lattice import coset_pieces, full_coset_pieces
     return full_coset_pieces(i) if eps is None else coset_pieces(i, "0")
 
 
@@ -272,6 +264,7 @@ def _twisted_weight(j: int, e: int) -> Fraction:
 def _certify_tau_fixes_no_vector() -> None:
     """det(tau - 1) != 0, so tau fixes no nonzero vector of the rank-2 space
     and acts on its Heisenberg plane with the primitive cube roots of 1."""
+    from .lattice import tau_vector
     (a, b), (c, d) = ([t - x for t, x in zip(tau_vector(e), e)]
                       for e in ((1, 0), (0, 1)))
     if a * d - b * c == 0:
@@ -291,6 +284,7 @@ def _eigen_coset_weight(c: Coset, eps: int) -> Fraction:
     primitive cube-root eigenvalues; the lattice itself contributes nothing
     below weight 2.
     """
+    from .lattice import lattice_L, min_norm, min_vectors
     _certify_tau_fixes_no_vector()
     if not c.is_zero:
         return min_norm(c) / 2
@@ -309,6 +303,7 @@ def weight_table_check() -> WeightCheckReport:
     rank-1 minimum plus the rank-2 eigenspace minimum).  Twisted labels are
     checked mod 1: all three pieces must be congruent to the table value.
     """
+    from .lattice import min_norm
     entries: list[WeightCheckEntry] = []
     for index, name in enumerate(U_LABELS):
         table = U_WEIGHTS[index]
@@ -350,6 +345,7 @@ def untwisted_qdims() -> tuple[Fraction, ...]:
     grow as e^{pi/(36y)}, against e^{pi/(4y)}).  The vacuum M~_0[0] is the
     tau-fixed eigenspace of the alpha-lattice, so it takes 1/3 of its pieces.
     """
+    from .lattice import orbifold_decomposition
     from .qseries import qdim_limit   # here, so catalog calls never load it
     _certify_tau_fixes_no_vector()
     eigenspace = Fraction(1, 3)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import minimal_orders
+from test_golden import pointed_fcat
 
 from fusioncat import cyclotomic
 from fusioncat.cyclotomic import (
@@ -26,6 +27,8 @@ from fusioncat.cyclotomic import (
     format_cyc,
     parse_cyc,
 )
+from fusioncat.fusion_ring import parse_fcat
+from fusioncat.modular_data import ModularDatum
 
 
 def e(num, den):
@@ -100,11 +103,11 @@ class TestExamples:
         (lambda: e(1, 3).promote(8), ValueError,
          "target order must be a multiple of current order"),
         (lambda: e(1, 3).as_rational(), CycError, "value is not rational"),
-        (lambda: _cyc_arrays([e(1, 5), e(2, 5)])[0].T, ValueError,
+        (lambda: _cyc_arrays([e(1, 5), e(2, 5)]).T, ValueError,
          "only a matrix has a transpose"),
-        (lambda: _cyc_arrays([[e(1, 5)]])[0] @ 2, ValueError,
+        (lambda: _cyc_arrays([[e(1, 5)]]) @ 2, ValueError,
          "only two matrices have a matrix product"),
-        (lambda: _cyc_arrays([[e(1, 5)]])[0] @ e(1, 3), ValueError,
+        (lambda: _cyc_arrays([[e(1, 5)]]) @ e(1, 3), ValueError,
          "only two matrices have a matrix product"),
     ], ids=["root-zero-denominator", "inverse-of-zero", "promote-non-multiple",
             "irrational-as-rational", "transpose-of-a-vector",
@@ -293,7 +296,7 @@ def test_array_products_match_scalar_arithmetic(data):
                            min_size=3, max_size=3))
     c = data.draw(st.lists(st.sampled_from([x for r in a for x in r]),
                            min_size=3, max_size=3))
-    arr_a, arr_b, arr_c = _cyc_arrays(a, b, [c])
+    arr_a, arr_b, arr_c = _cyc_arrays(a), _cyc_arrays(b), _cyc_arrays(c)
     assert n % arr_a.order == 0
     entrywise = arr_a * arr_c          # broadcasts the row c over a's rows
     product = arr_a @ arr_b
@@ -313,7 +316,7 @@ def test_times_root_matches_scalar_product(data):
     expo = np.array(data.draw(st.lists(st.lists(st.integers(-200, 200),
                                                 min_size=3, max_size=3),
                                        min_size=2, max_size=2)))
-    arr, = _cyc_arrays(a, order=n)
+    arr = _cyc_arrays(a, order=n)
     assert arr.order == n
     shifted = arr.times_root(expo)
     for i in range(2):
@@ -323,7 +326,7 @@ def test_times_root_matches_scalar_product(data):
 
 def test_times_root_takes_object_branch_for_large_coefficients():
     big = 2**61
-    arr, = _cyc_arrays([cyc_rational(big) * e(1, 36) + cyc_rational(big)])
+    arr = _cyc_arrays([cyc_rational(big) * e(1, 36) + cyc_rational(big)])
     assert arr.num.dtype == np.int64
     shifted = arr.times_root(np.array([35]))
     assert shifted.num.dtype == object
@@ -335,7 +338,7 @@ def test_array_products_take_object_branch_near_2_pow_40():
     a = [[cyc_rational(big) * e(1, 72) + cyc_rational(-big + 7) * e(5, 72),
           cyc_rational(big - 3)],
          [e(1, 8) * cyc_rational(big), cyc_rational(1) - e(7, 36)]]
-    arr, = _cyc_arrays(a)
+    arr = _cyc_arrays(a)
     assert arr.num.dtype == np.int64           # stored values fit int64
     product = arr @ arr
     square = arr * arr
@@ -349,7 +352,7 @@ def test_array_products_take_object_branch_near_2_pow_40():
 
 
 def test_small_products_stay_int64():
-    arr, = _cyc_arrays([[e(1, 72), e(5, 8)], [cyc_rational(3), e(1, 9)]])
+    arr = _cyc_arrays([[e(1, 72), e(5, 8)], [cyc_rational(3), e(1, 9)]])
     assert (arr @ arr).num.dtype == np.int64
     assert (arr * arr.conj()).num.dtype == np.int64
 
@@ -400,7 +403,7 @@ def test_arrays_and_numbers_share_one_arithmetic(a, b, x, take_b):
 @pytest.mark.parametrize("r", [3, -2, Fraction(-5, 7)])
 def test_rationals_act_alike_on_numbers_and_arrays(r):
     x = 2 * e(1, 9) - Fraction(1, 3) * e(1, 4)
-    row, ones = _cyc_arrays([x], [cyc_rational(r)])
+    row, ones = _cyc_arrays([x]), _cyc_arrays([cyc_rational(r)])
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         assert op(x, r) == op(row, r)[0]
     for op in (operator.add, operator.sub, operator.mul):
@@ -547,7 +550,7 @@ def test_array_conductor_above_cap_raises():
 
 def test_array_cap_is_read_at_call_time(monkeypatch):
     matrix = [[e(1, 12), cyc_rational(1)]]
-    assert _cyc_arrays(matrix)[0].order == 12
+    assert _cyc_arrays(matrix).order == 12
     monkeypatch.setattr(cyclotomic, "DEFAULT_ORDER_CAP", 10)
     with pytest.raises(OrderCapExceeded):
         _cyc_arrays(matrix)
@@ -573,38 +576,97 @@ def test_more_coefficients_than_the_degree_is_an_error():
         CycNum(3, [0, 0, 1])
 
 
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # Each Phi_n is monic of degree phi(n), and prod_{d | n} Phi_d = x^n - 1.
+    # The int64 products are exact: the l1 norms of two factors bound every
+    # coefficient of their product, and they stay below 2^63.
+    for n in range(1, 721):
+        phi_n = cyclotomic.cyclotomic_polynomial(n)
+        assert phi_n[-1] == 1
+        assert len(phi_n) - 1 == sum(math.gcd(k, n) == 1 for k in range(n))
+        product = np.array([1])
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            factor = np.array(cyclotomic.cyclotomic_polynomial(d))
+            assert int(abs(product).sum()) * int(abs(factor).sum()) < 2**63
+            product = np.convolve(product, factor)
+        assert product.tolist() == [-1] + [0] * (n - 1) + [1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 63, 125, 252, 720])
+def test_crt_basis_change_is_invertible(n):
+    # The power rows of the tensor basis elements undo the change of basis.
+    crt = cyclotomic._crt(n)
+    back = cyclotomic._order_context(n).pow_matrix[
+        cyclotomic._tensor_powers(n) % n]
+    assert set(np.unique(crt).tolist()) <= {-1, 0, 1}
+    assert (crt @ back == np.eye(len(crt))).all()
+
+
 @st.composite
 def subfield_arrays(draw):
-    """A vector at a conductor N, N = 2 mod 4 often, whose entries each
-    come from a random subfield Q(zeta_d), d | N: sums of a few roots."""
-    n = draw(st.one_of(st.sampled_from([2, 6, 10, 18, 30, 42, 90]),
+    """A vector at a conductor N, N = 2 mod 4 or a prime power often, whose
+    entries each come from a random subfield Q(zeta_d), d | N: sums of a few
+    roots, at times with coefficients past 2^62; it may be empty."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 6, 10, 18, 30, 42, 90,
+                                        8, 16, 27, 32, 49, 64, 81]),
                        st.integers(1, 90)))
+    scale = draw(st.sampled_from([1, 1, 1, 2**70]))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     entries = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(0, 6))):
         d = draw(st.sampled_from(divisors))
         terms = draw(st.lists(st.tuples(st.integers(-3, 3),
                                         st.integers(0, d - 1)), max_size=4))
-        entries.append(sum((c * e(j, d) for c, j in terms), cyc_rational(0)))
-    return _cyc_arrays(entries, order=n)[0]
+        entries.append(sum((c * scale * e(j, d) for c, j in terms),
+                           cyc_rational(0)))
+    return _cyc_arrays(entries, order=n)
+
+
+def assert_canonical(a):
+    """Each entry of a vector comes out at the order the all-units search
+    finds, and promoted back to N it is the entry, coefficient for
+    coefficient."""
+    canon = a.canonical()
+    assert [x.order for x in canon] == minimal_orders(a)
+    for t, x in enumerate(canon):
+        back, entry = x.promote(a.order), a[t]
+        assert (back.den, back.num.tolist()) == (entry.den, entry.num.tolist())
 
 
 @settings(max_examples=150, deadline=None)
 @given(subfield_arrays())
 def test_canonical_orders_match_the_all_units_search(a):
-    canon = a.canonical()
-    assert [x.order for x in canon] == minimal_orders(a)
-    assert all(x == a[t] for t, x in enumerate(canon))
+    assert_canonical(a)
 
 
-def test_canonical_descends_one_prime_at_a_time(monkeypatch):
-    # 252 = 4 * 9 * 7: one automorphism for 4 (2 -> 1 is free), two for 9
-    # and one for 7, where all 72 units would take 71.
+_BIG = 2**70 + 3
+
+
+@pytest.mark.parametrize("n,texts", [
+    (7, []),
+    (1, ["-2/7", "0", f"{_BIG}"]),
+    (2, ["e(1/2)", "3/5"]),
+    (720, ["e(1/720)", "e(1/16)-e(1/9)", "e(1/5)+e(1/3)", "e(1/4)", "e(1/6)",
+           "e(7/80)-e(1/45)", "1/7*e(1/48)"]),
+    (128, ["e(1/128)", "e(1/64)+e(1/32)", "e(1/8)", "e(1/4)", "e(1/2)"]),
+    (243, ["e(1/243)", "e(2/81)", "e(1/27)-e(1/9)", "e(1/3)", "2"]),
+    (252, [f"{_BIG}*e(1/7)+e(1/4)", f"{_BIG}*(e(1/9)-e(1/36))",
+           f"{_BIG}*e(1/252)", f"1/{_BIG}*e(1/6)", f"{2**62}*e(5/12)"]),
+], ids=["empty", "N=1", "N=2", "N=720", "N=2^7", "N=3^5", "past-2^62"])
+def test_canonical_at_the_edges(n, texts):
+    assert_canonical(_cyc_arrays([parse_cyc(t) for t in texts], order=n))
+
+
+def test_canonical_makes_no_galois_substitution(monkeypatch):
+    # Z63's S sits at order 252; its entries' orders, 28, 84 and 252, and
+    # their coefficients there are read off the CRT basis.
+    doc = parse_fcat(pointed_fcat(63, 2, 3))
+    md = ModularDatum(doc.ring, doc.twists, doc.dims)
+    s = md._stilde() * (md.D / md.global_dimension())
     calls = []
-    galois = _CycArray._galois
-    monkeypatch.setattr(_CycArray, "_galois",
-                        lambda self, k: calls.append(k) or galois(self, k))
-    a, = _cyc_arrays([e(1, 252), e(1, 7) - e(1, 9), e(1, 4), e(1, 6)],
-                     order=252)
-    assert [x.order for x in a.canonical()] == [252, 63, 4, 3]
-    assert len(calls) == 4
+    substitute = _CycArray._substitute
+    monkeypatch.setattr(_CycArray, "_substitute",
+                        lambda self, k, order: calls.append(k)
+                        or substitute(self, k, order))
+    orders = {x.order for x in s.canonical().flat}
+    assert (s.order, orders, calls) == (252, {28, 84, 252}, [])

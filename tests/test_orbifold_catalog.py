@@ -12,7 +12,7 @@ from fusioncat.fusion_ring import FusionRing
 from fusioncat.lattice import (coset_L, coset_Zbeta1, full_coset_pieces,
                                min_norm)
 from fusioncat.modular_data import ModularDatum
-from fusioncat import orbifold_catalog
+from fusioncat import lattice, orbifold_catalog
 from fusioncat.orbifold_catalog import (
     U_DIMS,
     U_DUALS,
@@ -121,7 +121,7 @@ class TestBuildU:
             assert s[i][0] == s[0][0] * cyc_rational(d)
 
     def test_untwisted_qdims_need_tau_fixed_point_free(self, monkeypatch):
-        monkeypatch.setattr(orbifold_catalog, "tau_vector", lambda x: x)
+        monkeypatch.setattr(lattice, "tau_vector", lambda x: x)
         with pytest.raises(AssertionError, match="tau fixes"):
             untwisted_qdims()
 

@@ -3,10 +3,11 @@
 `import fusioncat` loads no submodule; `char` and `count` are integer and
 Fraction work and must never load numpy or the cyclotomic module; a call on
 an FCAT file loads none of the catalog modules, and `fuse` and `qdim`, which
-read only the ring, load no `modular_data`.  Module loading is checked
-in a fresh interpreter through `sys.modules`.  numpy is first imported by
-`fusioncat.cyclotomic` whatever module or command loads it, checked with
-`-X importtime`.  The process entry runs BLAS on one thread and freezes
+read only the ring, load no `modular_data`.  The catalog builders, counting
+and label lookup do not load the lattice; `char` does.  Module loading is
+checked in a fresh interpreter through `sys.modules`.  numpy is first
+imported by `fusioncat.cyclotomic` whatever module or command loads it,
+checked with `-X importtime`.  The process entry runs BLAS on one thread and freezes
 the heap before exit; `main(argv)` leaves the collector and the environment
 as they were.  numpy loads with a short OpenBLAS thread timeout, so idle
 BLAS workers do not spin; the variable is set only while numpy loads, and a
@@ -164,7 +165,16 @@ class TestCommandImports:
     def test_char_loads_no_catalog_builder(self):
         loaded = _loaded_in_order(["char", "M^0", "--cutoff", "30"])
         assert "fusioncat.qseries" in loaded
+        assert "fusioncat.lattice" in loaded
         assert "fusioncat.orbifold_catalog" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "2"], ["verify", "--catalog", "U"],
+        ["qdim", "--catalog", "U", "--label", "W6"]], ids=" ".join)
+    def test_catalog_call_loads_no_lattice(self, argv):
+        loaded = _loaded_in_order(argv)
+        assert "fusioncat.orbifold_catalog" in loaded
+        assert "fusioncat.lattice" not in loaded
 
     def test_catalog_module_compiles_before_numpy(self):
         # Compiled after numpy, it raises the peak RSS of a catalog call.
