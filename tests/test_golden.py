@@ -73,6 +73,71 @@ POINTED_SHA256 = {
         "4b4ad0542372a194111e45af3110c6f8a048fe98fbf04ec537f541b939a6ba17",
 }
 
+# Two files with irrational dims, so `verlinde` divides by an irrational S
+# entry and the S entries print in Q(zeta_20) and Q(zeta_8).
+FIBONACCI_FCAT = """category fib
+label 0 1
+label 1 t
+unit 0
+N 0 0 0 1
+N 0 1 1 1
+N 1 0 1 1
+N 1 1 0 1
+N 1 1 1 1
+twist 0 0/1
+twist 1 2/5
+dim 0 1
+dim 1 -e(2/5)-e(3/5)
+"""
+
+ISING_FCAT = """category ising
+label 0 1
+label 1 sigma
+label 2 psi
+unit 0
+N 0 0 0 1
+N 0 1 1 1
+N 0 2 2 1
+N 1 0 1 1
+N 1 1 0 1
+N 1 1 2 1
+N 1 2 1 1
+N 2 0 2 1
+N 2 1 1 1
+N 2 2 0 1
+twist 0 0/1
+twist 1 1/16
+twist 2 1/2
+dim 0 1
+dim 1 e(1/8)-e(3/8)
+dim 2 1
+"""
+
+# sha256 of `<command> <file>` stdout on the two files above; every call
+# exits 0.
+IRRATIONAL_SHA256 = {
+    ("fibonacci", "verify"):
+        "757eaf2a2be084024ba098449febd1ec73dd14d27543a0adeb01dbbc8615c59f",
+    ("fibonacci", "verlinde"):
+        "4a6fa4e44b0bbcbf03188a4485a19c98b3905d1d339c4ece658a0400f6130763",
+    ("fibonacci", "smatrix"):
+        "1ac9a4020396769abd668b1918e80ace5e1132b73e7fd4f8f205aead07ca34a8",
+    ("fibonacci", "smatrix --unnormalized"):
+        "fbc2c2b4ce7f87bf224b87605a2441274ef0b1d897eb70065994d4e93e9fc403",
+    ("fibonacci", "tmatrix"):
+        "b487d55d3141ed8abb1b3cdf4ba95583dbff3121659fec7ba90f82ddce75190a",
+    ("ising", "verify"):
+        "757eaf2a2be084024ba098449febd1ec73dd14d27543a0adeb01dbbc8615c59f",
+    ("ising", "verlinde"):
+        "b73e133052dbb30a222760679a34c4e4c1c83478edafea28d409c3ba325df68b",
+    ("ising", "smatrix"):
+        "e6457963e58bf0f40df3364118195039a542c4f306da1b14cee2284703a43609",
+    ("ising", "smatrix --unnormalized"):
+        "6b8e089d57c84b5158a9a65205dc38045d8d46feaf5511561d89e31b94535b4b",
+    ("ising", "tmatrix"):
+        "6fdd38f8da9220b4b2c5693ee84028f0d9df26252d97c738c65f95527c3c7eca",
+}
+
 # sha256 of `char <label> --cutoff <c>` stdout; every call exits 0.
 CHAR_SHA256 = {
     ("M^0", 100):
@@ -142,6 +207,15 @@ def test_pointed_smatrix_digest(key, tmp_path, capsys):
     path.write_text(pointed_fcat(n, a, seed))
     argv = command.split() + [str(path)]
     assert _stdout_digest(argv, capsys) == POINTED_SHA256[key]
+
+
+@pytest.mark.parametrize("key", sorted(IRRATIONAL_SHA256))
+def test_irrational_dims_digest(key, tmp_path, capsys):
+    name, command = key
+    path = tmp_path / f"{name}.fcat"
+    path.write_text({"fibonacci": FIBONACCI_FCAT, "ising": ISING_FCAT}[name])
+    argv = command.split() + [str(path)]
+    assert _stdout_digest(argv, capsys) == IRRATIONAL_SHA256[key]
 
 
 def test_pointed_z63_s_demotes():
