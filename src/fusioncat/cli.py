@@ -143,7 +143,7 @@ def cmd_verify(args) -> int:
                 ok = bool((md.verlinde() == ring.tensor).all())
             except VerlindeError:
                 ok = False
-            print(f"Verlinde round-trip         {'PASS' if ok else 'FAIL'}")
+            print(mrep.line("Verlinde round-trip", ok))
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

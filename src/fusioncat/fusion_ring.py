@@ -70,11 +70,14 @@ class CheckReport:
     def passed(self) -> bool:
         return all(ok is not False for _, ok in self.checks())
 
-    def lines(self) -> list[str]:
-        checks = self.checks()
-        width = max(len(label) for label, _ in checks) + 2
+    def line(self, label: str, ok: bool | None) -> str:
+        """One check line, with its mark in the column of this report's."""
+        width = max(len(name) for name, _ in self.checks()) + 2
         marks = {True: "PASS", False: "FAIL", None: "SKIP"}
-        return ([label.ljust(width) + marks[ok] for label, ok in checks]
+        return label.ljust(width) + marks[ok]
+
+    def lines(self) -> list[str]:
+        return ([self.line(label, ok) for label, ok in self.checks()]
                 + [f"  {self.note}: {f}" for f in self.failures])
 
 

@@ -8,12 +8,12 @@ scale, and each coordinate is searched over |x_i| <= sqrt(t (G^-1)_ii), the
 exact maximum of |x_i| on the ellipsoid <x,x> <= t.  The box is complete
 for every positive-definite Gram matrix and needs no eigensolver.
 
-The module also hard-codes the concrete rank-2 lattice (Gram
-[[4,-2],[-2,4]], isometric to sqrt(2)A2) with its twelve dual cosets, the
-order-3 isometry acting on them, and the three-piece split of the rank-3
-lattice Z alpha^3 and of its cosets into (rank-1 coset) x (rank-2 coset)
-pairs.  `coset_pieces` states that split once; the alpha-lattice, the
-untwisted modules of the 20-object catalog and their characters all read it.
+The module also states the split of the rank-3 lattice A = Z alpha^3,
+(alpha_i, alpha_j) = 2 delta_ij, once, as the integer basis b1, b2, b3 of
+`_BETA`: the Grams of Z b1 and of L = Z b2 + Z b3 (sqrt(2)A2) are blocks of
+its Gram.  It names the twelve dual cosets of L and the order-3 isometry on
+them; `coset_pieces` splits each coset of A into three (rank-1 coset) x
+(rank-2 coset) pairs, which the 20-object catalog's modules read.
 """
 
 from __future__ import annotations
@@ -240,8 +240,16 @@ def min_vectors(c: Coset) -> list[tuple[Fraction, ...]]:
 # The concrete catalog lattices
 # ---------------------------------------------------------------------------
 
-_L = Lattice.from_rows([[4, -2], [-2, 4]])
-_ZB1 = Lattice.from_rows([[6]])
+# b1, b2, b3 in alpha-coordinates: the one statement of the split.
+_BETA = ((1, 1, 1), (1, -1, 0), (0, 1, -1))
+
+
+def _gram(basis) -> list[list[int]]:     # 2 B B^T, for the rows B of basis
+    return [[2 * sum(map(operator.mul, u, v)) for v in basis] for u in basis]
+
+
+_ZB1 = Lattice.from_rows(_gram(_BETA[:1]))
+_L = Lattice.from_rows(_gram(_BETA[1:]))
 
 # Two-part coset representatives of L (order-2 classes), keyed by letter,
 # and three-part representatives (order-3 classes), keyed by 0,1,2.
@@ -259,12 +267,12 @@ THREE_PART_REPS: dict[int, tuple[Fraction, Fraction]] = {
 
 
 def lattice_L() -> Lattice:
-    """The rank-2 lattice with Gram [[4,-2],[-2,4]] (sqrt(2)A2 type)."""
+    """The rank-2 lattice L = Z b2 + Z b3 (sqrt(2)A2 type)."""
     return _L
 
 
 def lattice_Zbeta1() -> Lattice:
-    """The rank-1 lattice with Gram [[6]]."""
+    """The rank-1 lattice Z b1."""
     return _ZB1
 
 
@@ -298,23 +306,12 @@ def tau_vector(x: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     return (v - u, -u)
 
 
-# Change of basis: the rank-3 lattice Z a^1 + Z a^2 + Z a^3 expressed in the
-# orthogonal split (b1) + (b2, b3), where a^1 = (b1 + 2 b2 + b3)/3,
-# a^2 = (b1 - b2 + b3)/3, a^3 = (b1 - b2 - 2 b3)/3.
-_ALPHA_IN_BETA = (
-    (Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)),
-    (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3)),
-    (Fraction(1, 3), Fraction(-1, 3), Fraction(-2, 3)),
-)
-
-
 def alpha_to_beta(coords: Sequence[Fraction | int]
                   ) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """Map integer alpha-coordinates to (b1-part, (b2,b3)-part)."""
-    a = [Fraction(x) for x in coords]
-    b1 = sum(a[i] * _ALPHA_IN_BETA[i][0] for i in range(3))
-    b2 = sum(a[i] * _ALPHA_IN_BETA[i][1] for i in range(3))
-    b3 = sum(a[i] * _ALPHA_IN_BETA[i][2] for i in range(3))
+    inverse = _gauss_jordan(_BETA)[1]      # row i: alpha_i in b-coordinates
+    b1, b2, b3 = (sum(Fraction(x) * row[k] for x, row in zip(coords, inverse))
+                  for k in range(3))
     return b1, (b2, b3)
 
 
@@ -347,25 +344,23 @@ def full_coset_pieces(i: int) -> list[DecompositionPiece]:
 def orbifold_decomposition() -> list[DecompositionPiece]:
     """Three-piece split of the alpha-lattice A as (rank-1 coset) x (rank-2 coset).
 
-    Certified exactly: b1, b2 and b3 have integer alpha-coordinates, so
-    B = Z b1 + L lies in A; det B = det(Z b1) det(L) = 72 = 9 det A, so B has
-    index 3 in A; and the three piece offsets lie in A with distinct b1
-    parts, so they are three distinct cosets of B in A, hence all of them.
+    Certified exactly from `_BETA` alone: its rows are integer, so
+    B = Z b1 + L lies in A; b1 is orthogonal to L, so B is their orthogonal
+    sum, and det B = 72 = 3^2 det A (det A = 2^3) gives index 3 in A; and the
+    three piece offsets lie in A with distinct b1 parts, so they are three
+    distinct cosets of B in A, hence all of them.
     """
     pieces = coset_pieces(0, "0")
     offsets = [piece.rank1.rep + piece.rank2.rep for piece in pieces]
-    to_alpha = _gauss_jordan(_ALPHA_IN_BETA)[1]  # row k: b_k in alpha coords
+    gram = _gram(_BETA)
+    if any(gram[0][1:]):
+        raise AssertionError("b1 is not orthogonal to L")
+    if Lattice.from_rows(gram).determinant() != 3 ** 2 * 2 ** 3:
+        raise AssertionError("Z b1 + L does not have index 3 in the alpha lattice")
     units = [tuple(int(i == k) for i in range(3)) for k in range(3)]
-    if any(sum(x * row[j] for x, row in zip(v, to_alpha)).denominator != 1
+    if any(sum(x * row[j] for x, row in zip(v, _BETA)).denominator != 1
            for v in units + offsets for j in range(3)):
         raise AssertionError("Z b1 + L or a piece offset leaves the alpha lattice")
-    (g1,), = _ZB1.gram
-    beta_gram = [[g1, 0, 0]] + [[0, *row] for row in _L.gram]
-    alpha = Lattice.from_rows(
-        [[sum(x * g * y for x, row in zip(a, beta_gram) for g, y in zip(row, b))
-          for b in _ALPHA_IN_BETA] for a in _ALPHA_IN_BETA])
-    if 9 * alpha.determinant() != _ZB1.determinant() * _L.determinant():
-        raise AssertionError("Z b1 + L does not have index 3 in the alpha lattice")
     if len({v[0] for v in offsets}) != 3:
         raise AssertionError("two pieces are one coset of Z b1 + L")
     return pieces

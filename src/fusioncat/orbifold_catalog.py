@@ -101,9 +101,8 @@ def _r10() -> dict[tuple[int, int, int], int]:
     return out
 
 
-# R10's duals e -> -e and (k, e) -> (2k, e), its twists (0 on e, 1/2 on the
-# off-diagonal label, 1/9 - e/3 on (k, e)) and its dims.  D = 6, c = 4 mod 8.
-_R10_DUALS = (0, 2, 1, _OFF, 7, 8, 9, 4, 5, 6)
+# R10's twists (0 on e, 1/2 on the off-diagonal label, 1/9 - e/3 on (k, e))
+# and its dims; the ring derives its duals.  D = 6, c = 4 mod 8.
 _R10_TWISTS = ((Fraction(0),) * 3 + (Fraction(1, 2),)
                + (Fraction(1, 9), Fraction(7, 9), Fraction(4, 9)) * 2)
 _R10_DIMS = (1, 1, 1, 3) + (2,) * 6
@@ -126,9 +125,9 @@ def _product(m: int, q: Fraction, labels: tuple[str, ...]
              ) -> tuple[FusionRing, dict[int, Fraction], dict[int, int]]:
     """The ring, twists and dims of Z_m ⊠ R10, the inputs of `ModularDatum`,
     with the label (a, c) at index `_layout(m, a, c)`.  Z_m is pointed with
-    twist q a^2: grades add, the dual of a is -a and every dim is 1.  So
-    N[(a,c),(b,d),(a+b,e)] = N_R10[c,d,e], the dual of (a, c) is (-a, c*),
-    its twist (q a^2 + h_c) mod 1 and its dim d_c."""
+    twist q a^2: grades add and every dim is 1.  So N[(a,c),(b,d),(a+b,e)] =
+    N_R10[c,d,e], the twist of (a, c) is (q a^2 + h_c) mod 1 and its dim
+    d_c; the ring reads its duals (-a, c*) off the unit row."""
     from .fusion_ring import FusionRing
     at = {(a, c): _layout(m, a, c) for a in range(m) for c in range(10)}
     r10 = _r10().items()
@@ -136,9 +135,7 @@ def _product(m: int, q: Fraction, labels: tuple[str, ...]
         labels, unit=0,
         structure_constants={(at[a, c], at[b, d], at[(a + b) % m, e]): v
                              for a in range(m) for b in range(m)
-                             for (c, d, e), v in r10},
-        supplied_dual={i: at[-a % m, _R10_DUALS[c]]
-                       for (a, c), i in at.items()})
+                             for (c, d, e), v in r10})
     return (ring,
             {i: (q * a * a + _R10_TWISTS[c]) % 1 for (a, c), i in at.items()},
             {i: _R10_DIMS[c] for (a, c), i in at.items()})

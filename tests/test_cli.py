@@ -391,12 +391,29 @@ _Z5_WRONG_TWIST = "".join(
     + [f"dim {x} 1\n" for x in range(5)])
 
 
+def _mark_columns(out: str) -> set[int]:
+    """The column of each mark of `verify` past the ring's four lines: the
+    modular checks and the Verlinde line, not the failure details."""
+    return {len(line) - 4 for line in out.splitlines()[4:]
+            if not line.startswith("  ")}
+
+
 class TestWithoutD:
     @pytest.fixture
     def wrong_twist(self, tmp_path):
         path = tmp_path / "z5.fcat"
         path.write_text(_Z5_WRONG_TWIST)
         return str(path)
+
+    def test_verify_marks_share_one_column(self, wrong_twist, capsys):
+        code, out, _ = run_cli(["verify", wrong_twist], capsys=capsys)
+        assert code == 1
+        assert len(out.splitlines()[4:]) > 7       # 7 checks, then details
+        code, catalog, _ = run_cli(["verify", "--catalog", "U"],
+                                   capsys=capsys)
+        assert code == 0
+        assert catalog.splitlines()[-1].startswith("Verlinde round-trip ")
+        assert _mark_columns(out) == _mark_columns(catalog) == {28}
 
     def test_smatrix_is_one_error_line(self, wrong_twist, capsys):
         code, out, err = run_cli(["smatrix", wrong_twist], capsys=capsys)

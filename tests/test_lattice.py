@@ -32,11 +32,13 @@ A3 = Lattice.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 class TestLattice:
     def test_rank2_gram(self):
         lat = lattice_L()
+        assert lat.gram == ((4, -2), (-2, 4))     # a block of 2 B B^T
         assert lat.rank == 2
         assert lat.determinant() == 12
         assert lat.is_integral
 
     def test_rank1_gram(self):
+        assert lattice_Zbeta1().gram == ((6,),)
         assert lattice_Zbeta1().determinant() == 6
 
     def test_rejects_asymmetric(self):
@@ -273,12 +275,30 @@ class TestDecomposition:
         with pytest.raises(AssertionError):
             orbifold_decomposition()
 
+    def test_b1_not_orthogonal_to_l_is_refused(self, monkeypatch):
+        # b3 = alpha_2: (b1, b3) = 2.
+        monkeypatch.setattr(lattice, "_BETA", ((1, 1, 1), (1, -1, 0),
+                                               (0, 1, 0)))
+        with pytest.raises(AssertionError, match="not orthogonal"):
+            orbifold_decomposition()
+
+    def test_basis_of_index_6_is_refused(self, monkeypatch):
+        # b2 = 2 (alpha_1 - alpha_2): still orthogonal to b1, det 288.
+        monkeypatch.setattr(lattice, "_BETA", ((1, 1, 1), (2, -2, 0),
+                                               (0, 1, -1)))
+        with pytest.raises(AssertionError, match="index 3"):
+            orbifold_decomposition()
+
     def test_alpha_to_beta_change_of_basis(self):
         assert alpha_to_beta((1, 0, 0)) == (F(1, 3), (F(2, 3), F(1, 3)))
         assert alpha_to_beta((0, 1, 0)) == (F(1, 3), (F(-1, 3), F(1, 3)))
         assert alpha_to_beta((0, 0, 1)) == (F(1, 3), (F(-1, 3), F(-2, 3)))
         # alpha^1 + alpha^2 + alpha^3 = beta_1
         assert alpha_to_beta((1, 1, 1)) == (F(1), (F(0), F(0)))
+        # It inverts the basis: b_k maps to the k-th unit vector.
+        for k, row in enumerate(lattice._BETA):
+            unit = tuple(F(int(i == k)) for i in range(3))
+            assert alpha_to_beta(row) == (unit[0], unit[1:])
 
 
 @st.composite
