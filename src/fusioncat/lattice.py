@@ -240,11 +240,11 @@ def min_vectors(c: Coset) -> list[tuple[Fraction, ...]]:
 # The concrete catalog lattices
 # ---------------------------------------------------------------------------
 
-# b1, b2, b3 in alpha-coordinates: the one statement of the split.
-_BETA = ((1, 1, 1), (1, -1, 0), (0, 1, -1))
+_BETA = ((1, 1, 1), (1, -1, 0), (0, 1, -1))    # b1, b2, b3 over the alpha_i
 
 
-def _gram(basis) -> list[list[int]]:     # 2 B B^T, for the rows B of basis
+def _gram(basis) -> list[list[int]]:
+    """2 B B^T: the Gram matrix of the rows B of `basis`."""
     return [[2 * sum(map(operator.mul, u, v)) for v in basis] for u in basis]
 
 
