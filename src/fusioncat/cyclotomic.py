@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import re
 import sys
@@ -559,22 +558,17 @@ def cyc_rational(r: Fraction | int) -> CycNum:
 def cyc_inv(a: CycNum) -> CycNum:
     """Multiplicative inverse: the product of the other Galois conjugates of
     a, over the norm of a (the product of all of them, a rational), formed
-    at the minimal order d of a and returned at the order of a.  The norm is
-    taken one q = p^e || d at a time, over the units k = 1 mod d/q: in all
-    sum (phi(q) - 1) conjugates, not phi(d) - 1."""
+    at the minimal order of a and returned at the order of a."""
     if a.is_zero():
         raise ZeroDivisionError("division by zero in Q(zeta)")
     if a.is_rational():
         return cyc_rational(1 / a.as_rational()).promote(a.order)
-    norm, others = a.canonical(), []    # minimal order: fewest conjugates
-    for p, e in _prime_powers(norm.order):
-        q, rest = p ** e, norm.order // p ** e
-        step = rest * pow(rest, -1, q)      # 1 + (u - 1) step = u mod q
-        others.append(functools.reduce(operator.mul, [
-            norm._galois(1 + (u - 1) * step) for u in range(2, q) if u % p]))
-        norm = norm * others[-1]
-    return (functools.reduce(operator.mul, others)
-            * (1 / norm.as_rational())).promote(a.order)
+    b = a.canonical()           # at the minimal order: the fewest conjugates
+    others = cyc_rational(1)
+    for k in range(2, b.order):
+        if math.gcd(k, b.order) == 1:
+            others = others * b._galois(k)
+    return (others * (1 / (b * others).as_rational())).promote(a.order)
 
 
 # ---------------------------------------------------------------------------

@@ -306,11 +306,14 @@ def tau_vector(x: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     return (v - u, -u)
 
 
+_BETA_INVERSE = _gauss_jordan(_BETA)[1]    # row i: alpha_i over b1, b2, b3
+
+
 def alpha_to_beta(coords: Sequence[Fraction | int]
                   ) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """Map integer alpha-coordinates to (b1-part, (b2,b3)-part)."""
-    inverse = _gauss_jordan(_BETA)[1]      # row i: alpha_i in b-coordinates
-    b1, b2, b3 = (sum(Fraction(x) * row[k] for x, row in zip(coords, inverse))
+    b1, b2, b3 = (sum(Fraction(x) * row[k]
+                      for x, row in zip(coords, _BETA_INVERSE))
                   for k in range(3))
     return b1, (b2, b3)
 
@@ -344,11 +347,11 @@ def full_coset_pieces(i: int) -> list[DecompositionPiece]:
 def orbifold_decomposition() -> list[DecompositionPiece]:
     """Three-piece split of the alpha-lattice A as (rank-1 coset) x (rank-2 coset).
 
-    Certified exactly from `_BETA` alone: its rows are integer, so
-    B = Z b1 + L lies in A; b1 is orthogonal to L, so B is their orthogonal
-    sum, and det B = 72 = 3^2 det A (det A = 2^3) gives index 3 in A; and the
-    three piece offsets lie in A with distinct b1 parts, so they are three
-    distinct cosets of B in A, hence all of them.
+    Certified exactly from `_BETA` alone: its rows are integer by
+    construction, so B = Z b1 + L lies in A; b1 is orthogonal to L, so B is
+    their orthogonal sum, and det B = 72 = 3^2 det A (det A = 2^3) gives
+    index 3 in A; and the three piece offsets lie in A with distinct b1
+    parts, so they are three distinct cosets of B in A, hence all of them.
     """
     pieces = coset_pieces(0, "0")
     offsets = [piece.rank1.rep + piece.rank2.rep for piece in pieces]
@@ -357,10 +360,9 @@ def orbifold_decomposition() -> list[DecompositionPiece]:
         raise AssertionError("b1 is not orthogonal to L")
     if Lattice.from_rows(gram).determinant() != 3 ** 2 * 2 ** 3:
         raise AssertionError("Z b1 + L does not have index 3 in the alpha lattice")
-    units = [tuple(int(i == k) for i in range(3)) for k in range(3)]
     if any(sum(x * row[j] for x, row in zip(v, _BETA)).denominator != 1
-           for v in units + offsets for j in range(3)):
-        raise AssertionError("Z b1 + L or a piece offset leaves the alpha lattice")
+           for v in offsets for j in range(3)):
+        raise AssertionError("a piece offset leaves the alpha lattice")
     if len({v[0] for v in offsets}) != 3:
         raise AssertionError("two pieces are one coset of Z b1 + L")
     return pieces

@@ -48,19 +48,6 @@ def minimal_orders(a: _CycArray) -> list[int]:
             for t in range(len(flat.num))]
 
 
-def all_units_inverse(a: CycNum) -> CycNum:
-    """The inverse of a nonzero a from all phi(d) - 1 other Galois conjugates
-    at its minimal order d, one unit k of Z/d at a time, over the norm."""
-    if a.is_rational():
-        return cyc_rational(1 / a.as_rational()).promote(a.order)
-    b = a.canonical()
-    others = cyc_rational(1)
-    for k in range(2, b.order):
-        if math.gcd(k, b.order) == 1:
-            others = others * b._galois(k)
-    return (others * (1 / (b * others).as_rational())).promote(a.order)
-
-
 def shifted_twist(md: ModularDatum, index: int, delta) -> ModularDatum:
     """A copy of `md` with the twist of label `index` shifted by `delta`,
     which breaks a modular datum for the failure paths."""
