@@ -71,7 +71,7 @@ class CheckReport:
         return all(ok is not False for _, ok in self.checks())
 
     def line(self, label: str, ok: bool | None) -> str:
-        """One check line, with its mark in the column of this report's."""
+        """One check line, with its mark in this report's column."""
         width = max(len(name) for name, _ in self.checks()) + 2
         marks = {True: "PASS", False: "FAIL", None: "SKIP"}
         return label.ljust(width) + marks[ok]
