@@ -191,12 +191,9 @@ def _exact(terms: int, *arrays: np.ndarray) -> list[np.ndarray]:
     bound = terms
     for x in arrays:
         bound *= max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
-    return [x.astype(_tier(bound), copy=False) for x in arrays]
-
-
-def _tier(bound: int) -> type:
-    """The narrowest exact dtype for integers below `bound` in magnitude."""
-    return np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+    dtype = (np.float64 if bound < 2**53
+             else np.int64 if bound < 2**62 else object)
+    return [x.astype(dtype, copy=False) for x in arrays]
 
 
 def _int(x: np.ndarray) -> np.ndarray:
@@ -407,9 +404,9 @@ class CycNum(_CycArray):
             raise ValueError("more coefficients than the degree phi(N)")
         den = math.lcm(*(f.denominator for f in fracs))
         num = [int(f * den) for f in fracs] + [0] * (phi - len(fracs))
-        # `_exact`'s tier, bounded over the Python ints: the max of an object
-        # array would fault in numpy's object reductions, 64 KB of RSS.
-        num = _int(np.array(num, dtype=_tier(max(map(abs, num)))))
+        # int64 below 2^62 as `_exact` would pick it, but without its call.
+        wide = any(abs(x) >> 62 for x in num)
+        num = np.array(num, dtype=object if wide else np.int64)
         super().__init__(*_lowest(num, den), order)
 
     def is_zero(self) -> bool:
