@@ -77,7 +77,7 @@ class CheckReport:
         return label.ljust(width) + marks[ok]
 
     def lines(self) -> list[str]:
-        return ([self.line(label, ok) for label, ok in self.checks()]
+        return ([self.line(*check) for check in self.checks()]
                 + [f"  {self.note}: {f}" for f in self.failures])
 
 
