@@ -193,6 +193,9 @@ def cmd_smatrix(args) -> int:
 
 def cmd_tmatrix(args) -> int:
     md = _require_datum(args)
+    if md.central_charge is None:
+        # An FCAT file gives c mod 8 only with D: raise why there is no D.
+        md.D
     text = _entry_str(args)
     for i, entry in enumerate(md.t_matrix()):
         print(f"{i} {text(entry)}")

@@ -234,9 +234,6 @@ class _CycArray:
         """Index the entry axes; down to one entry, a CycNum."""
         return _of(self.num[key], self.den, self.order)
 
-    def entry(self, *index: int) -> "CycNum":
-        return self[index]
-
     @property
     def T(self) -> "_CycArray":
         if self.num.ndim != 3:

@@ -230,9 +230,6 @@ class FusionRing:
         self.require_valid()
         return self._dual
 
-    def element(self, coeffs: Mapping[int, int]) -> "RingElement":
-        return RingElement(self, dict(coeffs))
-
     def basis_element(self, i: int) -> "RingElement":
         return RingElement(self, {i: 1})
 

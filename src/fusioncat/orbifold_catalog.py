@@ -237,13 +237,12 @@ class WeightCheckReport:
         return out
 
 
-def _label_parts(index: int) -> tuple[int, int | None, int]:
-    """(i, eps, k) of the U label `index`: lattice index i, eigenspace eps
-    (None for M^i) and twist exponent k (0 for the untwisted labels)."""
-    i, c = next((a, c) for a in range(2) for c in range(10)
-                if _layout(2, a, c) == index)
-    k, eps = _kind(c)
-    return i, eps, k
+def _label_parts() -> list[tuple[int, int, int | None]]:
+    """(i, k, eps) of each U label, in catalog order: lattice index i, twist
+    exponent k (0 for the untwisted labels) and eigenspace eps (None for
+    M^i)."""
+    at = {_layout(2, a, c): (a, *_kind(c)) for a in range(2) for c in range(10)}
+    return [at[index] for index in range(20)]
 
 
 def _label_pieces(i: int, eps: int | None) -> list[DecompositionPiece]:
@@ -302,9 +301,7 @@ def weight_table_check() -> WeightCheckReport:
     """
     from .lattice import min_norm
     entries: list[WeightCheckEntry] = []
-    for index, name in enumerate(U_LABELS):
-        table = U_WEIGHTS[index]
-        i, eps, k = _label_parts(index)
+    for name, table, (i, k, eps) in zip(U_LABELS, U_WEIGHTS, _label_parts()):
         pieces = _label_pieces(i, eps)
         rank1 = [min_norm(piece.rank1) / 2 for piece in pieces]
         if k == 0:
@@ -348,8 +345,7 @@ def untwisted_qdims() -> tuple[Fraction, ...]:
     eigenspace = Fraction(1, 3)
     alpha = orbifold_decomposition()
     dims = []
-    for index in range(8):
-        i, eps, _ = _label_parts(index)
+    for i, _, eps in _label_parts()[:8]:
         share = 1 if eps is None else eigenspace
         pieces = _label_pieces(i, eps)
         dims.append(share * qdim_limit(pieces, alpha) / eigenspace)
@@ -387,16 +383,14 @@ def stilde_fixture() -> list[list[CycNum]]:
 
 def stilde_fixture_diff(md: ModularDatum
                         ) -> list[tuple[int, int, CycNum, CycNum]]:
-    """(i, j, derived, transcribed) for every entry where the derived
-    s-tilde of the 20-object datum `md` disagrees with the fixture."""
-    derived = md.stilde()
-    table = stilde_fixture()
-    out = []
-    for i in range(20):
-        for j in range(20):
-            if derived[i][j] != table[i][j]:
-                out.append((i, j, derived[i][j], table[i][j]))
-    return out
+    """(i, j, derived, transcribed), in row-major order, for every entry
+    where the derived s-tilde of the 20-object datum `md` disagrees with
+    the fixture."""
+    from .cyclotomic import _cyc_arrays
+    derived, table = md.stilde(), stilde_fixture()
+    same = _cyc_arrays(derived).equals(_cyc_arrays(table)).tolist()
+    return [(i, j, derived[i][j], table[i][j])
+            for i, row in enumerate(same) for j, ok in enumerate(row) if not ok]
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,14 @@ class TestWithoutD:
             "error: no real D with D^2 = 5 and p+ = D e(c/8); "
             "S = s~/D is undefined"]
 
+    def test_tmatrix_is_one_error_line(self, wrong_twist, capsys):
+        # FCAT carries no c: c mod 8 comes from the Gauss sum that gives D.
+        code, out, err = run_cli(["tmatrix", wrong_twist], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: no real D with D^2 = 5 and p+ = D e(c/8); "
+            "S = s~/D is undefined"]
+
     def test_unnormalized_smatrix_still_prints(self, wrong_twist, capsys):
         code, out, err = run_cli(["smatrix", "--unnormalized", wrong_twist],
                                  capsys=capsys)

@@ -304,9 +304,9 @@ def test_array_products_match_scalar_arithmetic(data):
     expect = _scalar_product(a, b)
     for i in range(2):
         for j in range(3):
-            assert entrywise.entry(i, j) == a[i][j] * c[j]
-            assert product.entry(i, j) == expect[i][j]
-            assert conj.entry(i, j) == a[i][j].conj()
+            assert entrywise[i, j] == a[i][j] * c[j]
+            assert product[i, j] == expect[i][j]
+            assert conj[i, j] == a[i][j].conj()
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,7 +321,7 @@ def test_times_root_matches_scalar_product(data):
     shifted = arr.times_root(expo)
     for i in range(2):
         for j in range(3):
-            assert shifted.entry(i, j) == a[i][j] * e(int(expo[i, j]), n)
+            assert shifted[i, j] == a[i][j] * e(int(expo[i, j]), n)
 
 
 def test_times_root_takes_object_branch_for_large_coefficients():
@@ -330,7 +330,7 @@ def test_times_root_takes_object_branch_for_large_coefficients():
     assert arr.num.dtype == np.int64
     shifted = arr.times_root(np.array([35]))
     assert shifted.num.dtype == object
-    assert shifted.entry(0) == cyc_rational(big) * (e(0, 1) + e(35, 36))
+    assert shifted[0] == cyc_rational(big) * (e(0, 1) + e(35, 36))
 
 
 def test_array_products_take_object_branch_near_2_pow_40():
@@ -347,8 +347,8 @@ def test_array_products_take_object_branch_near_2_pow_40():
     expect = _scalar_product(a, a)
     for i in range(2):
         for j in range(2):
-            assert product.entry(i, j) == expect[i][j]
-            assert square.entry(i, j) == a[i][j] * a[i][j]
+            assert product[i, j] == expect[i][j]
+            assert square[i, j] == a[i][j] * a[i][j]
 
 
 def test_small_products_stay_int64():
@@ -392,9 +392,9 @@ def test_arrays_and_numbers_share_one_arithmetic(a, b, x, take_b):
         y = a[i, j]
         assert isinstance(y, CycNum) and isinstance(canon[i, j], CycNum)
         assert hash(y) == hash(canon[i, j])
-        assert scaled.entry(i, j) == y * x
+        assert scaled[i, j] == y * x
         assert abs(scaled[i, j].embed() - y.embed() * x.embed()) < 1e-9
-        assert total.entry(i, j) == y + b[i, j]
+        assert total[i, j] == y + b[i, j]
         assert abs(total[i, j].embed() - y.embed() - b[i, j].embed()) < 1e-9
         assert same[i, j] == (y == c[i, j])
         assert same[i, j] or take_b[3 * i + j]
@@ -468,11 +468,11 @@ def test_products_match_scalar_arithmetic_in_each_tier(tier, op, data):
     assert out.num.dtype != np.float64
     for i, k in np.ndindex(out.num.shape[:-1]):
         if op == "@":
-            expect = sum((a.entry(i, j) * b.entry(j, k)
+            expect = sum((a[i, j] * b[j, k]
                           for j in range(inner)), cyc_rational(0))
         else:
-            expect = a.entry(i, k) * b.entry(i, k)
-        assert out.entry(i, k) == expect
+            expect = a[i, k] * b[i, k]
+        assert out[i, k] == expect
 
 
 # Coefficient ranges of the stored entries: below 2^53, between 2^53 and
@@ -513,10 +513,10 @@ def test_array_operations_across_conductors_match_cycnum(operands):
     same = a.equals(c)
     for i, j in np.ndindex(size, size):
         x, y = a_rows[i][j], b_rows[i][j]
-        assert total.entry(i, j) == x + y
-        assert diff.entry(i, j) == x - y
-        assert prod.entry(i, j) == x * y
-        assert matprod.entry(i, j) == sum(
+        assert total[i, j] == x + y
+        assert diff[i, j] == x - y
+        assert prod[i, j] == x * y
+        assert matprod[i, j] == sum(
             (a_rows[i][k] * b_rows[k][j] for k in range(size)),
             cyc_rational(0))
         assert same[i, j] == (not take_b[size * i + j] or x == y)
@@ -526,7 +526,7 @@ def test_odd_product_past_2_pow_53_is_exact():
     # (2^27+1)^2 = 2^54 + 2^28 + 1 is odd; float64 would round it to even.
     x = _CycArray(np.array([[[2**27 + 1]]]), 1, 1)
     for out in (x @ x, x * x):
-        assert out.entry(0, 0) == (2**27 + 1) ** 2
+        assert out[0, 0] == (2**27 + 1) ** 2
 
 
 def test_product_just_under_the_bound_takes_the_float_tier():
@@ -536,10 +536,10 @@ def test_product_just_under_the_bound_takes_the_float_tier():
         product, square = x @ x, x * x
     assert taken == ["float64", "float64"]
     assert product.num.dtype == square.num.dtype == np.int64
-    assert product.entry(0, 0) == square.entry(0, 0) == top ** 2
+    assert product[0, 0] == square[0, 0] == top ** 2
     y = _CycArray(np.array([[[top + 2]]]), 1, 1)
     with tiers_taken() as taken:
-        assert (y @ y).entry(0, 0) == (top + 2) ** 2
+        assert (y @ y)[0, 0] == (top + 2) ** 2
     assert taken == ["int64"]
 
 

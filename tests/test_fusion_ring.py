@@ -13,6 +13,7 @@ from fusioncat.fusion_ring import (
     FcatDocument,
     FcatError,
     FusionRing,
+    RingElement,
     emit_fcat,
     first_violation,
     parse_fcat,
@@ -252,20 +253,20 @@ class TestOperations:
         for i in (2, -1):
             with pytest.raises(KeyError,
                                match=f"label index {i} out of range"):
-                ring.element({i: 1})
+                RingElement(ring, {i: 1})
 
     def test_repr_equality_and_zero_element(self):
         ring = FusionRing(["a"], 0, {(0, 0, 0): 1})
         assert repr(ring) == "FusionRing(rank=1, unit='a')"
         assert (ring == 3) is False
-        assert str(ring.element({})) == "0"
-        assert ring.element({0: 1}) == ring.basis_element(0)
-        assert ring.element({0: 1}) != ring.element({})
-        assert (ring.element({}) == 3) is False
+        assert str(RingElement(ring, {})) == "0"
+        assert RingElement(ring, {0: 1}) == ring.basis_element(0)
+        assert RingElement(ring, {0: 1}) != RingElement(ring, {})
+        assert (RingElement(ring, {}) == 3) is False
 
     def test_fuse_bilinear(self):
         ring = fibonacci_ring()
-        two_t = ring.element({1: 2})
+        two_t = RingElement(ring, {1: 2})
         out = ring.fuse(two_t, two_t)
         assert out.coefficients == {0: 4, 1: 4}
 

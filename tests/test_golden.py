@@ -233,6 +233,15 @@ def test_char_stdout_digest(label, cutoff, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CHAR_SHA256[label, cutoff]
 
 
+@pytest.mark.parametrize("alias,label", [("W6", "M^0"), ("W7", "M^1")])
+@pytest.mark.parametrize("cutoff", [100, 300])
+def test_char_w_alias_prints_its_module(alias, label, cutoff, capsys):
+    code = main(["char", alias, "--cutoff", str(cutoff)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAR_SHA256[label, cutoff]
+
+
 def test_perturbed_z3_report_lines():
     md = shifted_twist(z3_datum(), 1, Fraction(1, 9))
     assert md.verify_modular().lines() == _FAILING_CHECKS + [

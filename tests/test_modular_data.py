@@ -185,7 +185,7 @@ def test_stilde_arrays_match_conjugate_form(n, seed):
     stilde = md.stilde()
     for i in range(n):
         for j in range(n):
-            assert array.entry(i, j) == expect[i][j]
+            assert array[i, j] == expect[i][j]
             assert stilde[i][j] == expect[i][j]
             assert at_minimal_order(stilde[i][j])
 

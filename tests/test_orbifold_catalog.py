@@ -309,6 +309,14 @@ class TestFixture:
         positions = {(i, j) for i, j, _, _ in diff}
         assert (8, 8) in positions
         assert (0, 0) not in positions
+        # Imported here: test_acceptance imports this module.
+        from test_acceptance import STILDE_PHASE_ERRATA, STILDE_SIGN_ERRATA
+        assert positions == STILDE_SIGN_ERRATA | STILDE_PHASE_ERRATA
+        order = [(i, j) for i, j, _, _ in diff]
+        assert order == sorted(positions)
+        derived, table = u_datum.stilde(), stilde_fixture()
+        for i, j, x, y in diff:
+            assert x == derived[i][j] and y == table[i][j]
 
     def test_diff_entries_embed_differently(self, u_datum):
         for i, j, derived, table in stilde_fixture_diff(u_datum)[:10]:
