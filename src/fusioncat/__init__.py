@@ -22,8 +22,8 @@ _EXPORTS = {
     "fusion_ring": ("FusionRing", "RingElement", "ValidationReport",
                     "FcatDocument", "FcatError", "InvalidRingError",
                     "parse_fcat", "emit_fcat"),
-    "lattice": ("Lattice", "Coset", "dual_coset_reps", "min_norm",
-                "min_vectors", "orbifold_decomposition", "tau_action"),
+    "lattice": ("Lattice", "Coset", "min_norm", "min_vectors",
+                "orbifold_decomposition"),
     "modular_data": ("ModularDatum", "ModularReport", "VerlindeError"),
     "orbifold_catalog": ("build_U", "build_VLtau",
                          "count_orbifold_irreducibles", "weight_table_check",

@@ -248,14 +248,6 @@ class FusionRing:
         self.require_valid()
         return float(abs(np.linalg.eigvals(self._tensor[i])).max())
 
-    def simple_currents(self) -> set[int]:
-        """Labels of quantum dimension 1: those whose fusion matrix is a
-        permutation matrix, so fusing with them permutes labels."""
-        self.require_valid()
-        cols, rows = self._tensor.sum(axis=1), self._tensor.sum(axis=2)
-        return {i for i in range(self.rank)
-                if (cols[i] == 1).all() and (rows[i] == 1).all()}
-
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
             return NotImplemented

@@ -1,4 +1,4 @@
-"""Integral lattices, dual-lattice cosets, and exact short-vector search.
+"""Lattices, their cosets, and exact short-vector search.
 
 Cosets carry canonical representatives with all coordinates reduced into
 [0,1), so equality and hashing are plain tuple comparisons.  Short vectors
@@ -11,8 +11,8 @@ for every positive-definite Gram matrix and needs no eigensolver.
 The module also states the split of the rank-3 lattice A = Z alpha^3,
 (alpha_i, alpha_j) = 2 delta_ij, once, as the integer basis b1, b2, b3 of
 `_BETA`: the Grams of Z b1 and of L = Z b2 + Z b3 (sqrt(2)A2) are blocks of
-its Gram.  It names the twelve dual cosets of L and the order-3 isometry on
-them; `coset_pieces` splits each coset of A into three (rank-1 coset) x
+its Gram.  It names the twelve dual cosets of L and the order-3 isometry
+of L; `coset_pieces` splits each coset of A into three (rank-1 coset) x
 (rank-2 coset) pairs, which the 20-object catalog's modules read.
 """
 
@@ -27,15 +27,11 @@ from typing import NamedTuple, Sequence
 __all__ = [
     "Lattice",
     "Coset",
-    "dual_coset_reps",
     "min_norm",
     "min_vectors",
-    "tau_action",
     "coset_pieces",
     "full_coset_pieces",
     "orbifold_decomposition",
-    "lattice_L",
-    "lattice_Zbeta1",
     "coset_L",
     "coset_Zbeta1",
     "TWO_PART_REPS",
@@ -99,10 +95,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.gram for x in row)
-
     def determinant(self) -> Fraction:
         return self._determinant
 
@@ -133,42 +125,6 @@ class Coset:
     @property
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.rep)
-
-    def __add__(self, other: "Coset") -> "Coset":
-        if self.lattice != other.lattice:
-            raise ValueError("cosets of different lattices")
-        return Coset(self.lattice,
-                     tuple(a + b for a, b in zip(self.rep, other.rep)))
-
-    def __neg__(self) -> "Coset":
-        return Coset(self.lattice, tuple(-x for x in self.rep))
-
-
-def dual_coset_reps(lat: Lattice) -> list[Coset]:
-    """Complete irredundant list of (dual lattice)/lattice representatives.
-
-    Generated by the columns of gram^{-1} (the dual basis in lattice
-    coordinates) under addition mod 1; the count must equal det(gram).
-    """
-    if not lat.is_integral:
-        raise ValueError("dual coset enumeration needs an integral Gram matrix")
-    det, inv = lat.determinant(), lat._inverse
-    generators = [Coset.of(lat, [inv[i][j] for i in range(lat.rank)])
-                  for j in range(lat.rank)]
-    zero = Coset.of(lat, [0] * lat.rank)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in generators:
-            nxt = cur + g
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    reps = sorted(seen, key=lambda c: c.rep)
-    if len(reps) != det:
-        raise AssertionError("coset count does not match det(gram)")
-    return reps
 
 
 def _coset_points(c: Coset, cap: Fraction
@@ -266,16 +222,6 @@ THREE_PART_REPS: dict[int, tuple[Fraction, Fraction]] = {
 }
 
 
-def lattice_L() -> Lattice:
-    """The rank-2 lattice L = Z b2 + Z b3 (sqrt(2)A2 type)."""
-    return _L
-
-
-def lattice_Zbeta1() -> Lattice:
-    """The rank-1 lattice Z b1."""
-    return _ZB1
-
-
 def coset_L(two_part: str, three_part: int) -> Coset:
     """The coset labelled (i,j) with i in {0,a,b,c} and j in {0,1,2}."""
     a = TWO_PART_REPS[two_part]
@@ -288,34 +234,11 @@ def coset_Zbeta1(sixths: Fraction | int) -> Coset:
     return Coset.of(_ZB1, (Fraction(sixths),))
 
 
-def tau_action(c: Coset) -> Coset:
-    """Order-3 isometry of the rank-2 lattice acting on dual cosets.
-
-    This is the action induced on module labels by composing with the
-    isometry (i.e. the inverse of the raw basis map b2 -> b3,
-    b3 -> -(b2+b3)); it sends the a-class to the c-class.
-    """
-    if c.lattice != _L:
-        raise ValueError("tau acts only on cosets of the rank-2 catalog lattice")
-    return Coset.of(_L, tau_vector(c.rep))
-
-
 def tau_vector(x: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """The same order-3 isometry on explicit vectors in (b2, b3) coordinates."""
+    """The order-3 isometry tau of L in (b2, b3) coordinates: b2 -> -b2 - b3
+    and b3 -> b2, so b3 -> b2 -> -b2 - b3 -> b3."""
     u, v = x
     return (v - u, -u)
-
-
-_BETA_INVERSE = _gauss_jordan(_BETA)[1]    # row i: alpha_i over b1, b2, b3
-
-
-def alpha_to_beta(coords: Sequence[Fraction | int]
-                  ) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Map integer alpha-coordinates to (b1-part, (b2,b3)-part)."""
-    b1, b2, b3 = (sum(Fraction(x) * row[k]
-                      for x, row in zip(coords, _BETA_INVERSE))
-                  for k in range(3))
-    return b1, (b2, b3)
 
 
 class DecompositionPiece(NamedTuple):

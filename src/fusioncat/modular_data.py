@@ -10,11 +10,11 @@ of theta_k d_k, and theta_i^-1 theta_j^-1 is a power shift.  S = s~ D / D^2
 with D the real root of the global dimension D^2 that the Gauss sum
 p+ = D e(c/8) carries (`_gauss_root`); D^2 need not be rational.
 
-The matrix layers -- the checks of `verify_modular`, the Verlinde structure
-constants and (ST)^3 = S^2 -- take that array directly and never S,
-so that only D^2 enters the first two; their products are numpy contractions
-in Q(zeta_L) (`cyclotomic._CycArray`): the unreduced polynomial product,
-reduced once through the power rows.  Each contraction runs in the narrowest
+The matrix layers -- the checks of `verify_modular` and the Verlinde
+structure constants -- take that array directly and never S, so that only
+D^2 enters them; their products are numpy contractions in Q(zeta_L)
+(`cyclotomic._CycArray`): the unreduced polynomial product, reduced once
+through the power rows.  Each contraction runs in the narrowest
 exact tier that a bound on its partial sums allows (`cyclotomic._exact`):
 float64 on BLAS below 2^53, where every partial sum is an integer float64
 holds exactly; int64 below 2^62; Python ints past that.  Every result is
@@ -28,8 +28,8 @@ its minimal order (`_CycArray.canonical`), so its printed text depends on
 its value alone.
 
 A datum that fails verification is still computable: verification failure
-is diagnostic, not fatal.  Only S and the (ST)^3 relation need D, and a
-datum whose Gauss sums give no D, which is then not modular, has neither.
+is diagnostic, not fatal.  Only S needs D, and a datum whose Gauss sums
+give no D, which is then not modular, has no S.
 """
 
 from __future__ import annotations
@@ -261,19 +261,6 @@ class ModularDatum:
             phase = self.twists[i] - self.central_charge / 24
             diag.append(cyc_root_of_unity(phase.numerator, phase.denominator))
         return diag
-
-    def st_relation_holds(self) -> bool:
-        """Exact check of (ST)^3 = S^2, with T_ii = e^{2 pi i (h_i - c/24)}.
-
-        The -c/24 in T cancels the phase p+/D = e^{2 pi i c/8} of the bare
-        relation, so it holds exactly when c is right mod 8.  With S = s~/D
-        it is checked as (s~ T)^3 = D s~^2: three matrix products on the
-        array engine, O(n^3 phi(N)^2).
-        """
-        t = _cyc_arrays(self.t_matrix(), order=self._conductor())
-        st = self._stilde()
-        st_t = st * t
-        return bool(((st_t @ st_t) @ st_t).equals((st @ st) * self.D).all())
 
     # -- verification -------------------------------------------------------
 

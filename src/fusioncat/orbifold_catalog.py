@@ -280,12 +280,12 @@ def _eigen_coset_weight(c: Coset, eps: int) -> Fraction:
     primitive cube-root eigenvalues; the lattice itself contributes nothing
     below weight 2.
     """
-    from .lattice import lattice_L, min_norm, min_vectors
+    from .lattice import min_norm, min_vectors
     _certify_tau_fixes_no_vector()
     if not c.is_zero:
         return min_norm(c) / 2
     # Vacuum class: certify there is no lattice vector of norm 2.
-    lattice_min = min(lattice_L().norm(x) for x in min_vectors(c))
+    lattice_min = min(c.lattice.norm(x) for x in min_vectors(c))
     if lattice_min <= 2:
         raise AssertionError("lattice has vectors of norm <= 2")
     return Fraction(0) if eps % 3 == 0 else Fraction(1)

@@ -35,9 +35,8 @@ from fusioncat.fusion_ring import FcatDocument, emit_fcat, parse_fcat
 from fusioncat.lattice import (
     Coset,
     Lattice,
+    coset_L,
     coset_Zbeta1,
-    dual_coset_reps,
-    lattice_L,
 )
 from fusioncat.orbifold_catalog import (
     U_DIMS,
@@ -196,9 +195,12 @@ def test_criterion_7_vltau_ring(vltau_datum):
 
 
 def test_criterion_8_characters_and_ratio():
+    # The 12 named cosets are distinct, and their thetas sum to that of L*:
+    # so they are all of L*/L.
+    named = [coset_L(i, j) for i in "0abc" for j in range(3)]
+    assert len(set(named)) == 12
     cutoff = F(30)
-    total = sum((theta_coset(c, cutoff) for c in dual_coset_reps(lattice_L())),
-                QSeries.zero(cutoff))
+    total = sum((theta_coset(c, cutoff) for c in named), QSeries.zero(cutoff))
     dual = Lattice.from_rows([[F(1, 3), F(1, 6)], [F(1, 6), F(1, 3)]])
     assert total == theta_coset(Coset.of(dual, [0, 0]), cutoff)
 
@@ -224,7 +226,7 @@ def test_criterion_9_property_suite(u_datum):
 
     # Simple-current fusion bijectivity, exhaustively for the catalog.
     ring = u_datum.ring
-    assert ring.simple_currents() == set(range(6))
+    assert {i for i, d in enumerate(u_datum.dims) if d == 1} == set(range(6))
     for s in range(6):
         images = sorted(int(np.nonzero(ring.tensor[s, j])[0][0])
                         for j in range(20))

@@ -278,5 +278,7 @@ def test_perturbed_z3_verlinde_message():
 @pytest.mark.parametrize("build", [build_U, build_VLtau, z3_datum],
                          ids=["U", "VLtau", "Z3"])
 def test_st_relation_holds(build):
-    # T carries the -c/24 shift, so (ST)^3 = S^2 on every modular datum.
-    assert build().st_relation_holds() is True
+    # T carries the -c/24 shift, so (ST)^3 = S^2 holds exactly when
+    # p+ = D e(c/8): the Gauss sum gives c mod 8 as the datum states it.
+    md = build()
+    assert md.infer_central_charge_mod8() == md.central_charge % 8

@@ -1,4 +1,5 @@
-"""Lattices, dual cosets, exact minimal norms, and the order-3 isometry."""
+"""Lattices, the named dual cosets, exact minimal norms, and the order-3
+isometry."""
 
 import itertools
 import math
@@ -12,34 +13,35 @@ from fusioncat import lattice
 from fusioncat.lattice import (
     Coset,
     Lattice,
-    alpha_to_beta,
     coset_L,
     coset_Zbeta1,
-    dual_coset_reps,
-    lattice_L,
-    lattice_Zbeta1,
     min_norm,
     min_vectors,
     orbifold_decomposition,
-    tau_action,
     tau_vector,
 )
 from fusioncat.lattice import _coset_vectors, _gauss_jordan
 
 A3 = Lattice.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+L = coset_L("0", 0).lattice
+NAMED = [coset_L(i, j) for i in "0abc" for j in range(3)]
+
+
+def tau(c):
+    """tau on the coset c of L."""
+    return Coset.of(L, tau_vector(c.rep))
 
 
 class TestLattice:
     def test_rank2_gram(self):
-        lat = lattice_L()
-        assert lat.gram == ((4, -2), (-2, 4))     # a block of 2 B B^T
-        assert lat.rank == 2
-        assert lat.determinant() == 12
-        assert lat.is_integral
+        assert L.gram == ((4, -2), (-2, 4))     # a block of 2 B B^T
+        assert L.rank == 2
+        assert L.determinant() == 12
 
     def test_rank1_gram(self):
-        assert lattice_Zbeta1().gram == ((6,),)
-        assert lattice_Zbeta1().determinant() == 6
+        zb1 = coset_Zbeta1(0).lattice
+        assert zb1.gram == ((6,),)
+        assert zb1.determinant() == 6
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -51,7 +53,7 @@ class TestLattice:
 
     def test_coset_rejects_representative_of_wrong_length(self):
         with pytest.raises(ValueError, match="representative has wrong"):
-            Coset.of(lattice_L(), [F(1, 2)])
+            Coset.of(L, [F(1, 2)])
 
     def test_rejects_indefinite(self):
         for rows in ([[1, 2], [2, 1]],     # indefinite
@@ -61,61 +63,31 @@ class TestLattice:
                 Lattice.from_rows(rows)
 
     def test_norm_quadratic_form(self):
-        lat = lattice_L()
         # Q(u, v) = 4u^2 - 4uv + 4v^2
-        assert lat.norm((F(1), F(0))) == 4
-        assert lat.norm((F(1), F(1))) == 4
-        assert lat.norm((F(1, 2), F(0))) == 1
+        assert L.norm((F(1), F(0))) == 4
+        assert L.norm((F(1), F(1))) == 4
+        assert L.norm((F(1, 2), F(0))) == 1
 
 
 class TestDualCosets:
-    def test_counts(self):
-        assert len(dual_coset_reps(lattice_L())) == 12
-        assert len(dual_coset_reps(lattice_Zbeta1())) == 6
-        assert len(dual_coset_reps(Lattice.from_rows([[1, 0], [0, 1]]))) == 1
-
-    def test_rank1_reps_are_sixths(self):
-        reps = dual_coset_reps(lattice_Zbeta1())
-        assert sorted(c.rep[0] for c in reps) == [F(k, 6) for k in range(6)]
-
     def test_named_cosets_cover_dual_quotient(self):
-        named = {coset_L(i, j) for i in "0abc" for j in range(3)}
-        assert named == set(dual_coset_reps(lattice_L()))
-
-    def test_non_integral_rejected(self):
-        with pytest.raises(ValueError):
-            dual_coset_reps(Lattice.from_rows([[F(1, 2)]]))
+        # det L = 12 distinct classes, each in L* (G rep is integral):
+        # together they are all of L*/L.
+        assert len(set(NAMED)) == L.determinant() == 12
+        assert all(sum(g * x for g, x in zip(row, c.rep)).denominator == 1
+                   for c in NAMED for row in L.gram)
 
 
 class TestCosetArithmetic:
     def test_canonical_rep_in_unit_box(self):
-        c = Coset.of(lattice_L(), (F(7, 6), F(-2, 3)))
+        c = Coset.of(L, (F(7, 6), F(-2, 3)))
         assert c.rep == (F(1, 6), F(1, 3))
 
     def test_add_example(self):
-        # c-coset plus order-3 coset 1: rep (7/6, 1/3) reduces to (1/6, 1/3).
-        total = coset_L("c", 0) + coset_L("0", 1)
-        assert total == coset_L("c", 1)
+        # The label (c, 1) sums the c and order-3 representatives: the raw
+        # rep (7/6, 1/3) reduces to (1/6, 1/3).
         raw = (F(1, 2) + F(2, 3), F(0) + F(1, 3))
-        assert Coset.of(lattice_L(), raw) == total
-
-    def test_add_zero(self):
-        zero = coset_L("0", 0)
-        assert (zero + zero).is_zero
-
-    def test_two_torsion(self):
-        a = coset_L("a", 0)
-        assert (a + a).is_zero
-
-    def test_neg_inverse(self):
-        for i in "0abc":
-            for j in range(3):
-                c = coset_L(i, j)
-                assert (c + -c).is_zero
-
-    def test_mismatched_lattices_rejected(self):
-        with pytest.raises(ValueError):
-            coset_L("0", 0) + coset_Zbeta1(0)
+        assert Coset.of(L, raw) == coset_L("c", 1)
 
 
 class TestMinNorm:
@@ -145,7 +117,7 @@ class TestMinNorm:
 
     def test_lattice_minimum_nonzero(self):
         vecs = min_vectors(coset_L("0", 0))
-        assert all(lattice_L().norm(x) == 4 for x in vecs)
+        assert all(L.norm(x) == 4 for x in vecs)
         assert len(vecs) == 6
 
     def test_norm_mod_two_constant_on_even_cosets(self):
@@ -156,7 +128,7 @@ class TestMinNorm:
                 base = min_norm(c)
                 for x in min_vectors(c):
                     shifted = tuple(a + b for a, b in zip(x, (F(1), F(-1))))
-                    diff = lattice_L().norm(shifted) - base
+                    diff = L.norm(shifted) - base
                     assert diff % 2 == 0
 
 
@@ -176,7 +148,7 @@ class TestA3:
     def test_dual_cosets(self):
         # A3 = D3: the roots, the vector class and the two spinor classes.
         found = {c.rep: (min_norm(c), len(min_vectors(c)))
-                 for c in dual_coset_reps(A3)}
+                 for c in (Coset.of(A3, [F(k, 4)] * 3) for k in range(4))}
         assert found == {
             (F(0), F(0), F(0)): (F(0), 12),
             (F(1, 4), F(1, 4), F(1, 4)): (F(3, 4), 4),
@@ -226,37 +198,28 @@ def test_short_vectors_match_a_wider_search(case):
 
 class TestTau:
     def test_order_three(self):
-        for i in "0abc":
-            for j in range(3):
-                c = coset_L(i, j)
-                assert tau_action(tau_action(tau_action(c))) == c
+        for c in NAMED:
+            assert tau_vector(tau_vector(tau_vector(c.rep))) == c.rep
 
     def test_fixed_classes(self):
-        fixed = {c for i in "0abc" for j in range(3)
-                 if tau_action(c := coset_L(i, j)) == c}
+        fixed = {c for c in NAMED if tau(c) == c}
         expected = {coset_L("0", j) for j in range(3)}
         assert fixed == expected
 
     def test_two_torsion_orbit(self):
         # a -> c -> b -> a on the order-2 letters.
         for j in range(3):
-            assert tau_action(coset_L("a", j)) == coset_L("c", j)
-            assert tau_action(coset_L("c", j)) == coset_L("b", j)
-            assert tau_action(coset_L("b", j)) == coset_L("a", j)
+            assert tau(coset_L("a", j)) == coset_L("c", j)
+            assert tau(coset_L("c", j)) == coset_L("b", j)
+            assert tau(coset_L("b", j)) == coset_L("a", j)
 
     def test_preserves_norm(self):
-        for i in "0abc":
-            for j in range(3):
-                c = coset_L(i, j)
-                assert min_norm(tau_action(c)) == min_norm(c)
+        for c in NAMED:
+            assert min_norm(tau(c)) == min_norm(c)
 
     def test_vector_action_is_isometry(self):
         x = (F(5, 6), F(1, 3))
-        assert lattice_L().norm(tau_vector(x)) == lattice_L().norm(x)
-
-    def test_wrong_lattice_rejected(self):
-        with pytest.raises(ValueError):
-            tau_action(coset_Zbeta1(0))
+        assert L.norm(tau_vector(x)) == L.norm(x)
 
 
 class TestDecomposition:
@@ -289,17 +252,6 @@ class TestDecomposition:
         with pytest.raises(AssertionError, match="index 3"):
             orbifold_decomposition()
 
-    def test_alpha_to_beta_change_of_basis(self):
-        assert alpha_to_beta((1, 0, 0)) == (F(1, 3), (F(2, 3), F(1, 3)))
-        assert alpha_to_beta((0, 1, 0)) == (F(1, 3), (F(-1, 3), F(1, 3)))
-        assert alpha_to_beta((0, 0, 1)) == (F(1, 3), (F(-1, 3), F(-2, 3)))
-        # alpha^1 + alpha^2 + alpha^3 = beta_1
-        assert alpha_to_beta((1, 1, 1)) == (F(1), (F(0), F(0)))
-        # It inverts the basis: b_k maps to the k-th unit vector.
-        for k, row in enumerate(lattice._BETA):
-            unit = tuple(F(int(i == k)) for i in range(3))
-            assert alpha_to_beta(row) == (unit[0], unit[1:])
-
 
 @st.composite
 def l_cosets(draw):
@@ -310,11 +262,7 @@ def l_cosets(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(l_cosets(), l_cosets())
-def test_coset_addition_commutes(a, b):
-    assert a + b == b + a
-
-
-@settings(max_examples=30, deadline=None)
-@given(l_cosets(), l_cosets())
 def test_tau_is_additive(a, b):
-    assert tau_action(a + b) == tau_action(a) + tau_action(b)
+    total = tuple(x + y for x, y in zip(a.rep, b.rep))
+    assert tau_vector(total) == tuple(
+        x + y for x, y in zip(tau_vector(a.rep), tau_vector(b.rep)))

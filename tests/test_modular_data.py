@@ -280,7 +280,6 @@ def test_fibonacci_d_against_t():
     s, t = md.s_matrix(), md.t_matrix()
     st = [[s[i][j] * t[j] for j in range(2)] for i in range(2)]
     assert matmul(matmul(st, st), st) == matmul(s, s)
-    assert md.st_relation_holds() is True
     assert md.verify_modular().passed
     assert np.array_equal(md.verlinde(), md.ring.tensor)
 
@@ -364,22 +363,18 @@ class TestTMatrix:
     def test_requires_central_charge(self):
         ring = FusionRing(["1"], 0, {(0, 0, 0): 1})
         md = ModularDatum(ring, {0: Fraction(0)}, {0: 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="central charge required for the T matrix"):
             md.t_matrix()
-        with pytest.raises(ValueError, match="central charge required for the T matrix"):
-            md.st_relation_holds()
-
-    def test_st_relation_reported(self, u_datum):
-        # T carries the -c/24 shift, so (ST)^3 = S^2 holds for c = 3.
-        assert u_datum.st_relation_holds() is True
 
     @pytest.mark.parametrize("c,holds", [(4, False), (Fraction(7, 2), False),
                                          (11, True), (-5, True)])
     def test_st_relation_reads_c_mod_8(self, u_datum, c, holds):
-        # (ST)^3 = e^{2 pi i (3 - c)/8} S^2 on U's ring, twists and dims.
-        md = ModularDatum(u_datum.ring, dict(enumerate(u_datum.twists)),
-                          dict(enumerate(u_datum.dims)), central_charge=c)
-        assert md.st_relation_holds() is holds
+        # (ST)^3 = e^{2 pi i (3 - c)/8} S^2 on U's ring, twists and dims:
+        # it holds exactly when p+ = D e(c/8).
+        plus, _ = u_datum.gauss_sums()
+        phase = cyc_root_of_unity(*(Fraction(c) / 8).as_integer_ratio())
+        assert (plus == u_datum.D * phase) is holds
 
 
 class TestVerlinde:

@@ -81,6 +81,15 @@ class TestLazySurface:
         assert set(fusioncat.__all__) <= set(namespace)
         assert namespace["character"] is fusioncat.qseries.character
 
+    @pytest.mark.parametrize("module", list(fusioncat._EXPORTS))
+    def test_submodule_star_import(self, module):
+        # A stale `__all__` entry fails the star import itself.
+        namespace = {}
+        exec(f"from fusioncat.{module} import *", namespace)
+        names = importlib.import_module(f"fusioncat.{module}").__all__
+        assert set(names) <= set(namespace)
+        assert set(fusioncat._EXPORTS[module]) <= set(names)
+
     def test_submodule_attribute(self):
         assert isinstance(fusioncat.lattice, types.ModuleType)
         assert fusioncat.lattice is sys.modules["fusioncat.lattice"]
