@@ -150,17 +150,20 @@ def cmd_verify(args) -> int:
 def _label(ring: FusionRing, name: str) -> int:
     """The index of a label, or of a W-index alias of U's labels (W0..W19):
     only a name of that form that is no label loads the catalog module."""
-    if name in ring.labels or name[:1] != "W" or not name[1:2].isdecimal():
-        return ring.label_index(name)
-    from .orbifold_catalog import resolve_label
-    return resolve_label(ring, name)
+    if name not in ring.labels and name[:1] == "W" and name[1:].isdecimal():
+        from .orbifold_catalog import U_LABELS
+        if ring.labels == U_LABELS:
+            if int(name[1:]) >= len(U_LABELS):
+                raise KeyError(f"W-index {name!r} out of range")
+            return int(name[1:])
+    return ring.label_index(name)
 
 
 def cmd_fuse(args) -> int:
     ring, _ = _load(args)
-    a = _label(ring, args.a)
-    b = _label(ring, args.b)
-    print(ring.fuse(ring.basis_element(a), ring.basis_element(b)))
+    product = ring.fuse(_label(ring, args.a), _label(ring, args.b))
+    print(" + ".join(ring.labels[k] if m == 1 else f"{m}*{ring.labels[k]}"
+                     for k, m in product.items()))
     return EXIT_OK
 
 
@@ -273,10 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuse", help="fusion product of two labels")
-    p.add_argument("--catalog")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("input", nargs="?")
+    _add_source_args(p)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("qdim", help="Perron-Frobenius quantum dimensions")

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "FusionRing",
-    "RingElement",
     "ValidationReport",
     "FcatError",
     "InvalidRingError",
@@ -230,18 +229,15 @@ class FusionRing:
         self.require_valid()
         return self._dual
 
-    def basis_element(self, i: int) -> "RingElement":
-        return RingElement(self, {i: 1})
-
-    def fuse(self, a: "RingElement", b: "RingElement") -> "RingElement":
+    def fuse(self, a: int, b: int) -> dict[int, int]:
+        """N_ab^k by k, over the nonzero k in ascending order: the row
+        (a, b) of the tensor."""
+        for i in (a, b):
+            if not 0 <= i < self.rank:
+                raise KeyError(f"label index {i} out of range")
         self.require_valid()
-        out: dict[int, int] = {}
-        for i, ca in a.coefficients.items():
-            for j, cb in b.coefficients.items():
-                row = self._tensor[i, j]
-                for k in np.nonzero(row)[0]:
-                    out[int(k)] = out.get(int(k), 0) + ca * cb * int(row[k])
-        return RingElement(self, out)
+        row = self._tensor[a, b]
+        return {int(k): int(row[k]) for k in np.nonzero(row)[0]}
 
     def qdim_pf(self, i: int) -> float:
         """Perron-Frobenius eigenvalue of N_i: its spectral radius (N_i >= 0)."""
@@ -256,37 +252,6 @@ class FusionRing:
 
     def __repr__(self):
         return f"FusionRing(rank={self.rank}, unit={self.labels[self.unit]!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class RingElement:
-    """Finitely supported nonnegative-integer combination of labels."""
-
-    ring: FusionRing
-    coefficients: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        cleaned = {i: c for i, c in self.coefficients.items() if c}
-        for i in cleaned:
-            if not 0 <= i < self.ring.rank:
-                raise KeyError(f"label index {i} out of range")
-        object.__setattr__(self, "coefficients", cleaned)
-
-    def __eq__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return (self.ring == other.ring
-                and self.coefficients == other.coefficients)
-
-    def __str__(self):
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for i in sorted(self.coefficients):
-            c = self.coefficients[i]
-            name = self.ring.labels[i]
-            parts.append(name if c == 1 else f"{c}*{name}")
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

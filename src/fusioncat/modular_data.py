@@ -114,10 +114,6 @@ class ModularDatum:
 
     # -- scalar data --------------------------------------------------------
 
-    def theta(self, i: int) -> CycNum:
-        t = self.twists[i]
-        return cyc_root_of_unity(t.numerator, t.denominator)
-
     @_memo
     def global_dimension(self) -> CycNum:
         """Sum of squared quantum dimensions (exact) at the conductor L,

@@ -22,16 +22,15 @@ Convention notes on R10's fusion rule (documented once, here):
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING
 
 # The builders and the fixture import the array modules when called, so
-# counting, the weight check and label resolution load no numpy.  Only the
-# functions that read the lattice import it: the builders, counting and
-# label resolution do not compile it.
+# counting, the weight check and `U_LABELS`, which the CLI reads for its
+# W-index aliases, load no numpy.  Only the functions that read the lattice
+# import it: the builders and counting do not compile it.
 if TYPE_CHECKING:
     from .cyclotomic import CycNum
     from .fusion_ring import FusionRing
@@ -53,7 +52,6 @@ __all__ = [
     "WeightCheckReport",
     "stilde_fixture",
     "stilde_fixture_diff",
-    "resolve_label",
 ]
 
 
@@ -391,22 +389,3 @@ def stilde_fixture_diff(md: ModularDatum
     same = _cyc_arrays(derived).equals(_cyc_arrays(table)).tolist()
     return [(i, j, derived[i][j], table[i][j])
             for i, row in enumerate(same) for j, ok in enumerate(row) if not ok]
-
-
-# ---------------------------------------------------------------------------
-# Label-name resolution (structured names plus W-index aliases)
-# ---------------------------------------------------------------------------
-
-_W_ALIAS = re.compile(r"^W(\d+)$")
-
-
-def resolve_label(ring: FusionRing, name: str) -> int:
-    """Resolve a label by its structured name, or by W-index alias for the
-    20-object catalog (W0..W19 in catalog order)."""
-    m = _W_ALIAS.match(name)
-    if m and ring.labels == U_LABELS:
-        idx = int(m.group(1))
-        if not 0 <= idx < 20:
-            raise KeyError(f"W-index {name!r} out of range")
-        return idx
-    return ring.label_index(name)

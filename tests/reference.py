@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from fusioncat.cyclotomic import CycNum, _CycArray, cyc_rational
+from fusioncat.cyclotomic import (CycNum, _CycArray, cyc_rational,
+                                  cyc_root_of_unity)
 from fusioncat.modular_data import ModularDatum
 
 
@@ -14,7 +15,7 @@ def stilde_conjugate_form(md) -> list[list[CycNum]]:
     s~_{i,j} = sum_k N_{i,j}^k theta_i theta_j/theta_k d_k, one scalar
     CycNum product at a time."""
     n = md.ring.rank
-    thetas = [md.theta(i) for i in range(n)]
+    thetas = [cyc_root_of_unity(*t.as_integer_ratio()) for t in md.twists]
     inv_thetas = [t.conj() for t in thetas]
     tensor = md.ring.tensor
     rows: list[list[CycNum]] = []

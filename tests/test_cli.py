@@ -83,6 +83,15 @@ class TestFuse:
         assert code == 2
         assert "error" in err
 
+    def test_help_describes_the_source(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fuse", "--help"])
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == (
+            "usage: fusioncat fuse [-h] [--catalog CATALOG] a b [input]")
+        assert "--catalog CATALOG  built-in catalog: U or VLtau" in out
+        assert "input              FCAT v1 file path, or '-' for stdin" in out
+
 
 class TestCount:
     def test_twenty(self, capsys):

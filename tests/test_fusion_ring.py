@@ -13,7 +13,6 @@ from fusioncat.fusion_ring import (
     FcatDocument,
     FcatError,
     FusionRing,
-    RingElement,
     emit_fcat,
     first_violation,
     parse_fcat,
@@ -243,32 +242,29 @@ class TestOperations:
         ring = z_n_ring(5)
         assert ring.dual_vector() == (0, 4, 3, 2, 1)
 
-    def test_fuse_element_string(self):
+    def test_fuse_is_the_tensor_row(self):
         ring = fibonacci_ring()
-        t = ring.basis_element(1)
-        assert str(ring.fuse(t, t)) == "1 + t"
+        assert ring.fuse(1, 1) == {0: 1, 1: 1}
+        assert ring.fuse(0, 1) == {1: 1}
+        z5 = z_n_ring(5)
+        assert [z5.fuse(3, b) for b in range(5)] == [
+            {(3 + b) % 5: 1} for b in range(5)]
 
     def test_fuse_rejects_label_index_out_of_range(self):
+        # numpy would read -1 as the last label
         ring = fibonacci_ring()
-        for i in (2, -1):
-            with pytest.raises(KeyError,
-                               match=f"label index {i} out of range"):
-                RingElement(ring, {i: 1})
+        for i in (-1, ring.rank):
+            for a, b in ((i, 0), (0, i)):
+                with pytest.raises(KeyError,
+                                   match=f"label index {i} out of range"):
+                    ring.fuse(a, b)
 
-    def test_repr_equality_and_zero_element(self):
+    def test_repr_and_equality(self):
         ring = FusionRing(["a"], 0, {(0, 0, 0): 1})
         assert repr(ring) == "FusionRing(rank=1, unit='a')"
         assert (ring == 3) is False
-        assert str(RingElement(ring, {})) == "0"
-        assert RingElement(ring, {0: 1}) == ring.basis_element(0)
-        assert RingElement(ring, {0: 1}) != RingElement(ring, {})
-        assert (RingElement(ring, {}) == 3) is False
-
-    def test_fuse_bilinear(self):
-        ring = fibonacci_ring()
-        two_t = RingElement(ring, {1: 2})
-        out = ring.fuse(two_t, two_t)
-        assert out.coefficients == {0: 4, 1: 4}
+        assert ring == FusionRing(["a"], 0, {(0, 0, 0): 1})
+        assert ring != FusionRing(["b"], 0, {(0, 0, 0): 1})
 
     def test_simple_currents_cyclic(self):
         # The simple currents are the labels of quantum dimension 1.

@@ -52,8 +52,10 @@ class TestScalars:
         assert vltau_datum.global_dimension() == 108
 
     def test_theta_values(self, u_datum):
-        assert u_datum.theta(0) == 1
-        assert u_datum.theta(13) == cyc_root_of_unity(7, 36)
+        # T_ii = theta_i e(-c/24), with c = 3 for U.
+        t = u_datum.t_matrix()
+        assert t[0] == cyc_root_of_unity(-1, 8)
+        assert t[13] == cyc_root_of_unity(7, 36) * cyc_root_of_unity(-1, 8)
 
     def test_gauss_sums_u(self, u_datum):
         plus, minus = u_datum.gauss_sums()
@@ -207,8 +209,8 @@ def test_stilde_past_int64_matches_conjugate_form():
     md = ModularDatum(small.ring, dict(enumerate(small.twists)), dims)
     assert md._stilde().num.dtype == object
     assert md.stilde() == conjugate_form_reference(md)
-    plus = sum((d * d * md.theta(i) for i, d in dims.items()),
-               cyc_rational(0))
+    plus = sum((d * d * cyc_root_of_unity(*md.twists[i].as_integer_ratio())
+                for i, d in dims.items()), cyc_rational(0))
     assert md.gauss_sums()[0] == plus
 
 

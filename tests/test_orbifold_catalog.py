@@ -13,6 +13,7 @@ from fusioncat.lattice import (coset_L, coset_Zbeta1, full_coset_pieces,
                                min_norm)
 from fusioncat.modular_data import ModularDatum
 from fusioncat import lattice, orbifold_catalog
+from fusioncat.cli import _label
 from fusioncat.orbifold_catalog import (
     U_DIMS,
     U_DUALS,
@@ -20,7 +21,6 @@ from fusioncat.orbifold_catalog import (
     U_WEIGHTS,
     VLTAU_LABELS,
     count_orbifold_irreducibles,
-    resolve_label,
     stilde_fixture,
     stilde_fixture_diff,
     untwisted_qdims,
@@ -83,31 +83,31 @@ class TestBuildU:
         ring = u_datum.ring
         a = ring.label_index("M~_0[1]")
         b = ring.label_index("M~_1[1]")
-        out = ring.fuse(ring.basis_element(a), ring.basis_element(b))
-        assert out.coefficients == {ring.label_index("M~_1[2]"): 1}
+        assert ring.fuse(a, b) == {ring.label_index("M~_1[2]"): 1}
 
     def test_offdiagonal_square(self, u_datum):
         ring = u_datum.ring
         m0 = ring.label_index("M^0")
-        out = ring.fuse(ring.basis_element(m0), ring.basis_element(m0))
-        assert str(out) == "M~_0[0] + M~_0[1] + M~_0[2] + 2*M^0"
+        expected = {ring.label_index(f"M~_0[{e}]"): 1 for e in range(3)}
+        expected[m0] = 2
+        out = ring.fuse(m0, m0)
+        assert out == expected
+        assert list(out) == sorted(out)
 
     def test_mixed_twist_product(self, u_datum):
         ring = u_datum.ring
         a = ring.label_index("Mhat_t1_0[1]")
         b = ring.label_index("Mhat_t2_1[1]")
-        out = ring.fuse(ring.basis_element(a), ring.basis_element(b))
         # grading 1 + 2*1 = 0 mod 3
-        assert out.coefficients == {ring.label_index("M~_1[0]"): 1,
-                                    ring.label_index("M^1"): 1}
+        assert ring.fuse(a, b) == {ring.label_index("M~_1[0]"): 1,
+                                   ring.label_index("M^1"): 1}
 
     def test_like_twist_product_epsilon_pair(self, u_datum):
         ring = u_datum.ring
         a = ring.label_index("Mhat_t1_0[1]")
-        out = ring.fuse(ring.basis_element(a), ring.basis_element(a))
         # epsilon pair {-(1+1), 1-(1+1)} = {1, 2} mod 3
-        assert out.coefficients == {ring.label_index("Mhat_t2_0[1]"): 1,
-                                    ring.label_index("Mhat_t2_0[2]"): 1}
+        assert ring.fuse(a, a) == {ring.label_index("Mhat_t2_0[1]"): 1,
+                                   ring.label_index("Mhat_t2_0[2]"): 1}
 
     def test_duals(self, u_datum):
         assert u_datum.ring.dual_vector() == U_DUALS
@@ -138,9 +138,8 @@ class TestBuildU:
     def test_current_w3_relabels_offdiagonal(self, u_datum):
         # Fusing by the grade-1 current swaps the two off-diagonal labels.
         ring = u_datum.ring
-        w3 = ring.basis_element(3)
-        out = ring.fuse(w3, ring.basis_element(ring.label_index("M^0")))
-        assert out.coefficients == {ring.label_index("M^1"): 1}
+        out = ring.fuse(3, ring.label_index("M^0"))
+        assert out == {ring.label_index("M^1"): 1}
 
     def test_weights_table(self, u_datum):
         # Twists are stored mod 1 (weight 1 reduces to 0).
@@ -169,10 +168,9 @@ class TestBuildVLtau:
     def test_c_type_square(self, vltau_datum):
         ring = vltau_datum.ring
         c0 = ring.label_index("V(c,0)")
-        out = ring.fuse(ring.basis_element(c0), ring.basis_element(c0))
         expected = {ring.label_index(f"V(0,0)[{r}]"): 1 for r in range(3)}
         expected[c0] = 2
-        assert out.coefficients == expected
+        assert ring.fuse(c0, c0) == expected
 
     def test_c_type_weights_from_lattice(self, vltau_datum):
         # The twist of V(c,i) is the lowest weight of its lattice coset.
@@ -190,14 +188,13 @@ class TestBuildVLtau:
             for b in range(9):
                 ja, ea = divmod(a, 3)
                 jb, eb = divmod(b, 3)
-                out = ring.fuse(ring.basis_element(a), ring.basis_element(b))
                 expected = 3 * ((ja + jb) % 3) + (ea + eb) % 3
-                assert out.coefficients == {expected: 1}
-        # Every non-unit current has order 3.
+                assert ring.fuse(a, b) == {expected: 1}
+        # Every non-unit current has order 3: a x a is the row N_aa, and
+        # its product with N_a is the unit.
+        t = ring.tensor
         for a in range(1, 9):
-            x = ring.basis_element(a)
-            cube = ring.fuse(ring.fuse(x, x), x)
-            assert cube.coefficients == {0: 1}
+            assert (t[a, a] @ t[a]).tolist() == [1] + [0] * 29
 
     def test_verify_modular_reported(self, vltau_datum):
         # Not a claim from the source text; computed and reported.
@@ -327,21 +324,22 @@ class TestFixture:
 
 
 class TestLabelResolution:
+    """The CLI's label names: a label, or a W-index alias of U's labels."""
+
     def test_w_aliases(self, u_datum):
-        assert resolve_label(u_datum.ring, "W0") == 0
-        assert resolve_label(u_datum.ring, "W13") == 13
-        assert resolve_label(u_datum.ring, "W19") == 19
+        assert [_label(u_datum.ring, f"W{i}") for i in (0, 13, 19)] == [
+            0, 13, 19]
 
     def test_structured_names(self, u_datum):
-        assert resolve_label(u_datum.ring, "M^1") == 7
-        assert resolve_label(u_datum.ring, "Mhat_t2_1[2]") == 19
+        assert _label(u_datum.ring, "M^1") == 7
+        assert _label(u_datum.ring, "Mhat_t2_1[2]") == 19
 
     def test_unknown_label_raises(self, u_datum):
-        with pytest.raises(KeyError):
-            resolve_label(u_datum.ring, "W20")
-        with pytest.raises(KeyError):
-            resolve_label(u_datum.ring, "nope")
+        with pytest.raises(KeyError, match="W-index 'W20' out of range"):
+            _label(u_datum.ring, "W20")
+        with pytest.raises(KeyError, match="unknown label 'nope'"):
+            _label(u_datum.ring, "nope")
 
     def test_w_alias_only_for_u(self, vltau_datum):
-        with pytest.raises(KeyError):
-            resolve_label(vltau_datum.ring, "W3")
+        with pytest.raises(KeyError, match="unknown label 'W3'"):
+            _label(vltau_datum.ring, "W3")
