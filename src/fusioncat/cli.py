@@ -4,13 +4,13 @@ Subcommands: verify, fuse, qdim, smatrix, tmatrix, verlinde, catalog, char,
 count.  Exit codes: 0 success, 1 a failed check (a library error for one
 carries `exit_code` 1), 2 parse/usage error.  Exact output is the default;
 `--format float` rounds at 10 significant digits.  `char` and `count` load
-no numpy, the matrix commands on an FCAT file no catalog module, and `fuse`
-and `qdim` neither (except for a W-index alias of U) nor `modular_data`,
-which `verify` and `verlinde` import first on every source: compiled after
-numpy, it raises their peak RSS.  Input bounds are fixed, not options: a
-field Q(zeta_N) with N > 720, a rank > 512, a `char --cutoff` above 10000 or
-an FCAT line whose field count misses its directive's arity (`dim`: at least
-1) is one `error:` line, exit 2, and so is every other arithmetic error.
+no numpy, the matrix commands on an FCAT file no catalog module, and `fuse`,
+`qdim` and `verify` on a file without twists and dims no `modular_data`;
+`fuse` and `qdim` load the catalog module only for a W-index alias of U.
+Input bounds are fixed, not options: a field Q(zeta_N) with N > 720, a
+rank > 512, a `char --cutoff` above 10000 or an FCAT line whose field count
+misses its directive's arity (`dim`: at least 1) is one `error:` line, exit
+2, and so is every other arithmetic error.
 
 `run()` is the process entry of both `python -m fusioncat.cli` and the
 `fusioncat` console script: it sets one BLAS thread unless the environment
@@ -76,21 +76,17 @@ def _build_catalog(name: str) -> ModularDatum:
 def _load(args) -> tuple[FusionRing, Callable[[], ModularDatum] | None]:
     """The ring of --catalog or of an FCAT file ('-' reads stdin), and a
     builder of its datum: None for a file without every twist and dim."""
-    path = getattr(args, "input", None)
-    if getattr(args, "catalog", None):
-        if path is not None:
+    if args.catalog:
+        if args.input is not None:
             raise CliError("give --catalog or an input file, not both "
-                           f"(input {path!r})")
+                           f"(input {args.input!r})")
         md = _build_catalog(args.catalog)
         return md.ring, lambda: md
-    if path is None:
+    if args.input is None:
         raise CliError("an input file or --catalog is required")
     from .fusion_ring import parse_fcat
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    doc = parse_fcat(text)
+    doc = parse_fcat(sys.stdin.read() if args.input == "-"
+                     else Path(args.input).read_text(encoding="utf-8"))
     if not doc.has_modular_annotations:
         return doc.ring, None
 
@@ -126,7 +122,6 @@ def _complex_str(x: CycNum) -> str:
 # -- subcommand implementations ---------------------------------------------
 
 def cmd_verify(args) -> int:
-    from .modular_data import VerlindeError
     ring, datum = _load(args)
     report = ring.validate()
     ok = report.passed
@@ -139,6 +134,7 @@ def cmd_verify(args) -> int:
             print(line)
         ok = mrep.passed
         if ok:
+            from .modular_data import VerlindeError
             try:
                 ok = bool((md.verlinde() == ring.tensor).all())
             except VerlindeError:
@@ -153,9 +149,11 @@ def _label(ring: FusionRing, name: str) -> int:
     if name not in ring.labels and name[:1] == "W" and name[1:].isdecimal():
         from .orbifold_catalog import U_LABELS
         if ring.labels == U_LABELS:
-            if int(name[1:]) >= len(U_LABELS):
+            index = name[1:].lstrip("0") or "0"
+            # Over two digits is past U's 20 labels; int() refuses over 4300.
+            if len(index) > 2 or int(index) >= len(U_LABELS):
                 raise KeyError(f"W-index {name!r} out of range")
-            return int(name[1:])
+            return int(index)
     return ring.label_index(name)
 
 
@@ -206,8 +204,6 @@ def cmd_tmatrix(args) -> int:
 
 
 def cmd_verlinde(args) -> int:
-    # Compiled before numpy is resident: compiled after it, it raises peak RSS.
-    from . import modular_data  # noqa: F401
     tensor = _require_datum(args).verlinde()
     for i, j, k in zip(*tensor.nonzero()):           # row-major
         print(f"N {i} {j} {k} {tensor[i, j, k]}")
@@ -215,8 +211,8 @@ def cmd_verlinde(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    from .fusion_ring import FcatDocument, emit_fcat
     md = _build_catalog(args.name)
+    from .fusion_ring import FcatDocument, emit_fcat
     doc = FcatDocument(
         name=args.name,
         ring=md.ring,
@@ -332,10 +328,6 @@ def _discard_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_catalog or getattr(args, "catalog", None):
-        # Imported first, so that it compiles before numpy is resident: this
-        # keeps the peak RSS of a catalog call down.
-        from . import orbifold_catalog  # noqa: F401
     try:
         code = args.func(args)
         sys.stdout.flush()

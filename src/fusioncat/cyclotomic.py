@@ -401,9 +401,7 @@ class CycNum(_CycArray):
             raise ValueError("more coefficients than the degree phi(N)")
         den = math.lcm(*(f.denominator for f in fracs))
         num = [int(f * den) for f in fracs] + [0] * (phi - len(fracs))
-        # int64 below 2^62 as `_exact` would pick it, but without its call.
-        wide = any(abs(x) >> 62 for x in num)
-        num = np.array(num, dtype=object if wide else np.int64)
+        num = _int(*_exact(1, np.array(num, dtype=object)))
         super().__init__(*_lowest(num, den), order)
 
     def is_zero(self) -> bool:

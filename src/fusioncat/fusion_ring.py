@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-# cyclotomic first: it loads numpy.
+# numpy enters through `cyclotomic`.
 from .cyclotomic import CycNum, _exact, _memo, format_cyc, parse_cyc
 import numpy as np
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-# Before numpy, which cyclotomic loads: compiled first, they cost less RSS.
 from .fusion_ring import CheckReport, FusionRing, check, first_violation
 from .cyclotomic import (
     CycNum,

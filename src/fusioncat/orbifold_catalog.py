@@ -27,10 +27,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING
 
-# The builders and the fixture import the array modules when called, so
-# counting, the weight check and `U_LABELS`, which the CLI reads for its
-# W-index aliases, load no numpy.  Only the functions that read the lattice
-# import it: the builders and counting do not compile it.
+# Each function imports the modules it calls: counting and `U_LABELS` (the
+# CLI's W-index aliases) load no numpy, and the catalog builds no lattice.
 if TYPE_CHECKING:
     from .cyclotomic import CycNum
     from .fusion_ring import FusionRing

@@ -66,6 +66,14 @@ class TestFuse:
         assert run_cli(["fuse", "W25", "W6", str(path)], capsys=capsys) == (
             2, "", "error: W-index 'W25' out of range\n")
 
+    @pytest.mark.parametrize("index", ["0020", "1" * 5000],
+                             ids=["0020", "5000-digits"])
+    def test_w_index_out_of_range(self, index, capsys):
+        # past int()'s 4300-digit limit too
+        assert run_cli(["fuse", "--catalog", "U", f"W{index}", "W6"],
+                       capsys=capsys) == (
+            2, "", f"error: W-index 'W{index}' out of range\n")
+
     def test_w_name_elsewhere_is_an_unknown_label(self, capsys):
         assert run_cli(["fuse", "--catalog", "VLtau", "W3", "W3"],
                        capsys=capsys) == (2, "", "error: unknown label 'W3'\n")

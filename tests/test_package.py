@@ -2,9 +2,10 @@
 
 `import fusioncat` loads no submodule; `char` and `count` are integer and
 Fraction work and must never load numpy or the cyclotomic module; a call on
-an FCAT file loads none of the catalog modules, and `fuse` and `qdim`, which
-read only the ring, load no `modular_data`.  The catalog builders, counting
-and label lookup do not load the lattice; `char` does.  Module loading is
+an FCAT file loads none of the catalog modules, and `fuse`, `qdim` and
+`verify` on a file without twists and dims, which read only the ring, load
+no `modular_data`.  The catalog builders, counting and label lookup do not
+load the lattice; `char` does.  Module loading is
 checked in a fresh interpreter through `sys.modules`.  numpy is first
 imported by `fusioncat.cyclotomic` whatever module or command loads it,
 checked with `-X importtime`.  The process entry runs BLAS on one thread and freezes
@@ -160,12 +161,14 @@ class TestCommandImports:
         assert "fusioncat.modular_data" in loaded
         assert [m for m in CATALOG if m in loaded] == []
 
-    @pytest.mark.parametrize("argv", [["qdim"], ["fuse", "1", "s"]],
-                             ids=["qdim", "fuse"])
-    def test_ring_command_loads_no_modular_data(self, argv, tmp_path):
+    @pytest.mark.parametrize("argv,text", [
+        (["qdim"], SEMION), (["fuse", "1", "s"], SEMION),
+        (["verify"], SEMION.split("twist")[0]),
+    ], ids=["qdim", "fuse", "verify-ring-only"])
+    def test_ring_command_loads_no_modular_data(self, argv, text, tmp_path):
         # nor the catalog module, whose W-index alias names only U's labels
         path = tmp_path / "semion.fcat"
-        path.write_text(SEMION)
+        path.write_text(text)
         loaded = _loaded_in_order([*argv, str(path)])
         assert "fusioncat.fusion_ring" in loaded
         assert [m for m in ("fusioncat.modular_data", *CATALOG)
@@ -184,12 +187,6 @@ class TestCommandImports:
         loaded = _loaded_in_order(argv)
         assert "fusioncat.orbifold_catalog" in loaded
         assert "fusioncat.lattice" not in loaded
-
-    def test_catalog_module_compiles_before_numpy(self):
-        # Compiled after numpy, it raises the peak RSS of a catalog call.
-        loaded = _loaded_in_order(["verify", "--catalog", "U"])
-        assert (loaded.index("fusioncat.orbifold_catalog")
-                < loaded.index("numpy"))
 
 
 def _importer_of_numpy(*args, cwd=None):
