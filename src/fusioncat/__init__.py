@@ -19,12 +19,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cyclotomic": ("CycNum", "CycError", "OrderCapExceeded", "cyc_rational",
                    "cyc_root_of_unity", "format_cyc", "parse_cyc"),
-    "fusion_ring": ("FusionRing", "ValidationReport", "FcatDocument",
-                    "FcatError", "InvalidRingError", "parse_fcat",
-                    "emit_fcat"),
+    "fusion_ring": ("FusionRing", "FcatDocument", "FcatError",
+                    "InvalidRingError", "parse_fcat", "emit_fcat"),
     "lattice": ("Lattice", "Coset", "min_norm", "min_vectors",
                 "orbifold_decomposition"),
-    "modular_data": ("ModularDatum", "ModularReport", "VerlindeError"),
+    "modular_data": ("ModularDatum", "VerlindeError"),
     "orbifold_catalog": ("build_U", "build_VLtau",
                          "count_orbifold_irreducibles", "weight_table_check",
                          "stilde_fixture", "stilde_fixture_diff"),

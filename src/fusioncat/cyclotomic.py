@@ -572,7 +572,7 @@ def cyc_inv(a: CycNum) -> CycNum:
 # Textual form: `2*e(-2/9)+2*e(1/9)` (exponents are multiples of 2 pi i)
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<sym>[-+*/()]|e))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<sym>[-+*/()]|e))")
 
 
 def _tokenize(text: str) -> list[str]:

@@ -4,15 +4,14 @@ A ring is a finite label set with nonnegative-integer structure constants
 N[i][j][k], a distinguished unit, and the duality involution derived from
 the unit row (a supplied involution is cross-checked, never trusted).
 Quantum dimensions are the spectral radii (Perron-Frobenius eigenvalues) of
-the fusion matrices.  The module also owns `CheckReport`, the shape of every
-check report, and the line-oriented FCAT v1 text format.
+the fusion matrices.  The module also owns `CheckReport`, the labelled rows
+of a check report, and the line-oriented FCAT v1 text format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 # numpy enters through `cyclotomic`.
 from .cyclotomic import CycNum, _exact, _memo, format_cyc, parse_cyc
@@ -20,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "FusionRing",
-    "ValidationReport",
     "FcatError",
     "InvalidRingError",
     "FcatDocument",
@@ -39,31 +37,24 @@ class InvalidRingError(ValueError):
     exit_code = 1           # the CLI's code for a failed check
 
 
-def check(label: str):
-    """A report field holding one check's result, printed under `label`."""
-    return field(metadata={"label": label})
-
-
-@dataclass(frozen=True)
 class CheckReport:
-    """Results of exact checks, each a `check` field: True passes, False
-    fails, None is skipped.  Subclasses end with `failures`, the first
-    violation of each failed check, printed after `note`."""
+    """Results of exact checks as ordered (label, outcome) rows: True
+    passes, None is skipped, and a string fails with that text, printed
+    after `note` below the check lines."""
 
-    note = "detail"
+    def __init__(self, note: str,
+                 outcomes: Sequence[tuple[str, bool | str | None]]):
+        self.note = note
+        self._outcomes = tuple(outcomes)
 
-    @classmethod
-    def of(cls, **outcomes: bool | str | None):
-        """Each check's outcome by field name: True passes, None skips, and
-        a string fails with that text; `failures` follows the field order."""
-        failures = tuple(outcomes[f.name] for f in fields(cls)
-                         if isinstance(outcomes.get(f.name), str))
-        return cls(**{name: False if isinstance(ok, str) else ok
-                      for name, ok in outcomes.items()}, failures=failures)
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """The failure texts, in row order."""
+        return tuple(ok for _, ok in self._outcomes if isinstance(ok, str))
 
     def checks(self) -> list[tuple[str, bool | None]]:
-        return [(f.metadata["label"], getattr(self, f.name))
-                for f in fields(self) if "label" in f.metadata]
+        return [(label, False if isinstance(ok, str) else ok)
+                for label, ok in self._outcomes]
 
     @property
     def passed(self) -> bool:
@@ -71,7 +62,7 @@ class CheckReport:
 
     def line(self, label: str, ok: bool | None) -> str:
         """One check line, with its mark in this report's column."""
-        width = max(len(name) for name, _ in self.checks()) + 2
+        width = max(len(name) for name, _ in self._outcomes) + 2
         marks = {True: "PASS", False: "FAIL", None: "SKIP"}
         return label.ljust(width) + marks[ok]
 
@@ -82,23 +73,10 @@ class CheckReport:
 
 def first_violation(mask: np.ndarray, text) -> bool | str:
     """True if no entry of `mask` is set, else `text(*index)` of the first
-    set entry in row-major order: a check's outcome for `CheckReport.of`."""
+    set entry in row-major order: a check's outcome for `CheckReport`."""
     if not mask.any():
         return True
     return text(*map(int, np.unravel_index(mask.argmax(), mask.shape)))
-
-
-@dataclass(frozen=True)
-class ValidationReport(CheckReport):
-    """Per-axiom pass/fail with the first violating tuple on failure."""
-
-    unit_ok: bool = check("unit law")
-    commutative_ok: bool = check("commutativity")
-    duality_ok: bool = check("duality uniqueness")
-    associative_ok: bool = check("associativity")
-    failures: tuple[str, ...] = ()
-
-    note = "violation"
 
 
 class FusionRing:
@@ -159,7 +137,7 @@ class FusionRing:
     # -- axioms -------------------------------------------------------------
 
     @_memo
-    def validate(self) -> ValidationReport:
+    def validate(self) -> CheckReport:
         n = self.rank
         t = self._tensor
         sides = np.stack([t[self.unit], t[:, self.unit]])
@@ -186,9 +164,10 @@ class FusionRing:
                  if d != dual[i]), True)
         self._dual = tuple(dual)
 
-        return ValidationReport.of(
-            unit_ok=unit, commutative_ok=commutative, duality_ok=duality,
-            associative_ok=self._associativity())
+        return CheckReport("violation", [
+            ("unit law", unit), ("commutativity", commutative),
+            ("duality uniqueness", duality),
+            ("associativity", self._associativity())])
 
     def _associativity(self) -> bool | str:
         """True, or the first (i, j, k, l) in row-major order where
@@ -270,8 +249,15 @@ class FusionRing:
 _ARITY = {"label": 2, "unit": 1, "dual": 2, "N": 4, "twist": 2}
 
 
-@dataclass
-class FcatDocument:
+def _ascii_int(text: str) -> int:
+    """int(text) of ASCII digits with an optional sign: int() alone also
+    reads '1_0' as 10, and the digits of other scripts."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+class FcatDocument(NamedTuple):
     """Parsed FCAT file: the ring plus optional twist/dim annotations."""
 
     name: str
@@ -312,33 +298,33 @@ def parse_fcat(text: str) -> FcatDocument:
                 key = directive
                 name = " ".join(args)
             elif directive == "label":
-                i = int(args[0])
+                i = _ascii_int(args[0])
                 key = f"label({i})"
                 labels[i] = args[1]
             elif directive == "unit":
                 key = directive
-                unit = int(args[0])
+                unit = _ascii_int(args[0])
             elif directive == "dual":
-                i = int(args[0])
+                i = _ascii_int(args[0])
                 key = f"dual({i})"
-                duals[i] = int(args[1])
+                duals[i] = _ascii_int(args[1])
             elif directive == "N":
-                i, j, k, m = map(int, args)
+                i, j, k, m = map(_ascii_int, args)
                 key = f"N[{i},{j},{k}]"
                 constants[(i, j, k)] = m
             elif directive == "twist":
                 if args[1].count("/") != 1:
                     raise ValueError(f"expected p/q, got {args[1]!r}")
-                num, den = map(int, args[1].split("/"))
+                num, den = map(_ascii_int, args[1].split("/"))
                 if den == 0:
                     raise ValueError(f"zero denominator in {args[1]}")
-                i = int(args[0])
+                i = _ascii_int(args[0])
                 key = f"twist({i})"
                 twists[i] = Fraction(num, den)
             elif directive == "dim":
                 if not args:
                     raise ValueError("0 fields, expected at least 1")
-                i = int(args[0])
+                i = _ascii_int(args[0])
                 key = f"dim({i})"
                 dims_raw[i] = " ".join(args[1:])
             else:

@@ -35,11 +35,10 @@ give no D, which is then not modular, has no S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .fusion_ring import CheckReport, FusionRing, check, first_violation
+from .fusion_ring import CheckReport, FusionRing, first_violation
 from .cyclotomic import (
     CycNum,
     _CycArray,
@@ -56,7 +55,6 @@ import numpy as np
 __all__ = [
     "GlobalDimensionError",
     "ModularDatum",
-    "ModularReport",
     "VerlindeError",
 ]
 
@@ -73,21 +71,6 @@ class GlobalDimensionError(ArithmeticError):
     it, so S = s~/D is undefined."""
 
     exit_code = 1           # the CLI's code for a failed check
-
-
-@dataclass(frozen=True)
-class ModularReport(CheckReport):
-    """Exact check results for one modular datum."""
-
-    symmetric: bool = check("S symmetric")
-    s_squared_is_charge_conjugation: bool = check("S^2 = charge conjugation")
-    dual_invariance: bool = check("S dual-invariant")  # S_{i',j'} = S_{i,j}
-    unitary: bool = check("S unitary")
-    first_row_is_dims: bool = check("first row = dims/D")   # S_{0,i} = d_i/D
-    gauss_product_ok: bool = check("Gauss sums p+p- = D^2")
-    # p+/p- = e^{2 pi i c/4}; None if c is unknown
-    gauss_ratio_ok: bool | None = check("Gauss ratio e^(2 pi i c/4)")
-    failures: tuple[str, ...] = ()
 
 
 class ModularDatum:
@@ -260,12 +243,13 @@ class ModularDatum:
     # -- verification -------------------------------------------------------
 
     @_memo
-    def verify_modular(self) -> ModularReport:
+    def verify_modular(self) -> CheckReport:
         """Exact modular checks, computed once per datum and cached.
 
         The S checks run on s~ = D S over one conductor: symmetry and dual
         invariance compare entries, S^2 = C is s~^2 = D^2 C, unitarity is
-        s~ s~* = D^2 I, and the first row is s~_{0,i} = d_i.  The two matrix
+        s~ s~* = D^2 I, and the first row is s~_{0,i} = d_i with the unit's
+        d exactly 1 (negating every d keeps the others true).  The two matrix
         products cost O(n^3 phi(N)^2) exact multiply-adds, phi(N) dgemm calls
         each in the float64 tier, and one reduction of O(n^2 phi(N)^2).  Each
         failure detail names the first failing entry in row-major order.
@@ -288,24 +272,30 @@ class ModularDatum:
             c4 = self.central_charge / 4
             ratio = (plus == cyc_root_of_unity(*c4.as_integer_ratio()) * minus
                      or "p+/p- != e^{2 pi i c/4}")
-        return ModularReport.of(
-            symmetric=first_violation(np.triu(~s.equals(s.T), 1),
-                                      "S[{0}][{1}] != S[{1}][{0}]".format),
-            s_squared_is_charge_conjugation=first_violation(
+        unit_dim = self.dims[self.ring.unit]
+        first_row = (bool(s[self.ring.unit].equals(self._dims_array()).all())
+                     or "first row of S is not dims/D")
+        if first_row is True and unit_dim != 1:
+            first_row = f"dim of the unit label is {unit_dim}, not 1"
+        return CheckReport("detail", [
+            ("S symmetric", first_violation(
+                np.triu(~s.equals(s.T), 1),
+                "S[{0}][{1}] != S[{1}][{0}]".format)),
+            ("S^2 = charge conjugation", first_violation(
                 ~(s @ s).equals(times_d2(dual)),
-                "(S^2)[{0}][{1}] != C[{0}][{1}]".format),
-            dual_invariance=(np.array_equal(s.num[np.ix_(dual, dual)], s.num)
-                             or "S[i'][j'] != S[i][j] somewhere"),
-            unitary=first_violation(
+                "(S^2)[{0}][{1}] != C[{0}][{1}]".format)),
+            ("S dual-invariant",                # S_{i',j'} = S_{i,j}
+             np.array_equal(s.num[np.ix_(dual, dual)], s.num)
+             or "S[i'][j'] != S[i][j] somewhere"),
+            ("S unitary", first_violation(
                 np.triu(~(gram := s @ s.conj().T).equals(
                     times_d2(np.arange(n)))),
                 lambda i, j: f"(S S*)[{i}][{j}] = "
-                             f"{(gram[i, j] / glob).canonical()}"),
-            first_row_is_dims=(
-                bool(s[self.ring.unit].equals(self._dims_array()).all())
-                or "first row of S is not dims/D"),
-            gauss_product_ok=plus * minus == glob or "p+ p- != D^2",
-            gauss_ratio_ok=ratio)
+                             f"{(gram[i, j] / glob).canonical()}")),
+            ("first row = dims/D", first_row),  # S_{0,i} = d_i/D
+            ("Gauss sums p+p- = D^2", plus * minus == glob or "p+ p- != D^2"),
+            # p+/p- = e^{2 pi i c/4}; None if c is unknown
+            ("Gauss ratio e^(2 pi i c/4)", ratio)])
 
     # -- Verlinde -----------------------------------------------------------
 

@@ -143,11 +143,11 @@ def test_criterion_2_verlinde_round_trip(u_datum):
 
 
 def test_criterion_3_modular_consistency(u_datum):
-    report = u_datum.verify_modular()
-    assert report.symmetric
-    assert report.s_squared_is_charge_conjugation
-    assert report.unitary
-    assert report.dual_invariance
+    checks = dict(u_datum.verify_modular().checks())
+    assert checks["S symmetric"]
+    assert checks["S^2 = charge conjugation"]
+    assert checks["S unitary"]
+    assert checks["S dual-invariant"]
     assert u_datum.stilde() == stilde_conjugate_form(u_datum)
     print("CRITERION 3: PASS")
 

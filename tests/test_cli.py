@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusioncat import cli, cyclotomic
+from fusioncat import cli, cyclotomic, modular_data
 from fusioncat.cli import main
 from fusioncat.cyclotomic import parse_cyc
 from fusioncat.fusion_ring import parse_fcat
-from fusioncat.modular_data import ModularDatum, ModularReport
+from fusioncat.modular_data import ModularDatum
 
 from test_golden import CLI_SHA256, pointed_fcat
 from test_package import SRC
@@ -159,6 +159,29 @@ class TestVerify:
         assert "first row = dims/D          FAIL" in lines
         assert lines[-1] == "  detail: first row of S is not dims/D"
 
+    @pytest.mark.parametrize("text", [
+        ("category semion\nlabel 0 1\nlabel 1 s\nunit 0\n"
+         "N 0 0 0 1\nN 0 1 1 1\nN 1 0 1 1\nN 1 1 0 1\n"
+         "twist 0 0/1\ntwist 1 1/4\ndim 0 -1\ndim 1 -1\n"),
+        "label 0 a\nunit 0\nN 0 0 0 1\ntwist 0 0/1\ndim 0 -1\n",
+    ], ids=["semion", "rank-1"])
+    def test_unit_dim_minus_one_fails_first_row(self, text, tmp_path,
+                                                capsys):
+        # Negating every dim keeps the other checks true: only d_unit = 1
+        # tells such a file apart.
+        path = tmp_path / "negated.fcat"
+        path.write_text(text)
+        code, out, err = run_cli(["verify", str(path)], capsys=capsys)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert len(lines) == 12
+        assert [line for line in lines if "FAIL" in line] == [
+            "first row = dims/D          FAIL"]
+        assert lines[-1] == "  detail: dim of the unit label is -1, not 1"
+        code, out, err = run_cli(["verlinde", str(path)], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: datum fails verify_modular"]
+
     def test_unparseable_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcat"
         bad.write_text("wibble 1 2 3\n")
@@ -215,9 +238,21 @@ class TestVerify:
         (10, "twist 1 1", "'twist' directive: expected p/q, got '1'"),
         (10, "twist 1 1/4/3", "'twist' directive: expected p/q, got '1/4/3'"),
         (13, "dim", "'dim' directive: 0 fields, expected at least 1"),
+        (8, "N 1 1 0 1_0",
+         "'N' directive: invalid literal for int() with base 10: '1_0'"),
+        (3, "label \u0661 b",
+         "'label' directive: invalid literal for int() with base 10: "
+         "'\u0661'"),
+        (4, "unit \u0660",
+         "'unit' directive: invalid literal for int() with base 10: "
+         "'\u0660'"),
+        (10, "twist 1 1/\u0664",
+         "'twist' directive: invalid literal for int() with base 10: "
+         "'\u0664'"),
     ], ids=["unit", "label", "dual", "twist", "unit-short", "label-short",
             "dual-short", "N-short", "N-long", "twist-short", "twist-no-slash",
-            "twist-two-slashes", "dim-empty"])
+            "twist-two-slashes", "dim-empty", "N-underscore",
+            "label-arabic-indic", "unit-arabic-indic", "twist-arabic-indic"])
     def test_fields_past_arity_exit_2(self, lineno, line, message, tmp_path,
                                       capsys):
         lines = _z2_fcat().splitlines()
@@ -236,6 +271,8 @@ class TestVerify:
          "bad dim expression for label 0: expression nested too deeply"),
         ("dim-without-expression",
          "bad dim expression for label 0: empty expression"),
+        ("dim-arabic-indic-digit", "bad dim expression for label 1: "
+         "bad character in expression at '\u0661'"),
     ])
     def test_ring_and_dim_errors_exit_2(self, name, message, tmp_path,
                                         capsys):
@@ -303,17 +340,17 @@ class TestVerify:
                     if issubclass(w.category, ResourceWarning)]
 
     def test_modular_report_computed_once(self, monkeypatch, capsys):
-        calls = []
-        build = ModularReport.of
+        notes = []
+        build = modular_data.CheckReport
 
-        def counted(**outcomes):
-            calls.append(outcomes)
-            return build(**outcomes)
-        monkeypatch.setattr(ModularReport, "of", counted)
+        def counted(note, outcomes):
+            notes.append(note)
+            return build(note, outcomes)
+        monkeypatch.setattr(modular_data, "CheckReport", counted)
         code, out, _ = run_cli(["verify", "--catalog", "U"], capsys=capsys)
         assert code == 0
         assert "Verlinde round-trip         PASS" in out
-        assert len(calls) == 1
+        assert notes.count("detail") == 1
 
 
 _FIBONACCI = """category fib
@@ -510,6 +547,8 @@ _CRAFTED = {
     "twist-two-slashes": _z2_fcat(twist="1/2/3"),
     "dim-empty": _z2_fcat() + "dim\n",
     "dim-without-expression": "label 0 a\nunit 0\nN 0 0 0 1\ndim 0\n",
+    "dim-arabic-indic-digit": _z2_fcat(dim="\u0661"),
+    "N-underscore": _z2_fcat().replace("N 1 1 0 1", "N 1 1 0 1_0"),
     "duplicate-label-name": _z2_fcat().replace("label 1 b", "label 1 a"),
     "unit-out-of-range": "label 0 a\nunit 5\nN 0 0 0 1\n",
     "dim-nested-too-deep": ("label 0 a\nunit 0\nN 0 0 0 1\ndim 0 "
@@ -560,32 +599,34 @@ class TestBeyondTheDoubleRange:
     no D, and a float of such a number is +-inf or 0, never an error."""
 
     ONE_LABEL = "label 0 a\nunit 0\nN 0 0 0 1\ntwist 0 0/1\ndim 0 {}\n"
+    # text, D^2, the float S~, and the verify lines: a one-label file also
+    # fails the first row, as its unit's dim is not 1
     FILES = {
         "dim-10^400": (ONE_LABEL.format(10**400), f"{10**800}",
-                       ["0 0 inf 0"]),
+                       ["0 0 inf 0"], 13),
         "dim-1/10^400": (ONE_LABEL.format(f"1/{10**400}"), f"1/{10**800}",
-                         ["0 0 0 0"]),
+                         ["0 0 0 0"], 13),
         "z2-dims-1-and-10^400": (_z2_fcat(dim=str(10**400)),
                                  f"{10**800 + 1}",
                                  ["0 0 1 0", "0 1 inf 0", "1 0 inf 0",
-                                  "1 1 -1 0"]),
+                                  "1 1 -1 0"], 12),
     }
 
     @pytest.fixture(params=sorted(FILES))
     def case(self, request, tmp_path):
-        text, glob, floats = self.FILES[request.param]
+        text, *expected = self.FILES[request.param]
         path = tmp_path / "huge.fcat"
         path.write_text(text)
-        return str(path), glob, floats
+        return str(path), *expected
 
     def test_verify_fails_and_smatrix_finds_no_d(self, case, capsys):
-        path, glob, _ = case
+        path, glob, _, verify_lines = case
         _assert_no_d(lambda argv: run_cli(argv, capsys=capsys), path, glob)
         code, out, err = run_cli(["verify", path], capsys=capsys)
-        assert (code, len(out.splitlines()), err) == (1, 12, "")
+        assert (code, len(out.splitlines()), err) == (1, verify_lines, "")
 
     def test_unnormalized_smatrix_prints(self, case, capsys):
-        path, _, floats = case
+        path, _, floats, _ = case
         code, out, err = run_cli(["smatrix", "--unnormalized", path],
                                  capsys=capsys)
         assert (code, len(out.splitlines()), err) == (0, len(floats), "")

@@ -39,7 +39,7 @@ class TestValidation:
     def test_broken_unit_detected(self):
         ring = FusionRing(["1", "t"], 0, {(0, 0, 0): 1, (1, 1, 0): 1})
         report = ring.validate()
-        assert not report.unit_ok
+        assert dict(report.checks())["unit law"] is False
         assert not report.passed
         assert any("unit" in f for f in report.failures)
 
@@ -49,7 +49,7 @@ class TestValidation:
                                           (1, 0, 1): 1, (1, 0, 0): 1,
                                           (1, 1, 0): 1})
         report = ring.validate()
-        assert not report.unit_ok
+        assert dict(report.checks())["unit law"] is False
         assert "  violation: unit: N[1,unit]^0 = 1" in report.lines()
 
     def test_broken_associativity_detected(self):
@@ -69,7 +69,7 @@ class TestValidation:
         constants[(2, 3, 2)] = constants[(3, 2, 2)] = 1
         ring = FusionRing(["1", "a", "b", "c"], 0, constants)
         report = ring.validate()
-        assert not report.associative_ok
+        assert dict(report.checks())["associativity"] is False
         assert not report.passed
         # The first failing quadruple in row-major (i, j, k, l) order.
         assert report.failures == (
@@ -83,7 +83,7 @@ class TestValidation:
         constants[(1, 0, 1)] = 2
         ring = FusionRing(["1", "t"], 0, constants)
         report = ring.validate()
-        assert not report.commutative_ok
+        assert dict(report.checks())["commutativity"] is False
 
     def test_duality_failure_detected(self):
         # Rank 3 where label 1 never reaches the unit.
@@ -93,14 +93,14 @@ class TestValidation:
                      (2, 2, 0): 1}
         ring = FusionRing(["1", "a", "b"], 0, constants)
         report = ring.validate()
-        assert not report.duality_ok
+        assert dict(report.checks())["duality uniqueness"] is False
 
     def test_supplied_dual_cross_checked(self):
         ring = FusionRing(["0", "1", "2"], 0,
                           {(i, j, (i + j) % 3): 1
                            for i in range(3) for j in range(3)},
                           supplied_dual={0: 0, 1: 1, 2: 2})  # wrong: 1' = 2
-        assert not ring.validate().duality_ok
+        assert dict(ring.validate().checks())["duality uniqueness"] is False
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ def test_associativity_failure_names_first_quadruple(data):
                        for j in range(n) for k in range(n)})
     report = ring.validate()
     found = [f for f in report.failures if f.startswith("associativity")]
-    assert report.associative_ok is (expect is None)
+    assert dict(report.checks())["associativity"] is (expect is None)
     assert found == ([] if expect is None else [expect])
 
 
@@ -224,7 +224,7 @@ def test_duality_matches_a_scan_of_each_unit_row(data, supplied):
                        for j in range(n) for k in range(n)}, supplied)
     report = ring.validate()
     found = [f for f in report.failures if f.startswith("duality")]
-    assert report.duality_ok == (not expect)
+    assert dict(report.checks())["duality uniqueness"] == (not expect)
     assert found == expect[:1]
     if report.passed:
         assert ring.dual_vector() == tuple(row[0] for row in rows)

@@ -1,6 +1,5 @@
 """Exact S/T matrices, Gauss sums, and the Verlinde round-trip."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -13,9 +12,9 @@ from hypothesis import strategies as st
 
 from fusioncat.cyclotomic import (_CycArray, cyc_rational, cyc_root_of_unity,
                                   format_cyc, parse_cyc)
-from fusioncat.fusion_ring import FusionRing, ValidationReport
+from fusioncat.fusion_ring import CheckReport, FusionRing
 from fusioncat.modular_data import (GlobalDimensionError, ModularDatum,
-                                    ModularReport, VerlindeError)
+                                    VerlindeError)
 from reference import shifted_twist, stilde_conjugate_form
 
 
@@ -310,7 +309,7 @@ class TestVerification:
     def test_u_passes(self, u_datum):
         report = u_datum.verify_modular()
         assert report.passed, report.failures
-        assert report.gauss_ratio_ok is True
+        assert dict(report.checks())["Gauss ratio e^(2 pi i c/4)"] is True
 
     def test_vltau_passes(self, vltau_datum):
         assert vltau_datum.verify_modular().passed
@@ -322,7 +321,7 @@ class TestVerification:
         md = shifted_twist(z3_datum(), 1, Fraction(1, 9))
         report = md.verify_modular()
         assert not report.passed
-        assert not report.s_squared_is_charge_conjugation
+        assert dict(report.checks())["S^2 = charge conjugation"] is False
 
     def test_every_label_needs_a_dim(self):
         ring = z3_datum().ring
@@ -336,23 +335,27 @@ class TestVerification:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([ModularReport, ValidationReport]), st.data())
-def test_report_of_lists_failures_in_field_order(cls, data):
-    """Each outcome True, None or a failure text, given in any keyword
-    order: the report follows the field order."""
-    names = [f.name for f in dataclasses.fields(cls) if "label" in f.metadata]
-    outcomes = {name: data.draw(st.sampled_from([True, None, f"{name} text"]))
-                for name in data.draw(st.permutations(names))}
-    report = cls.of(**outcomes)
-    failed = [name for name in names if isinstance(outcomes[name], str)]
-    assert report.failures == tuple(f"{name} text" for name in failed)
+@given(st.sampled_from(["violation", "detail"]),
+       st.lists(st.text("S^2=ab ", min_size=1, max_size=12), min_size=1,
+                max_size=8, unique=True),
+       st.data())
+def test_report_lists_failures_in_row_order(note, labels, data):
+    """Each row's outcome True, None or a failure text: the check lines and
+    `failures` follow the row order, in one column past the longest label."""
+    outcomes = [(label, data.draw(st.sampled_from([True, None,
+                                                    f"{label} text"])))
+                for label in labels]
+    report = CheckReport(note, outcomes)
+    failed = [ok for _, ok in outcomes if isinstance(ok, str)]
+    assert report.failures == tuple(failed)
     assert report.passed == (not failed)
+    assert report.checks() == [(label, False if isinstance(ok, str) else ok)
+                               for label, ok in outcomes]
     marks = {True: "PASS", None: "SKIP"}
-    lines = report.lines()
-    assert [line.rsplit(" ", 1)[1] for line in lines[:len(names)]] == [
-        marks.get(outcomes[name], "FAIL") for name in names]
-    assert lines[len(names):] == [f"  {cls.note}: {name} text"
-                                  for name in failed]
+    width = max(map(len, labels)) + 2
+    assert report.lines() == [
+        label.ljust(width) + marks.get(ok, "FAIL") for label, ok in outcomes
+    ] + [f"  {note}: {text}" for text in failed]
 
 
 class TestTMatrix:

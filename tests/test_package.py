@@ -2,7 +2,8 @@
 
 `import fusioncat` loads no submodule; `char` and `count` are integer and
 Fraction work and must never load numpy or the cyclotomic module; a call on
-an FCAT file loads none of the catalog modules, and `fuse`, `qdim` and
+an FCAT file loads none of the catalog modules and no `dataclasses`, as its
+check reports are plain rows, and `fuse`, `qdim` and
 `verify` on a file without twists and dims, which read only the ring, load
 no `modular_data`.  The catalog builders, counting and label lookup do not
 load the lattice; `char` does.  Module loading is
@@ -125,14 +126,15 @@ class TestNumpyNotLoaded:
 CATALOG = ("fusioncat.orbifold_catalog", "fusioncat.lattice",
            "fusioncat.qseries")
 
-# Runs the CLI and prints, as the last stdout line, every fusioncat module and
-# numpy in `sys.modules` order: a module takes its place there when it has
-# finished loading.
+# Runs the CLI and prints, as the last stdout line, every fusioncat module,
+# numpy and dataclasses in `sys.modules` order: a module takes its place there
+# when it has finished loading.
 _RUN_CLI_ORDER = """\
 import atexit, sys
 atexit.register(lambda: print("loaded:", *[m for m in sys.modules
                                            if m.split(".")[0] in
-                                           ("fusioncat", "numpy")
+                                           ("fusioncat", "numpy",
+                                            "dataclasses")
                                            and m.count(".") <= 1
                                            and not m.startswith("numpy.")]))
 from fusioncat.cli import main
@@ -159,7 +161,7 @@ class TestCommandImports:
         path.write_text(SEMION)
         loaded = _loaded_in_order([command, str(path)])
         assert "fusioncat.modular_data" in loaded
-        assert [m for m in CATALOG if m in loaded] == []
+        assert [m for m in (*CATALOG, "dataclasses") if m in loaded] == []
 
     @pytest.mark.parametrize("argv,text", [
         (["qdim"], SEMION), (["fuse", "1", "s"], SEMION),
