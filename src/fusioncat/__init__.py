@@ -25,8 +25,8 @@ _EXPORTS = {
                 "orbifold_decomposition"),
     "modular_data": ("ModularDatum", "VerlindeError"),
     "orbifold_catalog": ("build_U", "build_VLtau",
-                         "count_orbifold_irreducibles", "weight_table_check",
-                         "stilde_fixture", "stilde_fixture_diff"),
+                         "count_orbifold_irreducibles"),
+    "paper": ("weight_table_check", "stilde_fixture", "stilde_fixture_diff"),
     "qseries": ("QSeries", "eta_inverse_power", "theta_coset", "character",
                 "qdim_limit"),
 }
@@ -34,6 +34,14 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
 
 __all__ = [*_MODULE_OF, "__version__"]
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) of ASCII digits with an optional sign only: int() also
+    reads '1_0', ' 2' and other scripts' digits (docs/fcat.md)."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def __getattr__(name: str):

@@ -3,21 +3,14 @@
 Subcommands: verify, fuse, qdim, smatrix, tmatrix, verlinde, catalog, char,
 count.  Exit codes: 0 success, 1 a failed check (a library error for one
 carries `exit_code` 1), 2 parse/usage error.  Exact output is the default;
-`--format float` rounds at 10 significant digits.  `char` and `count` load
-no numpy, the matrix commands on an FCAT file no catalog module, and `fuse`,
-`qdim` and `verify` on a file without twists and dims no `modular_data`;
-`fuse` and `qdim` load the catalog module only for a W-index alias of U.
-Input bounds are fixed, not options: a field Q(zeta_N) with N > 720, a
-rank > 512, a `char --cutoff` above 10000 or an FCAT line whose field count
-misses its directive's arity (`dim`: at least 1) is one `error:` line, exit
-2, and so is every other arithmetic error.
+`--format float` rounds at 10 significant digits.  Each command imports
+only the modules it runs (README, "Start-up cost").  Input past a fixed
+bound (README, "CLI"), and every other arithmetic error, is one `error:`
+line, exit 2.
 
 `run()` is the process entry of both `python -m fusioncat.cli` and the
-`fusioncat` console script: it sets one BLAS thread unless the environment
-gives a value, runs `main()` and then freezes the heap, so interpreter
-finalization skips its collections over the objects numpy and fusioncat
-leave alive.  `main(argv)` has neither side effect and can be called in
-process any number of times.
+`fusioncat` console script.  `main(argv)` has none of its side effects and
+can be called in process any number of times.
 """
 
 from __future__ import annotations
@@ -29,6 +22,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
+
+from . import _ascii_int
 
 if TYPE_CHECKING:
     from .cyclotomic import CycNum
@@ -146,7 +141,8 @@ def cmd_verify(args) -> int:
 def _label(ring: FusionRing, name: str) -> int:
     """The index of a label, or of a W-index alias of U's labels (W0..W19):
     only a name of that form that is no label loads the catalog module."""
-    if name not in ring.labels and name[:1] == "W" and name[1:].isdecimal():
+    if (name not in ring.labels and name[:1] == "W" and name.isascii()
+            and name[1:].isdecimal()):
         from .orbifold_catalog import U_LABELS
         if ring.labels == U_LABELS:
             index = name[1:].lstrip("0") or "0"
@@ -311,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_count)
 
+    # ASCII integers, as in FCAT; a usage error still names int.
+    for p in sub.choices.values():
+        p.register("type", int, _ascii_int)
     return parser
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from . import _ascii_int
 # numpy enters through `cyclotomic`.
 from .cyclotomic import CycNum, _exact, _memo, format_cyc, parse_cyc
 import numpy as np
@@ -247,14 +248,6 @@ class FusionRing:
 #   dim <i> <expr>           (optional cyclotomic expression)
 # '#' starts a comment; blank lines are ignored; unknown directives error.
 _ARITY = {"label": 2, "unit": 1, "dual": 2, "N": 4, "twist": 2}
-
-
-def _ascii_int(text: str) -> int:
-    """int(text) of ASCII digits with an optional sign: int() alone also
-    reads '1_0' as 10, and the digits of other scripts."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
 
 
 class FcatDocument(NamedTuple):

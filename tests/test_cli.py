@@ -116,6 +116,23 @@ class TestCount:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["count", "٢"],
+     "fusioncat count: error: argument n: invalid int value: '٢'"),
+    (["count", " 2"],
+     "fusioncat count: error: argument n: invalid int value: ' 2'"),
+    (["char", "M^0", "--cutoff", "1_0"],
+     "fusioncat char: error: argument --cutoff: invalid int value: '1_0'"),
+], ids=["count-arabic-indic", "count-space", "cutoff-underscore"])
+def test_integer_arguments_are_ascii(argv, message, capsys):
+    # As in FCAT: int() alone reads them, as 2, 2 and 10.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[-1]) == ("", message)
+
+
 class TestVerify:
     def test_catalog_u_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--catalog", "U"], capsys=capsys)
@@ -868,6 +885,11 @@ class TestQdim:
                                  capsys=capsys)
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: unknown label 'nope'"]
+
+    def test_w_index_digits_are_ascii(self, capsys):
+        # int() alone reads the Arabic-Indic 6 as U's W6.
+        assert run_cli(["qdim", "--catalog", "U", "--label", "W٦"],
+                       capsys=capsys) == (2, "", "error: unknown label 'W٦'\n")
 
 
 class TestRingOnly:

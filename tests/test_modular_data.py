@@ -92,7 +92,7 @@ class TestStilde:
         # carries a phase off (criterion 1 in test_acceptance.py).
         st = u_datum.stilde()
         assert st[8][8] == cyc_rational(2) * cyc_root_of_unity(5, 18)
-        from fusioncat.orbifold_catalog import stilde_fixture
+        from fusioncat.paper import stilde_fixture
         table = stilde_fixture()
         assert table[8][8] == (cyc_rational(2) * cyc_root_of_unity(-2, 9)
                                + cyc_rational(2) * cyc_root_of_unity(1, 9))

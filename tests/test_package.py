@@ -5,8 +5,9 @@ Fraction work and must never load numpy or the cyclotomic module; a call on
 an FCAT file loads none of the catalog modules and no `dataclasses`, as its
 check reports are plain rows, and `fuse`, `qdim` and
 `verify` on a file without twists and dims, which read only the ring, load
-no `modular_data`.  The catalog builders, counting and label lookup do not
-load the lattice; `char` does.  Module loading is
+no `modular_data`.  The catalog builders, counting and label lookup load
+neither the lattice nor the paper's checks, nor `dataclasses`; `char` loads
+the lattice.  Module loading is
 checked in a fresh interpreter through `sys.modules`.  numpy is first
 imported by `fusioncat.cyclotomic` whatever module or command loads it,
 checked with `-X importtime`.  The process entry runs BLAS on one thread and freezes
@@ -188,7 +189,8 @@ class TestCommandImports:
     def test_catalog_call_loads_no_lattice(self, argv):
         loaded = _loaded_in_order(argv)
         assert "fusioncat.orbifold_catalog" in loaded
-        assert "fusioncat.lattice" not in loaded
+        assert [m for m in ("fusioncat.lattice", "fusioncat.paper",
+                            "dataclasses") if m in loaded] == []
 
 
 def _importer_of_numpy(*args, cwd=None):
