@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cyclotomic": ("CycNum", "CycError", "OrderCapExceeded", "cyc_rational",
                    "cyc_root_of_unity", "format_cyc", "parse_cyc"),
-    "fusion_ring": ("FusionRing", "FcatDocument", "FcatError",
-                    "InvalidRingError", "parse_fcat", "emit_fcat"),
+    "fcat": ("FcatDocument", "FcatError", "parse_fcat", "emit_fcat"),
+    "fusion_ring": ("FusionRing", "InvalidRingError"),
     "lattice": ("Lattice", "Coset", "min_norm", "min_vectors",
                 "orbifold_decomposition"),
     "modular_data": ("ModularDatum", "VerlindeError"),

@@ -68,9 +68,9 @@ def _build_catalog(name: str) -> ModularDatum:
     raise CliError(f"unknown catalog {name!r} (choose U or VLtau)")
 
 
-def _load(args) -> tuple[FusionRing, Callable[[], ModularDatum] | None]:
+def _load(args) -> tuple[FusionRing, Callable[[], ModularDatum | None]]:
     """The ring of --catalog or of an FCAT file ('-' reads stdin), and a
-    builder of its datum: None for a file without every twist and dim."""
+    builder of its datum (None for a file without every twist and dim)."""
     if args.catalog:
         if args.input is not None:
             raise CliError("give --catalog or an input file, not both "
@@ -79,27 +79,17 @@ def _load(args) -> tuple[FusionRing, Callable[[], ModularDatum] | None]:
         return md.ring, lambda: md
     if args.input is None:
         raise CliError("an input file or --catalog is required")
-    from .fusion_ring import parse_fcat
+    from .fcat import parse_fcat
     doc = parse_fcat(sys.stdin.read() if args.input == "-"
                      else Path(args.input).read_text(encoding="utf-8"))
-    if not doc.has_modular_annotations:
-        return doc.ring, None
-
-    def datum() -> ModularDatum:
-        from .modular_data import ModularDatum
-        md = ModularDatum(doc.ring, doc.twists, doc.dims)
-        # FCAT carries no central charge: c mod 8 from the Gauss sums, for
-        # the ratio check and T.  No value cached before it depends on c.
-        md.central_charge = md.infer_central_charge_mod8()
-        return md
-    return doc.ring, datum
+    return doc.ring, doc.datum
 
 
 def _require_datum(args) -> ModularDatum:
-    _, datum = _load(args)
-    if datum is None:
+    md = _load(args)[1]()
+    if md is None:
         raise CliError("input lacks twist/dim annotations needed here")
-    return datum()
+    return md
 
 
 def _float_str(x: float) -> str:
@@ -120,7 +110,7 @@ def cmd_verify(args) -> int:
     ring, datum = _load(args)
     report = ring.validate()
     ok = report.passed
-    md = datum() if datum is not None and ok else None
+    md = datum() if ok else None
     for line in report.lines():
         print(line)
     if md is not None:
@@ -208,7 +198,7 @@ def cmd_verlinde(args) -> int:
 
 def cmd_catalog(args) -> int:
     md = _build_catalog(args.name)
-    from .fusion_ring import FcatDocument, emit_fcat
+    from .fcat import FcatDocument, emit_fcat
     doc = FcatDocument(
         name=args.name,
         ring=md.ring,

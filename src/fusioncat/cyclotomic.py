@@ -596,12 +596,22 @@ class _Parser:
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
+    def fail(self, expected: str) -> ValueError:
+        tok = self.peek()
+        found = "end of input" if tok is None else repr(tok)
+        return ValueError(f"expected {expected}, found {found}")
+
     def take(self, expect: str | None = None) -> str:
         tok = self.peek()
         if tok is None or (expect is not None and tok != expect):
-            raise ValueError(f"expected {expect!r}, found {tok!r}")
+            raise self.fail(repr(expect))
         self.pos += 1
         return tok
+
+    def integer(self) -> int:
+        if not (self.peek() or "").isdigit():
+            raise self.fail("a number")
+        return int(self.take())
 
     def parse(self) -> CycNum:
         v = self.expr()
@@ -649,10 +659,10 @@ class _Parser:
         return sign * self.rational()
 
     def rational(self) -> Fraction:
-        num = int(self.take())
+        num = self.integer()
         if self.peek() == "/":
             self.take("/")
-            den = int(self.take())
+            den = self.integer()
             if den == 0:
                 raise ValueError(f"zero denominator in {num}/0")
             return Fraction(num, den)

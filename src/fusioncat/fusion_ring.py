@@ -5,31 +5,18 @@ N[i][j][k], a distinguished unit, and the duality involution derived from
 the unit row (a supplied involution is cross-checked, never trusted).
 Quantum dimensions are the spectral radii (Perron-Frobenius eigenvalues) of
 the fusion matrices.  The module also owns `CheckReport`, the labelled rows
-of a check report, and the line-oriented FCAT v1 text format.
+of a check report.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from . import _ascii_int
 # numpy enters through `cyclotomic`.
-from .cyclotomic import CycNum, _exact, _memo, format_cyc, parse_cyc
+from .cyclotomic import _exact, _memo
 import numpy as np
 
-__all__ = [
-    "FusionRing",
-    "FcatError",
-    "InvalidRingError",
-    "FcatDocument",
-    "parse_fcat",
-    "emit_fcat",
-]
-
-
-class FcatError(ValueError):
-    """Malformed FCAT v1 input; message carries the offending line number."""
+__all__ = ["FusionRing", "InvalidRingError"]
 
 
 class InvalidRingError(ValueError):
@@ -232,140 +219,4 @@ class FusionRing:
 
     def __repr__(self):
         return f"FusionRing(rank={self.rank}, unit={self.labels[self.unit]!r})"
-
-
-# ---------------------------------------------------------------------------
-# FCAT v1 text format
-# ---------------------------------------------------------------------------
-#
-# Line-oriented UTF-8.  Directives (exact grammar in docs/fcat.md):
-#   category <name>
-#   label <index> <string>
-#   unit <index>
-#   dual <i> <i'>            (optional; cross-checked against the unit row)
-#   N <i> <j> <k> <mult>     (absent triples are zero)
-#   twist <i> <p>/<q>        (optional)
-#   dim <i> <expr>           (optional cyclotomic expression)
-# '#' starts a comment; blank lines are ignored; unknown directives error.
-_ARITY = {"label": 2, "unit": 1, "dual": 2, "N": 4, "twist": 2}
-
-
-class FcatDocument(NamedTuple):
-    """Parsed FCAT file: the ring plus optional twist/dim annotations."""
-
-    name: str
-    ring: FusionRing
-    twists: dict[int, Fraction]
-    dims: dict[int, CycNum]
-
-    @property
-    def has_modular_annotations(self) -> bool:
-        n = self.ring.rank
-        return (len(self.twists) == n and len(self.dims) == n)
-
-
-def parse_fcat(text: str) -> FcatDocument:
-    name = ""
-    labels: dict[int, str] = {}
-    unit: int | None = None
-    duals: dict[int, int] = {}
-    constants: dict[tuple[int, int, int], int] = {}
-    twists: dict[int, Fraction] = {}
-    dims_raw: dict[int, str] = {}
-    given: dict[str, int] = {}     # what a directive sets -> its line
-
-    def err(lineno: int, message: str) -> FcatError:
-        return FcatError(f"line {lineno}: {message}")
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        directive, args = parts[0], parts[1:]
-        try:
-            arity = _ARITY.get(directive, len(args))
-            if len(args) != arity:
-                raise ValueError(f"{len(args)} fields, expected {arity}")
-            if directive == "category":
-                key = directive
-                name = " ".join(args)
-            elif directive == "label":
-                i = _ascii_int(args[0])
-                key = f"label({i})"
-                labels[i] = args[1]
-            elif directive == "unit":
-                key = directive
-                unit = _ascii_int(args[0])
-            elif directive == "dual":
-                i = _ascii_int(args[0])
-                key = f"dual({i})"
-                duals[i] = _ascii_int(args[1])
-            elif directive == "N":
-                i, j, k, m = map(_ascii_int, args)
-                key = f"N[{i},{j},{k}]"
-                constants[(i, j, k)] = m
-            elif directive == "twist":
-                if args[1].count("/") != 1:
-                    raise ValueError(f"expected p/q, got {args[1]!r}")
-                num, den = map(_ascii_int, args[1].split("/"))
-                if den == 0:
-                    raise ValueError(f"zero denominator in {args[1]}")
-                i = _ascii_int(args[0])
-                key = f"twist({i})"
-                twists[i] = Fraction(num, den)
-            elif directive == "dim":
-                if not args:
-                    raise ValueError("0 fields, expected at least 1")
-                i = _ascii_int(args[0])
-                key = f"dim({i})"
-                dims_raw[i] = " ".join(args[1:])
-            else:
-                raise err(lineno, f"unknown directive {directive!r}")
-        except FcatError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise err(lineno, f"malformed {directive!r} directive: {exc}") from exc
-        if key in given:
-            raise err(lineno, f"{key} already given on line {given[key]}")
-        given[key] = lineno
-
-    if unit is None:
-        raise FcatError("missing 'unit' directive")
-    if sorted(labels) != list(range(len(labels))):
-        raise FcatError("label indices must be 0..n-1 without gaps")
-    ordered = [labels[i] for i in range(len(labels))]
-    ring = FusionRing(ordered, unit, constants,
-                      supplied_dual=duals if duals else None)
-    for directive, indices in (("twist", twists), ("dim", dims_raw)):
-        for i in indices:
-            if not 0 <= i < ring.rank:
-                raise FcatError(
-                    f"label index out of range in {directive}({i})")
-    dims = {}
-    for i, expr in dims_raw.items():
-        try:
-            dims[i] = parse_cyc(expr)
-        except ValueError as exc:
-            raise FcatError(f"bad dim expression for label {i}: {exc}") from exc
-    return FcatDocument(name, ring, twists, dims)
-
-
-def emit_fcat(doc: FcatDocument) -> str:
-    """Deterministic, byte-stable FCAT emission (sorted directives)."""
-    ring = doc.ring
-    out = [f"category {doc.name}" if doc.name else "category unnamed"]
-    for i, label in enumerate(ring.labels):
-        out.append(f"label {i} {label}")
-    out.append(f"unit {ring.unit}")
-    if ring.validate().passed:
-        out += [f"dual {i} {d}" for i, d in enumerate(ring.dual_vector())]
-    for i in sorted(doc.twists):
-        t = doc.twists[i]
-        out.append(f"twist {i} {t.numerator}/{t.denominator}")
-    for i in sorted(doc.dims):
-        out.append(f"dim {i} {format_cyc(doc.dims[i])}")
-    for i, j, k, m in sorted(doc.ring.nonzero()):
-        out.append(f"N {i} {j} {k} {m}")
-    return "\n".join(out) + "\n"
 

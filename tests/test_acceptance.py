@@ -31,7 +31,7 @@ from fusioncat.cyclotomic import (
     format_cyc,
     parse_cyc,
 )
-from fusioncat.fusion_ring import FcatDocument, emit_fcat, parse_fcat
+from fusioncat.fcat import FcatDocument, emit_fcat, parse_fcat
 from fusioncat.lattice import (
     Coset,
     Lattice,

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fusioncat import cli, cyclotomic, modular_data
 from fusioncat.cli import main
 from fusioncat.cyclotomic import parse_cyc
-from fusioncat.fusion_ring import parse_fcat
+from fusioncat.fcat import parse_fcat
 from fusioncat.modular_data import ModularDatum
 
 from test_golden import CLI_SHA256, pointed_fcat

@@ -27,7 +27,7 @@ from fusioncat.cyclotomic import (
     format_cyc,
     parse_cyc,
 )
-from fusioncat.fusion_ring import parse_fcat
+from fusioncat.fcat import parse_fcat
 from fusioncat.modular_data import ModularDatum
 
 
@@ -144,6 +144,12 @@ class TestParseFormat:
     @pytest.mark.parametrize("text,message", [
         ("1 2", "trailing input '2'"),
         ("1 $", "bad character in expression at ' $'"),
+        ("1/", "expected a number, found end of input"),
+        ("1+", "expected a number, found end of input"),
+        ("e(1/3", "expected ')', found end of input"),
+        ("2**3", "expected a number, found '*'"),
+        ("e()", "expected a number, found ')'"),
+        ("e(1/-3)", "expected a number, found '-'"),
     ])
     def test_parse_names_what_it_cannot_read(self, text, message):
         with pytest.raises(ValueError) as info:

@@ -9,14 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusioncat.cyclotomic import OrderCapExceeded
-from fusioncat.fusion_ring import (
-    FcatDocument,
-    FcatError,
-    FusionRing,
-    emit_fcat,
-    first_violation,
-    parse_fcat,
-)
+from fusioncat.fcat import FcatDocument, FcatError, emit_fcat, parse_fcat
+from fusioncat.fusion_ring import FusionRing, first_violation
 
 
 def fibonacci_ring() -> FusionRing:

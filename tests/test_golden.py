@@ -14,7 +14,7 @@ import pytest
 
 from fusioncat import build_U, build_VLtau
 from fusioncat.cli import main
-from fusioncat.fusion_ring import parse_fcat
+from fusioncat.fcat import parse_fcat
 from fusioncat.modular_data import ModularDatum, VerlindeError
 
 from reference import shifted_twist
@@ -216,6 +216,19 @@ def test_irrational_dims_digest(key, tmp_path, capsys):
     path.write_text({"fibonacci": FIBONACCI_FCAT, "ising": ISING_FCAT}[name])
     argv = command.split() + [str(path)]
     assert _stdout_digest(argv, capsys) == IRRATIONAL_SHA256[key]
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising"])
+def test_byte_order_mark_is_skipped(name, tmp_path, capsys):
+    # A file saved with a UTF-8 byte-order mark reads as the plain file.
+    text = {"fibonacci": FIBONACCI_FCAT, "ising": ISING_FCAT}[name]
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / f"{name}{len(mark)}.fcat"
+        path.write_bytes(mark + text.encode())
+        runs.append((main(["verify", str(path)]), capsys.readouterr()))
+    assert runs[1] == runs[0]
+    assert runs[0][0] == 0
 
 
 def test_pointed_z63_s_demotes():

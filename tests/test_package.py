@@ -2,12 +2,12 @@
 
 `import fusioncat` loads no submodule; `char` and `count` are integer and
 Fraction work and must never load numpy or the cyclotomic module; a call on
-an FCAT file loads none of the catalog modules and no `dataclasses`, as its
-check reports are plain rows, and `fuse`, `qdim` and
+an FCAT file loads `fcat` and none of the catalog modules and no
+`dataclasses`, as its check reports are plain rows, and `fuse`, `qdim` and
 `verify` on a file without twists and dims, which read only the ring, load
 no `modular_data`.  The catalog builders, counting and label lookup load
-neither the lattice nor the paper's checks, nor `dataclasses`; `char` loads
-the lattice.  Module loading is
+neither the lattice nor the paper's checks, nor `fcat` or `dataclasses`;
+`char` loads the lattice.  Module loading is
 checked in a fresh interpreter through `sys.modules`.  numpy is first
 imported by `fusioncat.cyclotomic` whatever module or command loads it,
 checked with `-X importtime`.  The process entry runs BLAS on one thread and freezes
@@ -162,6 +162,7 @@ class TestCommandImports:
         path.write_text(SEMION)
         loaded = _loaded_in_order([command, str(path)])
         assert "fusioncat.modular_data" in loaded
+        assert "fusioncat.fcat" in loaded
         assert [m for m in (*CATALOG, "dataclasses") if m in loaded] == []
 
     @pytest.mark.parametrize("argv,text", [
@@ -174,6 +175,7 @@ class TestCommandImports:
         path.write_text(text)
         loaded = _loaded_in_order([*argv, str(path)])
         assert "fusioncat.fusion_ring" in loaded
+        assert "fusioncat.fcat" in loaded
         assert [m for m in ("fusioncat.modular_data", *CATALOG)
                 if m in loaded] == []
 
@@ -185,12 +187,15 @@ class TestCommandImports:
 
     @pytest.mark.parametrize("argv", [
         ["count", "2"], ["verify", "--catalog", "U"],
+        ["verlinde", "--catalog", "VLtau"],
         ["qdim", "--catalog", "U", "--label", "W6"]], ids=" ".join)
     def test_catalog_call_loads_no_lattice(self, argv):
+        # nor the FCAT module, which only files and `catalog` read
         loaded = _loaded_in_order(argv)
         assert "fusioncat.orbifold_catalog" in loaded
         assert [m for m in ("fusioncat.lattice", "fusioncat.paper",
-                            "dataclasses") if m in loaded] == []
+                            "fusioncat.fcat", "dataclasses")
+                if m in loaded] == []
 
 
 def _importer_of_numpy(*args, cwd=None):
@@ -219,7 +224,8 @@ class TestNumpyEntry:
         assert _importer_of_numpy("-m", "fusioncat.cli", *argv,
                                   cwd=tmp_path) == "fusioncat.cyclotomic"
 
-    @pytest.mark.parametrize("module", ["fusioncat.fusion_ring",
+    @pytest.mark.parametrize("module", ["fusioncat.fcat",
+                                        "fusioncat.fusion_ring",
                                         "fusioncat.modular_data"])
     def test_import(self, module):
         assert (_importer_of_numpy("-c", f"import {module}")

@@ -1,7 +1,8 @@
 """The README's examples, run as written: the `>>>` session of "Library
 overview" as a doctest, and each CLI line that states its output after
 `# ->` through `main` in process.  Each name the "Library overview" table
-gives in backticks must exist in the package."""
+gives in backticks must exist in the package, and its first column names
+each module of `fusioncat._EXPORTS` once."""
 
 import builtins
 import doctest
@@ -44,12 +45,17 @@ def test_library_overview_session():
     assert failed == 0
 
 
+def _table_rows() -> list[str]:
+    """The body rows of the "Library overview" table."""
+    return [line for line in _section("Library overview").splitlines()
+            if line.startswith("| `")]
+
+
 def _table_names() -> list[str]:
     """The backticked identifiers of the "Library overview" table, each
     without a trailing call `(...)`."""
-    rows = [line for line in _section("Library overview").splitlines()
-            if line.startswith("| `")]
-    return [m[1] for row in rows for span in re.findall(r"`([^`]+)`", row)
+    return [m[1] for row in _table_rows()
+            for span in re.findall(r"`([^`]+)`", row)
             if (m := re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span))]
 
 
@@ -81,6 +87,12 @@ def test_library_overview_names_resolve():
     roots = _roots()
     assert names
     assert [name for name in names if not _resolves(name, roots)] == []
+
+
+def test_library_overview_lists_each_module():
+    modules = [row.split("`")[1] for row in _table_rows()]
+    assert sorted(modules) == sorted(f"fusioncat.{m}"
+                                     for m in fusioncat._EXPORTS)
 
 
 _CLI_LINES = [line for block in _fenced("CLI", "sh")
